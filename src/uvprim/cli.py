@@ -28,13 +28,9 @@ from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
-from . import ntcore, screening, verify
+from . import field, ntcore, screening, verify
 from .errors import NotAPrimePowerError
-
-_CACHE_ENV = "UVPRIM_CACHE_DIR"
 
 
 # --------------------------------------------------------------------------
@@ -286,6 +282,10 @@ def run_oracle(args, parser) -> tuple[dict, int]:
         parser.error(str(e))
     if q > _ORACLE_GUARDS[args.kind]:
         parser.error(f"oracle {args.kind} is brute-force; q <= {_ORACLE_GUARDS[args.kind]} only")
+    try:
+        field.check_nonzero(q, u=args.u, v=args.v)
+    except ValueError as e:
+        parser.error(str(e))
     es = None
     if args.e:
         try:
@@ -329,30 +329,6 @@ def run_oracle(args, parser) -> tuple[dict, int]:
 
 def _echo(args) -> list[str]:
     return list(args._argv)
-
-
-# --------------------------------------------------------------------------
-# prime-cache persistence
-
-def _load_prime_cache(cache_dir: str) -> None:
-    path = os.path.join(cache_dir, "primes.npz")
-    try:
-        with np.load(path) as z:
-            primes, limit = z["primes"], int(z["limit"])
-    except (OSError, KeyError, ValueError):
-        return
-    if limit > ntcore._prime_cache_limit:
-        ntcore._prime_cache = primes.astype(np.int64)
-        ntcore._prime_cache_limit = limit
-
-
-def _save_prime_cache(cache_dir: str) -> None:
-    path = os.path.join(cache_dir, "primes.npz")
-    try:
-        os.makedirs(cache_dir, exist_ok=True)
-        np.savez(path, primes=ntcore._prime_cache, limit=np.int64(ntcore._prime_cache_limit))
-    except OSError:
-        pass
 
 
 # --------------------------------------------------------------------------
@@ -406,12 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = argv
-    cache_dir = os.environ.get(_CACHE_ENV)
-    if cache_dir:
-        _load_prime_cache(cache_dir)
     report, code = args.func(args, parser)
-    if cache_dir:
-        _save_prime_cache(cache_dir)
     _emit(report, args.format, args.out)
     return code
 

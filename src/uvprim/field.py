@@ -38,6 +38,7 @@ __all__ = [
     "LogTable",
     "add",
     "build_field",
+    "check_nonzero",
     "discrete_log",
     "from_coeffs",
     "inv",
@@ -142,6 +143,14 @@ def build_field(q: int) -> FieldSpec:
 
 # --------------------------------------------------------------------------
 # element arithmetic (packed ints)
+
+def check_nonzero(q: int, **elements: int) -> None:
+    """Raise ValueError unless each named element is a nonzero element of
+    F_q, i.e. an int in [1, q)."""
+    for name, a in elements.items():
+        if not 0 < a < q:
+            raise ValueError(f"{name}={a} is not a nonzero element of F_{q}: it must lie in [1, {q})")
+
 
 def to_coeffs(F: FieldSpec, a: int) -> tuple[int, ...]:
     """Unpack a into its r base-p digits (c_0, ..., c_{r-1})."""

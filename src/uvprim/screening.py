@@ -7,11 +7,12 @@ primitive.  ``q in the pair set`` means N > 0 for every nonzero (u,v);
 ``q in the element set`` means M > 0 for every nonzero (u,v), which implies
 pair-set membership via (a, a^-1).
 
-Every criterion here is a closed-form lower bound whose positivity is decided
-*exactly* -- all quantities are rationals except sqrt(q), and every comparison
-``alpha > beta*sqrt(q)`` is settled by sign analysis plus squaring.  The
-reported ``lower_bound`` is a certified rational lower bound for the true
-count obtained through a tight rational enclosure of sqrt(q).
+Every criterion here is a margin alpha - beta*sqrt(q) with rational alpha and
+beta, built in one place per formula; it holds iff the margin is positive,
+which is decided *exactly* by sign analysis plus squaring.  The reported
+``lower_bound`` is a positive scale times a certified rational lower bound for
+the margin, obtained through a tight rational enclosure of sqrt(q), and is a
+lower bound for the true count.
 
 With theta, tau, W as in `ntcore` and stats taken at q-1:
 
@@ -40,9 +41,15 @@ odd q, 1 for even q):
   whose positivity is exactly the workhorse criterion
       sqrt(q) > 2C [W^2 - (W/2)(1 - 1/sqrt(q))].
 
-`screen` runs the stages in order for one q; `survey` reproduces, for one
-value of omega(q-1), the finite candidate list that the coarse bounds cannot
-settle; `sweep` merges all surveys into the global needs-check list.
+`best_config` keeps, over the sieving configs s, the report with the largest
+margin; that one objective serves all three sieves.  There is one stage
+order: `screen` runs the element stage (W^4 criterion; the interval bound
+when omega = 1, else the best element sieve), then the pair stage (pair
+interval, best symmetric sieve, best asymmetric sieve), and stops at the
+first criterion that holds.  `survey` reproduces, for one value of
+omega(q-1), the finite candidate list that the element stage cannot settle;
+`sweep` merges all surveys and sends each listed q through the pair stage,
+giving the global needs-check list.
 """
 
 from __future__ import annotations
@@ -135,16 +142,33 @@ class SieveConfig:
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One criterion evaluated at one q: the certified rational lower bound
-    for the relevant count (or criterion margin), and whether positivity was
-    established exactly."""
+    """One criterion evaluated at one q.  `alpha` and `beta` are its exact
+    margin terms: the criterion holds iff alpha > beta*sqrt(q).
+    `lower_bound` is a certified rational lower bound for the relevant count
+    (or criterion margin): a positive scale times a rational lower bound for
+    alpha - beta*sqrt(q)."""
 
     theorem: str
     q: int
     lower_bound: Fraction
     holds: bool
+    alpha: Fraction
+    beta: Fraction
     config: SieveConfig | None = None
     epsilon: int | None = None
+
+
+def _report(theorem: str, q: int, alpha: Fraction, beta: Fraction, scale: Fraction = 1, **extra) -> BoundReport:
+    """The one constructor of every criterion's report."""
+    return BoundReport(
+        theorem=theorem,
+        q=q,
+        lower_bound=scale * _certified(alpha, beta, q),
+        holds=_gt_sqrt(alpha, beta, q),
+        alpha=alpha,
+        beta=beta,
+        **extra,
+    )
 
 
 @dataclass(frozen=True)
@@ -182,6 +206,8 @@ def sieve_config(q: int, s: int) -> SieveConfig:
         raise BoundNotApplicableError(f"s={s} out of range for omega={prof.omega}")
     sieving = prof.primes[prof.omega - s :]
     k = prof.radical // prod(sieving)
+    # delta_j = 1 - j * slack; the reciprocal sum is formed once for all j
+    slack = sum((Fraction(1, p) for p in sieving), Fraction(0))
     return SieveConfig(
         q=q,
         k=k,
@@ -189,9 +215,9 @@ def sieve_config(q: int, s: int) -> SieveConfig:
         s=s,
         k_profile=profile(k),
         theta_q_minus_1=prof.theta,
-        delta2=delta(2, sieving).value,
-        delta3=delta(3, sieving).value,
-        delta4=delta(4, sieving).value,
+        delta2=1 - 2 * slack,
+        delta3=1 - 3 * slack,
+        delta4=1 - 4 * slack,
     )
 
 
@@ -205,12 +231,7 @@ def prime_pair_interval(p: int) -> BoundReport:
     st = profile(p - 1)
     alpha = st.theta**3 * st.tau * (p - 1) ** 2
     beta = 5 * st.theta**4 * st.w**4 * p
-    return BoundReport(
-        theorem="prime-pair-interval",
-        q=p,
-        lower_bound=_certified(alpha, beta, p),
-        holds=_gt_sqrt(alpha, beta, p),
-    )
+    return _report("prime-pair-interval", p, alpha, beta)
 
 
 def pair_interval(q: int) -> BoundReport:
@@ -220,12 +241,7 @@ def pair_interval(q: int) -> BoundReport:
     st = profile(q - 1)
     alpha = st.theta**3 * st.tau * (q - 1) * q
     beta = st.theta**4 * st.w**3 * (q - 1)
-    return BoundReport(
-        theorem="pair-interval",
-        q=q,
-        lower_bound=_certified(alpha, beta, q),
-        holds=_gt_sqrt(alpha, beta, q),
-    )
+    return _report("pair-interval", q, alpha, beta)
 
 
 def pair_sieve_bound(q: int, s: int) -> BoundReport:
@@ -239,13 +255,7 @@ def pair_sieve_bound(q: int, s: int) -> BoundReport:
     scale = cfg.delta4 * st.theta**3 * (q - 1)
     alpha = scale * st.tau * q
     beta = scale * st.theta * st.w**3
-    return BoundReport(
-        theorem="pair-sieve",
-        q=q,
-        lower_bound=_certified(alpha, beta, q),
-        holds=_gt_sqrt(alpha, beta, q),
-        config=cfg,
-    )
+    return _report("pair-sieve", q, alpha, beta, config=cfg)
 
 
 def pair_sieve_asym_bound(q: int, s: int) -> BoundReport:
@@ -260,20 +270,12 @@ def pair_sieve_asym_bound(q: int, s: int) -> BoundReport:
     scale = st.theta**2 * cfg.theta_q_minus_1 * (q - 1)
     alpha = scale * cfg.delta3 * st.tau * q
     beta = scale * st.theta * st.w**3
-    return BoundReport(
-        theorem="pair-sieve-asym",
-        q=q,
-        lower_bound=_certified(alpha, beta, q),
-        holds=_gt_sqrt(alpha, beta, q),
-        config=cfg,
-    )
+    return _report("pair-sieve-asym", q, alpha, beta, config=cfg)
 
 
 def pair_w6(q: int) -> BoundReport:
     """Crude pair criterion q > W(q-1)**6; lower_bound is the margin."""
-    st = profile(q - 1)
-    margin = Fraction(q - st.w**6)
-    return BoundReport(theorem="pair-w6", q=q, lower_bound=margin, holds=margin > 0)
+    return _report("pair-w6", q, Fraction(q - profile(q - 1).w ** 6), Fraction(0))
 
 
 # --------------------------------------------------------------------------
@@ -282,9 +284,8 @@ def pair_w6(q: int) -> BoundReport:
 def epsilon(q: int, u: int, v: int) -> int:
     """The number of roots of u*a**2 + v in F_q (all such roots are nonzero):
     1 for even q; for odd q, 2 if -v/u is a square and 0 otherwise."""
+    fd.check_nonzero(q, u=u, v=v)
     F = fd.build_field(q)
-    if u == 0 or v == 0:
-        raise ValueError("u and v must be nonzero")
     if F.p == 2:
         return 1
     w = fd.mul(F, fd.neg(F, v), fd.inv(F, u))
@@ -303,144 +304,119 @@ def element_interval(q: int, eps: int | None = None) -> BoundReport:
     st = profile(q - 1)
     alpha = st.theta**2 * (q - 1 - eps * st.w)
     beta = 2 * st.theta**2 * (st.w**2 - st.w - (1 / st.theta - 1) / 2)
-    return BoundReport(
-        theorem="element-interval",
-        q=q,
-        lower_bound=_certified(alpha, beta, q),
-        holds=_gt_sqrt(alpha, beta, q),
-        epsilon=eps,
-    )
+    return _report("element-interval", q, alpha, beta, epsilon=eps)
 
 
 def element_sieve_criterion(q: int, s: int) -> BoundReport:
     """Sieved element criterion: with C = (2s-1)/delta_2 + 2 and stats at k,
     membership follows from sqrt(q) > 2C[W^2 - (W/2)(1 - 1/sqrt(q))], i.e.
     exactly from (q - CW) > (2CW^2 - CW) sqrt(q) after clearing sqrt(q).
-    Needs q > 3 and delta_2 > 0.  lower_bound certifies
-    theta^2 {(q - CW) - (2CW^2 - CW) sqrt(q)}, a lower bound for the count."""
+    Needs q > 3 and delta_2 > 0.  The margin terms are (q - CW, CW(2W - 1));
+    lower_bound certifies theta^2 {(q - CW) - (2CW^2 - CW) sqrt(q)}, a lower
+    bound for the count."""
     if q <= 3:
         raise BoundNotApplicableError("the element sieve needs q > 3")
     cfg = sieve_config(q, s)
     if cfg.delta2 <= 0:
         raise BoundNotApplicableError(f"delta_2 = {cfg.delta2} <= 0")
     st = cfg.k_profile
-    C = Fraction(2 * s - 1, 1) / cfg.delta2 + 2
-    alpha = st.theta**2 * (q - C * st.w)
-    beta = st.theta**2 * C * st.w * (2 * st.w - 1)
-    return BoundReport(
-        theorem="element-sieve",
-        q=q,
-        lower_bound=_certified(alpha, beta, q),
-        holds=_gt_sqrt(alpha, beta, q),
-        config=cfg,
-    )
+    alpha, beta = _element_sieve_terms(q, s, cfg.delta2, st.w)
+    return _report("element-sieve", q, alpha, beta, st.theta**2, config=cfg)
+
+
+def _element_sieve_terms(q: int, s: int, delta2: Fraction, w: int) -> tuple[Fraction, Fraction]:
+    """The element sieve's margin terms (q - CW, CW(2W - 1)), C = (2s-1)/delta_2 + 2."""
+    C = Fraction(2 * s - 1, 1) / delta2 + 2
+    return q - C * w, C * w * (2 * w - 1)
 
 
 def element_w4(q: int) -> BoundReport:
     """Crude element criterion q > 4*W(q-1)**4; lower_bound is the margin."""
-    st = profile(q - 1)
-    margin = Fraction(q - 4 * st.w**4)
-    return BoundReport(theorem="element-w4", q=q, lower_bound=margin, holds=margin > 0)
+    return _report("element-w4", q, Fraction(q - 4 * profile(q - 1).w ** 4), Fraction(0))
 
 
 # --------------------------------------------------------------------------
 # best configuration per objective
 
-def best_config(q: int, objective: str) -> BoundReport | None:
-    """The strongest sieved report for one of the three objectives.
+_SIEVES = {
+    "element": element_sieve_criterion,
+    "pair": pair_sieve_bound,
+    "pair-asym": pair_sieve_asym_bound,
+}
 
-    * "element":   minimize the criterion RHS 2C[W^2 - (W/2)(1 - 1/sqrt(q))],
-                   i.e. the easiest-to-satisfy element criterion;
-    * "pair":      maximize the symmetric sieve's exact lower bound;
-    * "pair-asym": maximize the asymmetric sieve's exact lower bound.
+
+def best_config(q: int, objective: str) -> BoundReport | None:
+    """The sieved report with the largest margin alpha - beta*sqrt(q) for one
+    of the objectives "element", "pair" and "pair-asym".
+
+    For "element" the margin is (q - CW) - CW(2W - 1) sqrt(q), so the best
+    config is the one with the smallest criterion RHS
+    2C[W^2 - (W/2)(1 - 1/sqrt(q))]; for the pair sieves it is the exact lower
+    bound up to its positive scale.  The best report holds iff some config
+    holds.
 
     Scans s = 0 .. omega(q-1)-1 over applicable configs (positive delta);
     exact sqrt(q) comparisons; ties keep the smaller s.  Returns None when no
     config is applicable.
     """
-    omega = profile(q - 1).omega
-    make = {
-        "element": element_sieve_criterion,
-        "pair": pair_sieve_bound,
-        "pair-asym": pair_sieve_asym_bound,
-    }[objective]
+    make = _SIEVES[objective]
     best: BoundReport | None = None
-    best_ab: tuple[Fraction, Fraction] | None = None
-    for s in range(max(omega, 1)):
+    for s in range(max(profile(q - 1).omega, 1)):
         try:
             rep = make(q, s)
         except BoundNotApplicableError:
             continue
-        ab = _objective_terms(rep, objective)
-        if best is None or _strictly_better(ab, best_ab, q, objective):
-            best, best_ab = rep, ab
+        # rep's margin beats best's  <=>  (a - a0) > (b - b0) sqrt(q)
+        if best is None or _gt_sqrt(rep.alpha - best.alpha, rep.beta - best.beta, q):
+            best = rep
     return best
-
-
-def _objective_terms(rep: BoundReport, objective: str) -> tuple[Fraction, Fraction]:
-    cfg = rep.config
-    st = cfg.k_profile
-    if objective == "element":
-        # RHS = (2CW^2 - CW) + CW/sqrt(q), to be minimized
-        C = Fraction(2 * cfg.s - 1, 1) / cfg.delta2 + 2
-        return C * st.w * (2 * st.w - 1), C * st.w
-    if objective == "pair":
-        scale = cfg.delta4 * st.theta**3 * (rep.q - 1)
-        return scale * st.tau * rep.q, scale * st.theta * st.w**3
-    scale = st.theta**2 * cfg.theta_q_minus_1 * (rep.q - 1)
-    return scale * cfg.delta3 * st.tau * rep.q, scale * st.theta * st.w**3
-
-
-def _strictly_better(ab, best_ab, q: int, objective: str) -> bool:
-    a, b = ab
-    a0, b0 = best_ab
-    if objective == "element":
-        # (a + b/sqrt(q)) < (a0 + b0/sqrt(q))  <=>  (b0-b) > (a-a0) sqrt(q)
-        return _gt_sqrt(b0 - b, a - a0, q)
-    # (a - b sqrt(q)) > (a0 - b0 sqrt(q))  <=>  (a-a0) > (b-b0) sqrt(q)
-    return _gt_sqrt(a - a0, b - b0, q)
 
 
 # --------------------------------------------------------------------------
 # screening one q
 
-def screen(q: int) -> ScreeningVerdict:
-    """Run the criteria in order of strength of conclusion: element-set
-    membership first (it implies pair-set membership), then pair-set
-    membership, else needs-check."""
-    prof = profile(q - 1)
-    reports: list[BoundReport] = []
-
-    def done(status, witness):
-        return ScreeningVerdict(q=q, status=status, witness=witness, all_reports=tuple(reports))
-
-    rep = element_w4(q)
-    reports.append(rep)
-    if rep.holds:
-        return done(ELEMENT_PROVED, rep)
-    if prof.omega == 1:
-        rep = element_interval(q)
-        reports.append(rep)
-        if rep.holds:
-            return done(ELEMENT_PROVED, rep)
-    if q > 3 and prof.omega >= 2:
+def _element_stage(q: int):
+    """The element-set criteria for q, lazily, in the order they are tried."""
+    omega = profile(q - 1).omega
+    yield element_w4(q)
+    if omega == 1:
+        yield element_interval(q)
+    if q > 3 and omega >= 2:
         rep = best_config(q, "element")
         if rep is not None:
+            yield rep
+
+
+def _pair_stage(q: int):
+    """The pair-set criteria for q, lazily, in the order they are tried."""
+    if q <= 2:
+        return
+    yield pair_interval(q)
+    for objective in ("pair", "pair-asym"):
+        rep = best_config(q, objective)
+        if rep is not None:
+            yield rep
+
+
+_STAGES = ((ELEMENT_PROVED, _element_stage), (PAIR_PROVED, _pair_stage))
+
+
+def _classify(q: int, stages) -> ScreeningVerdict:
+    """Try each stage's criteria in turn; the first that holds is the witness."""
+    reports: list[BoundReport] = []
+    for status, stage in stages:
+        for rep in stage(q):
             reports.append(rep)
             if rep.holds:
-                return done(ELEMENT_PROVED, rep)
-    if q > 2:
-        rep = pair_interval(q)
-        reports.append(rep)
-        if rep.holds:
-            return done(PAIR_PROVED, rep)
-        for objective in ("pair", "pair-asym"):
-            rep = best_config(q, objective)
-            if rep is not None:
-                reports.append(rep)
-                if rep.holds:
-                    return done(PAIR_PROVED, rep)
-    return done(NEEDS_CHECK, None)
+                return ScreeningVerdict(q, status, rep, tuple(reports))
+    return ScreeningVerdict(q, NEEDS_CHECK, None, tuple(reports))
+
+
+def screen(q: int) -> ScreeningVerdict:
+    """Run the criteria in order of strength of conclusion: the element stage
+    first (element-set membership implies pair-set membership), then the pair
+    stage, else needs-check."""
+    return _classify(q, _STAGES)
 
 
 # --------------------------------------------------------------------------
@@ -452,19 +428,22 @@ def _generic_element_passes(q: int, omega: int, s: int | None) -> bool:
     if omega == 1:
         # interval bound, worst case W=2, eps=2, bracket -> W^2 = 4
         return _gt_sqrt(Fraction(q - 5), Fraction(4), q)
-    sieving = first_primes(omega)[omega - s :]
-    d2 = delta(2, sieving).value
+    d2 = _worst_delta2(omega, s)
     if d2 <= 0:
         return False
-    C = Fraction(2 * s - 1, 1) / d2 + 2
-    w = 1 << (omega - s)
-    return _gt_sqrt(q - C * w, C * w * (2 * w - 1), q)
+    return _gt_sqrt(*_element_sieve_terms(q, s, d2, 1 << (omega - s)), q)
+
+
+def _worst_delta2(omega: int, s: int) -> Fraction:
+    """delta_2 when the s sieving primes are the largest of the first omega
+    primes: the worst case over all q with omega(q-1) = omega."""
+    return delta(2, first_primes(omega)[omega - s :]).value
 
 
 def generic_q_max(omega: int, s: int | None = None) -> int:
     """The largest q that the worst-case criterion fails to settle for this
     omega (the failing region is an initial segment, so bisection is exact)."""
-    if omega >= 2 and delta(2, first_primes(omega)[omega - s :]).value <= 0:
+    if omega >= 2 and _worst_delta2(omega, s) <= 0:
         raise BoundNotApplicableError(f"worst-case delta_2 <= 0 for omega={omega}, s={s}")
     lo, hi = 1, 64
     while not _generic_element_passes(hi, omega, s):
@@ -478,34 +457,18 @@ def generic_q_max(omega: int, s: int | None = None) -> int:
     return lo
 
 
-def _element_retest(q: int, omega: int) -> bool:
-    """Exact per-q re-test used by the survey: the interval bound for
-    omega = 1 (worst-case parity eps), else the sieved criterion for any s."""
-    if omega == 1:
-        return element_interval(q).holds
-    if q <= 3:
-        return False
-    for s in range(omega):
-        try:
-            if element_sieve_criterion(q, s).holds:
-                return True
-        except BoundNotApplicableError:
-            continue
-    return False
-
-
 def survey(omega: int) -> SurveyRow:
     """For one omega, the exact finite list of q that the element criteria
     cannot settle: pick the s whose worst-case model has the smallest q_max,
-    enumerate all prime powers up to it, and re-test each with its own exact
-    densities."""
+    enumerate all prime powers up to it, and re-test each with the element
+    stage of `screen` at its own exact densities."""
     if omega < 1:
         raise ValueError("the survey covers omega >= 1")
     if omega == 1:
         chosen_s, q_max = None, generic_q_max(1)
     else:
         chosen_s, q_max = min(
-            ((s, generic_q_max(omega, s)) for s in range(1, omega) if delta(2, first_primes(omega)[omega - s :]).value > 0),
+            ((s, generic_q_max(omega, s)) for s in range(1, omega) if _worst_delta2(omega, s) > 0),
             key=lambda t: (t[1], t[0]),
         )
     q_min = primorial(omega) + 1
@@ -515,7 +478,7 @@ def survey(omega: int) -> SurveyRow:
         if om != omega:
             continue
         n_candidates += 1
-        if not _element_retest(q, omega):
+        if not any(rep.holds for rep in _element_stage(q)):
             (failing_p if r == 1 else failing_pp).append(q)
     return SurveyRow(
         omega=omega,
@@ -535,31 +498,15 @@ def sweep(min_q: int = 2, max_q: int | None = None) -> tuple[list[SurveyRow], li
     """All surveys for omega = 1 .. 8 (beyond 8 the crude criteria pass
     everything; the tests verify that claim separately), and a merged,
     ascending list of verdicts for every element-unproven q, each pushed
-    through the pair criteria.  Optional [min_q, max_q] window filter."""
+    through the pair stage of `screen`.  Optional [min_q, max_q] window
+    filter."""
     rows = [survey(om) for om in range(1, MAX_SURVEY_OMEGA + 1)]
     verdicts = []
     for q in sorted(x for row in rows for x in row.failing_list):
         if q < min_q or (max_q is not None and q > max_q):
             continue
-        verdicts.append(_pair_classify(q))
+        verdicts.append(_classify(q, _STAGES[1:]))
     return rows, verdicts
-
-
-def _pair_classify(q: int) -> ScreeningVerdict:
-    """Pair-stage screening for a q already known element-unproven."""
-    reports = []
-    if q > 2:
-        rep = pair_interval(q)
-        reports.append(rep)
-        if rep.holds:
-            return ScreeningVerdict(q, PAIR_PROVED, rep, tuple(reports))
-        for objective in ("pair", "pair-asym"):
-            rep = best_config(q, objective)
-            if rep is not None:
-                reports.append(rep)
-                if rep.holds:
-                    return ScreeningVerdict(q, PAIR_PROVED, rep, tuple(reports))
-    return ScreeningVerdict(q, NEEDS_CHECK, None, tuple(reports))
 
 
 # --------------------------------------------------------------------------

@@ -29,10 +29,9 @@ get sandwich-tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -144,10 +143,9 @@ class SingleCountQuery:
 
 
 def count_pairs_free(query: PairCountQuery) -> int:
+    fd.check_nonzero(query.q, u=query.u, v=query.v)
     F = fd.build_field(query.q)
     n, R, primes, L1, prim_m, units_R = _uv_tables(F)
-    if query.u == 0 or query.v == 0:
-        raise ValueError("u and v must be nonzero")
     es = [_check_divisor(n, e) if e is not None else n for e in (query.e1, query.e2, query.e3, query.e4)]
     m1, m2, m3, m4 = (_free_mask(n, e) for e in es)
     ju = fd.discrete_log(F, query.u)
@@ -165,10 +163,9 @@ def count_pairs_free(query: PairCountQuery) -> int:
 
 
 def count_single_free(query: SingleCountQuery) -> int:
+    fd.check_nonzero(query.q, u=query.u, v=query.v)
     F = fd.build_field(query.q)
     n, R, primes, L1, prim_m, units_R = _uv_tables(F)
-    if query.u == 0 or query.v == 0:
-        raise ValueError("u and v must be nonzero")
     e1 = _check_divisor(n, query.e1) if query.e1 is not None else n
     e2 = _check_divisor(n, query.e2) if query.e2 is not None else n
     m1, m2 = _free_mask(n, e1), _free_mask(n, e2)
@@ -338,7 +335,7 @@ class CoverageTerm:
     generation: int
     bitsets: tuple[int, ...]
 
-    def size(self, primes: tuple[int, ...]) -> int:
+    def size(self) -> int:
         out = 1
         for b in self.bitsets:
             out *= b.bit_count()
@@ -405,11 +402,11 @@ def coverage_merge(
     comparison); otherwise the state is returned unchanged.
     """
     appended = [term]
-    delta = -term.size(state.primes)
+    delta = -term.size()
     for t in state.terms:
         bits = tuple(b1 & b2 for b1, b2 in zip(t.bitsets, term.bitsets))
         nt = CoverageTerm(generation=t.generation + 1, bitsets=bits)
-        size = nt.size(state.primes)
+        size = nt.size()
         if size:
             appended.append(nt)
             delta += -size if nt.generation % 2 else size

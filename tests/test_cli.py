@@ -4,10 +4,9 @@ import csv
 import json
 from importlib.resources import files
 
-import numpy as np
 import pytest
 
-from uvprim import cli, ntcore, verify
+from uvprim import cli, verify
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -189,6 +188,10 @@ def test_oracle_cases(tmp_path):
         ["screen", "--min", "3"],
         ["oracle", "N", "--q", "13", "--e", "2,2"],
         ["oracle", "N", "--q", "13", "--e", "a,b,c,d"],
+        ["oracle", "M", "--q", "31", "--u", "40"],
+        ["oracle", "M", "--q", "31", "--u", "0"],
+        ["oracle", "N", "--q", "13", "--v", "-1"],
+        ["oracle", "M", "--q", "9", "--u", "9"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, tmp_path):
@@ -227,23 +230,6 @@ def test_parallel_jobs_are_deterministic(tmp_path):
     _, two = run(["screen", "--min", "3", "--max", "60", "--jobs", "2"], tmp_path, "b.json")
     assert strip_elapsed(one["records"]) == strip_elapsed(two["records"])
     assert one["totals"] == two["totals"]
-
-
-def test_prime_cache_roundtrip(tmp_path, monkeypatch):
-    cache = tmp_path / "cache"
-    monkeypatch.setenv("UVPRIM_CACHE_DIR", str(cache))
-    code = cli.main(["screen", "--q", "169", "--out", str(tmp_path / "a.json")])
-    assert code == 0
-    with np.load(cache / "primes.npz") as z:
-        saved_limit = int(z["limit"])
-        assert saved_limit >= 13  # sieved at least past the factors of 168
-    # a fresh process would start cold; emptying the in-process cache and
-    # re-running must restore it from the saved file
-    monkeypatch.setattr(ntcore, "_prime_cache", np.array([2, 3], dtype=np.int64))
-    monkeypatch.setattr(ntcore, "_prime_cache_limit", 3)
-    code = cli.main(["screen", "--q", "169", "--out", str(tmp_path / "b.json")])
-    assert code == 0
-    assert ntcore._prime_cache_limit >= saved_limit
 
 
 def test_version(capsys):

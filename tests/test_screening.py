@@ -207,6 +207,41 @@ def test_certified_element_bound_never_exceeds_brute_counts(q):
 
 # ----------------------------------------------------------- config search
 
+def test_best_config_holds_iff_some_config_holds():
+    # the best element config holds exactly when some applicable s holds,
+    # which is what lets the survey re-test with the element stage; the
+    # range covers omega(q-1) = 2..5
+    omegas = set()
+    for pp in nt.enumerate_prime_powers(5, 2500):
+        omega = nt.profile(pp.q - 1).omega
+        if omega < 2:
+            continue
+        omegas.add(omega)
+        held = []
+        for s in range(omega):
+            try:
+                held.append(sc.element_sieve_criterion(pp.q, s).holds)
+            except BoundNotApplicableError:
+                pass
+        assert sc.best_config(pp.q, "element").holds == any(held), pp.q
+    assert omegas == {2, 3, 4, 5}
+
+
+@pytest.mark.parametrize(
+    "q,objective,lower_bound",
+    [
+        (31651621, "element", "-372105637536943543507/8345953606041600"),
+        (31651621, "pair", "-11270706025405742709/5217520"),
+        (31651621, "pair-asym", "-1155620363587924167/2565640"),
+        (50311, "element", "-12552840736871281025/2763347598508032"),
+        (50311, "pair", "18174238256939/943718400"),
+        (50311, "pair-asym", "-1040656798250530811/750277099520"),
+    ],
+)
+def test_best_config_frozen_lower_bounds(q, objective, lower_bound):
+    assert sc.best_config(q, objective).lower_bound == Fraction(lower_bound)
+
+
 def test_best_config_frozen_choices():
     rep = sc.best_config(31651621, "element")
     assert (rep.theorem, rep.config.s, rep.holds) == ("element-sieve", 5, False)
@@ -329,7 +364,7 @@ def test_survey_failing_exactly_matches_element_screen():
     """A candidate fails the survey re-test exactly when per-q screening
     cannot prove element-set membership (the pair stages may still fire,
     so the verdict itself is needs_check *or* pair_proved)."""
-    for om in (1, 2):
+    for om in (1, 2, 3, 4):
         row = sc.survey(om)
         failing = set(row.failing_list)
         for pp in nt.enumerate_prime_powers(row.q_min, row.q_max, omega=om):

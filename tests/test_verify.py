@@ -114,6 +114,20 @@ def test_count_queries_validate_divisors():
         vf.count_pairs_free(vf.PairCountQuery(13, 1, 1, e3=7))
 
 
+@pytest.mark.parametrize("q,u,v", [(31, 40, 1), (31, -1, 1), (31, 0, 1), (31, 1, 31), (9, 9, 1)])
+def test_count_queries_and_epsilon_validate_elements(q, u, v):
+    # u and v must be nonzero elements of F_q, i.e. lie in [1, q): out-of-range
+    # ints are rejected instead of being reduced mod p (or failing in BSGS)
+    from uvprim import screening as sc
+
+    with pytest.raises(ValueError, match="must lie in"):
+        vf.count_single_free(vf.SingleCountQuery(q, u, v))
+    with pytest.raises(ValueError, match="must lie in"):
+        vf.count_pairs_free(vf.PairCountQuery(q, u, v))
+    with pytest.raises(ValueError, match="must lie in"):
+        sc.epsilon(q, u, v)
+
+
 def test_sieve_splitting_identity_spot():
     # splitting one prime off the radical rescales the count exactly:
     # 5 * N(30, 6, 6, 6) = 4 * N(6, 6, 6, 6) in F_31
@@ -247,7 +261,7 @@ def test_coverage_term_by_hand():
     term = vf.coverage_term(F, 1, 2)  # r = 2 + 1/2 = 9 = gamma^8
     assert term.generation == 1
     assert [b.bit_count() for b in term.bitsets] == [1, 2]
-    assert term.size((2, 3)) == 2
+    assert term.size() == 2
 
 
 def test_coverage_term_vanishing_r():
@@ -262,7 +276,7 @@ def test_coverage_merge_basics():
     state = vf.coverage_start(13)
     term = vf.coverage_term(F, 1, 2)
     one = vf.coverage_merge(state, term, True, Fraction(1))
-    assert one.uncovered == state.R - term.size(state.primes)
+    assert one.uncovered == state.R - term.size()
     assert len(one.terms) == 1
 
     # merging the identical term again changes nothing: the new copy and its
