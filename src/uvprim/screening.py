@@ -56,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import inf, prod
 
 from .errors import BoundNotApplicableError
 from . import field as fd
@@ -462,6 +462,12 @@ def survey(omega: int) -> SurveyRow:
     cannot settle: pick the s whose worst-case model has the smallest q_max,
     enumerate all prime powers up to it, and re-test each with the element
     stage of `screen` at its own exact densities."""
+    return _survey_row(omega, 0, inf)
+
+
+def _survey_row(omega: int, lo: int, hi: int | float) -> SurveyRow:
+    """The survey row for omega, with candidates enumerated and re-tested
+    only in [lo, hi] (the row's q_min, q_max and chosen_s stay its own)."""
     if omega < 1:
         raise ValueError("the survey covers omega >= 1")
     if omega == 1:
@@ -474,7 +480,7 @@ def survey(omega: int) -> SurveyRow:
     q_min = primorial(omega) + 1
     failing_p, failing_pp = [], []
     n_candidates = 0
-    for q, p, r, om in iter_prime_powers(q_min, q_max):
+    for q, p, r, om in iter_prime_powers(max(q_min, lo), min(q_max, hi)):
         if om != omega:
             continue
         n_candidates += 1
@@ -496,16 +502,13 @@ MAX_SURVEY_OMEGA = 8
 
 def sweep(min_q: int = 2, max_q: int | None = None) -> tuple[list[SurveyRow], list[ScreeningVerdict]]:
     """All surveys for omega = 1 .. 8 (beyond 8 the crude criteria pass
-    everything; the tests verify that claim separately), and a merged,
-    ascending list of verdicts for every element-unproven q, each pushed
-    through the pair stage of `screen`.  Optional [min_q, max_q] window
-    filter."""
-    rows = [survey(om) for om in range(1, MAX_SURVEY_OMEGA + 1)]
-    verdicts = []
-    for q in sorted(x for row in rows for x in row.failing_list):
-        if q < min_q or (max_q is not None and q > max_q):
-            continue
-        verdicts.append(_classify(q, _STAGES[1:]))
+    everything; the tests verify that claim separately) restricted to the
+    window [min_q, max_q], and a merged, ascending list of verdicts for
+    every element-unproven q, each pushed through the pair stage of
+    `screen`.  Rows enumerate only the window."""
+    hi = inf if max_q is None else max_q
+    rows = [_survey_row(om, min_q, hi) for om in range(1, MAX_SURVEY_OMEGA + 1)]
+    verdicts = [_classify(q, _STAGES[1:]) for q in sorted(x for row in rows for x in row.failing_list)]
     return rows, verdicts
 
 

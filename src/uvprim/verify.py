@@ -10,17 +10,24 @@ vanishes) the log of r is m + L1[(jw - 2m) mod n], and u*r is primitive iff
 gcd(log u + log r, R) = 1 where R = Rad(n).  No field multiplications happen
 in any hot loop -- just index arithmetic on numpy arrays.
 
+So each primitive a (r != 0) covers the classes k = log u mod R with
+gcd(k + log r, R) = 1: a pattern, one residue bitset per prime of R.
+
 Three checkers:
 
 * `check_element_membership_logs` -- direct coverage over residues
-  log u mod R, one nonzero w at a time (the only thing that matters about u
-  is its log mod R, so each w contributes at most R failing classes);
-* `check_element_membership_cover` -- same decision, but counting the
-  uncovered classes by inclusion-exclusion over tiny per-prime bitsets
-  (`coverage_term` / `coverage_merge` / `check_w`), with an
-  accept-or-discard ladder that keeps the term family small;
+  log u mod R, one nonzero w at a time (each w contributes at most R
+  failing classes);
+* `check_element_membership_cover` -- same decision, but w whose uncovered
+  count the signed coverage family brings to zero (with an
+  accept-or-discard ladder keeping it small) skip the direct pass;
 * `check_pair_membership` -- brute force over (u,v) orbits for the pair
   problem, vectorized over the second primitive element.
+
+The signed coverage family is one engine, pattern -> (net coefficient,
+size) with uncovered = R + sum of coefficient * size, grown by `_offer`
+and `_commit`: in place for one w by `check_w`, one offer at a time on
+immutable states by `coverage_start` / `coverage_term` / `coverage_merge`.
 
 Counts (`count_pairs_free`, `count_single_free` and the *_grid variants) are
 exact and sit behind the same L1 machinery; they are what the interval bounds
@@ -32,6 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,7 +50,6 @@ from .ntcore import profile
 
 __all__ = [
     "CoverageState",
-    "CoverageTerm",
     "MembershipResult",
     "PairCountQuery",
     "SingleCountQuery",
@@ -65,9 +73,17 @@ __all__ = [
 # --------------------------------------------------------------------------
 # shared per-field tables
 
+class _UVTables(NamedTuple):
+    n: int  # q - 1
+    R: int  # Rad(q - 1)
+    primes: tuple[int, ...]  # the primes of R
+    L1: np.ndarray  # L1[t] = log(1 + gamma^t), -1 where the sum vanishes
+    prim_m: np.ndarray  # exponents of the primitive elements
+    units_R: np.ndarray  # residues mod R coprime to R
+
+
 @lru_cache(maxsize=32)
-def _uv_tables(F: fd.FieldSpec):
-    """(n, R, rad primes, L1, primitive exponents, units mod R) for F."""
+def _uv_tables(F: fd.FieldSpec) -> _UVTables:
     n = F.q - 1
     prof = F.q_minus_1
     R = prof.radical
@@ -79,7 +95,7 @@ def _uv_tables(F: fd.FieldSpec):
     L1 = log[plus_one]
     prim_m = np.nonzero(np.gcd(np.arange(n, dtype=np.int64), n) == 1)[0]
     units_R = np.nonzero(np.gcd(np.arange(R, dtype=np.int64), R) == 1)[0]
-    return n, R, prof.primes, L1, prim_m, units_R
+    return _UVTables(n, R, prof.primes, L1, prim_m, units_R)
 
 
 def _free_mask(n: int, e: int) -> np.ndarray:
@@ -145,7 +161,8 @@ class SingleCountQuery:
 def count_pairs_free(query: PairCountQuery) -> int:
     fd.check_nonzero(query.q, u=query.u, v=query.v)
     F = fd.build_field(query.q)
-    n, R, primes, L1, prim_m, units_R = _uv_tables(F)
+    t = _uv_tables(F)
+    n = t.n
     es = [_check_divisor(n, e) if e is not None else n for e in (query.e1, query.e2, query.e3, query.e4)]
     m1, m2, m3, m4 = (_free_mask(n, e) for e in es)
     ju = fd.discrete_log(F, query.u)
@@ -154,7 +171,7 @@ def count_pairs_free(query: PairCountQuery) -> int:
     ys = np.nonzero(m2)[0]
     total = 0
     for x in map(int, np.nonzero(m1)[0]):
-        l1 = L1[(jw + ys - x) % n]
+        l1 = t.L1[(jw + ys - x) % n]
         valid = l1 >= 0
         log3 = (ju + x + l1) % n
         log4 = (log3 - x - ys) % n
@@ -165,14 +182,15 @@ def count_pairs_free(query: PairCountQuery) -> int:
 def count_single_free(query: SingleCountQuery) -> int:
     fd.check_nonzero(query.q, u=query.u, v=query.v)
     F = fd.build_field(query.q)
-    n, R, primes, L1, prim_m, units_R = _uv_tables(F)
+    t = _uv_tables(F)
+    n = t.n
     e1 = _check_divisor(n, query.e1) if query.e1 is not None else n
     e2 = _check_divisor(n, query.e2) if query.e2 is not None else n
     m1, m2 = _free_mask(n, e1), _free_mask(n, e2)
     ju = fd.discrete_log(F, query.u)
     jw = (fd.discrete_log(F, query.v) - ju) % n
     xs = np.nonzero(m1)[0]
-    l1 = L1[(jw - 2 * xs) % n]
+    l1 = t.L1[(jw - 2 * xs) % n]
     valid = l1 >= 0
     log2 = (ju + xs + l1) % n
     return int(np.count_nonzero(valid & m2[log2]))
@@ -182,8 +200,8 @@ def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> n
     """grid[ju, jv] = the count of `count_single_free` at u = gamma**ju,
     v = gamma**jv -- every (u, v) at once via one circular correlation
     per difference jw."""
-    F = fd.build_field(q)
-    n, R, primes, L1, prim_m, units_R = _uv_tables(F)
+    t = _uv_tables(fd.build_field(q))
+    n = t.n
     m1 = _free_mask(n, _check_divisor(n, e1) if e1 is not None else n)
     m2 = _free_mask(n, _check_divisor(n, e2) if e2 is not None else n)
     xs = np.nonzero(m1)[0]
@@ -191,7 +209,7 @@ def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> n
     grid = np.empty((n, n), dtype=np.int64)
     ju_idx = np.arange(n)
     for jw in range(n):
-        l1 = L1[(jw - 2 * xs) % n]
+        l1 = t.L1[(jw - 2 * xs) % n]
         s = (xs + l1)[l1 >= 0] % n  # log r per surviving a
         h = np.bincount(s, minlength=n)
         cnt = np.correlate(m2t, h, mode="valid")[:n]
@@ -202,8 +220,8 @@ def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> n
 def pair_count_grid(q: int, es: tuple[int | None, int | None, int | None, int | None] = (None,) * 4) -> np.ndarray:
     """grid[ju, jv] = the count of `count_pairs_free` at u = gamma**ju,
     v = gamma**jv.  O(n^4) index work; meant for small q."""
-    F = fd.build_field(q)
-    n, R, primes, L1, prim_m, units_R = _uv_tables(F)
+    t = _uv_tables(fd.build_field(q))
+    n = t.n
     masks = [_free_mask(n, _check_divisor(n, e) if e is not None else n) for e in es]
     m1, m2, m3, m4 = masks
     xs = np.nonzero(m1)[0]
@@ -212,7 +230,7 @@ def pair_count_grid(q: int, es: tuple[int | None, int | None, int | None, int | 
     m4t = np.tile(m4, 3)  # B + ju can reach 2n + n
     grid = np.empty((n, n), dtype=np.int64)
     for jw in range(n):
-        l1 = L1[(jw + ys[None, :] - xs[:, None]) % n]
+        l1 = t.L1[(jw + ys[None, :] - xs[:, None]) % n]
         valid = l1 >= 0
         A = (xs[:, None] + l1) % n
         B = (A - xs[:, None] - ys[None, :]) % n + n  # keep indices positive
@@ -243,47 +261,66 @@ class MembershipResult:
 
 
 _CHUNK = 192
+_SCATTER = 1 << 22  # most residue indices one coverage scatter materialises
 
 
-def _covered_for_w(n, R, L1, prim_m, units_R, jw, counters=None):
+def _log_r_chunks(t: _UVTables, jw: int):
+    """For w = gamma**jw, yield each chunk of primitive exponents m as (its
+    size, log r mod n for its nonzero r = gamma^m (1 + gamma^(jw - 2m)))."""
+    for lo in range(0, t.prim_m.size, _CHUNK):
+        chunk = t.prim_m[lo : lo + _CHUNK]
+        l1 = t.L1[(jw - 2 * chunk) % t.n]
+        yield chunk.size, (chunk + l1)[l1 >= 0] % t.n
+
+
+def _covered_for_w(t: _UVTables, jw: int, counters: dict | None = None) -> np.ndarray:
     """Boolean coverage over residues k = log u mod R for one w = gamma**jw,
     consuming primitive exponents lazily in chunks."""
-    covered = np.zeros(R, dtype=bool)
-    seen = np.zeros(R, dtype=bool)
-    for lo in range(0, prim_m.size, _CHUNK):
-        chunk = prim_m[lo : lo + _CHUNK]
-        l1 = L1[(jw - 2 * chunk) % n]
+    covered = np.zeros(t.R, dtype=bool)
+    seen = np.zeros(t.R, dtype=bool)
+    rows = max(1, _SCATTER // t.units_R.size)
+    for size, log_r in _log_r_chunks(t, jw):
         if counters is not None:
-            counters["primitives_consumed"] += int(chunk.size)
-            counters["logs_computed"] += int(np.count_nonzero(l1 >= 0))
-        cs = np.unique((chunk + l1)[l1 >= 0] % n % R)
+            counters["primitives_consumed"] += size
+            counters["logs_computed"] += log_r.size
+        cs = np.unique(log_r % t.R)
         new = cs[~seen[cs]]
         if new.size:
             seen[new] = True
-            covered[(units_R[None, :] - new[:, None]) % R] = True
+            for i in range(0, new.size, rows):
+                covered[(t.units_R[None, :] - new[i : i + rows, None]) % t.R] = True
             if covered.all():
                 break
     return covered
 
 
-def check_element_membership_logs(q: int) -> MembershipResult:
-    """Decide element-set membership by direct coverage (one pass per w)."""
-    F = fd.build_field(q)
-    n, R, primes, L1, prim_m, units_R = _uv_tables(F)
+def _element_membership(
+    F: fd.FieldSpec, algorithm: str, stats: dict, settled, counters: dict | None = None
+) -> MembershipResult:
+    """The element-set decision shared by both checkers: every w = gamma**jw
+    that `settled(jw)` cannot show fully covered gets the direct coverage
+    pass, and each residue k it leaves uncovered fails as
+    (u, v) = (gamma**k, gamma**(k + jw)).  `counters`, if given, tallies
+    the primitive exponents and logs those passes consume."""
+    t = _uv_tables(F)
     exp = fd.log_table(F).exp
-    counters = {"primitives_consumed": 0, "logs_computed": 0}
     bad: list[tuple[int, int]] = []
-    for jw in range(n):
-        covered = _covered_for_w(n, R, L1, prim_m, units_R, jw, counters)
-        for k in map(int, np.nonzero(~covered)[0]):
-            bad.append((k, (k + jw) % n))
+    for jw in range(t.n):
+        if not settled(jw):
+            covered = _covered_for_w(t, jw, counters)
+            bad.extend((k, (k + jw) % t.n) for k in map(int, np.nonzero(~covered)[0]))
     bad.sort()
     failures = tuple((int(exp[k]), int(exp[jv])) for k, jv in bad)
-    counters["w_values"] = n
     return MembershipResult(
-        q=q, set="element", member=not failures, failures=failures,
-        algorithm="logs", stats=counters,
+        q=F.q, set="element", member=not failures, failures=failures,
+        algorithm=algorithm, stats=stats,
     )
+
+
+def check_element_membership_logs(q: int) -> MembershipResult:
+    """Decide element-set membership by direct coverage (one pass per w)."""
+    stats = {"primitives_consumed": 0, "logs_computed": 0, "w_values": q - 1}
+    return _element_membership(fd.build_field(q), "logs", stats, lambda jw: False, stats)
 
 
 def check_pair_membership(q: int) -> MembershipResult:
@@ -293,7 +330,8 @@ def check_pair_membership(q: int) -> MembershipResult:
     only representatives with log u <= log v are tested and reported.
     """
     F = fd.build_field(q)
-    n, R, primes, L1, prim_m, units_R = _uv_tables(F)
+    t = _uv_tables(F)
+    n, prim_m = t.n, t.prim_m
     exp = fd.log_table(F).exp
     prim_mask = np.gcd(np.arange(n, dtype=np.int64), n) == 1
     pm3 = np.tile(prim_mask, 2)
@@ -305,7 +343,7 @@ def check_pair_membership(q: int) -> MembershipResult:
             jw = (jv - ju) % n
             found = False
             for x in map(int, prim_m):
-                l1 = L1[(jw + prim_m - x) % n]
+                l1 = t.L1[(jw + prim_m - x) % n]
                 valid = l1 >= 0
                 log3 = (ju + x + l1) % n
                 log4 = (log3 - x - prim_m) % n
@@ -326,102 +364,87 @@ def check_pair_membership(q: int) -> MembershipResult:
 # inclusion-exclusion coverage
 
 @dataclass(frozen=True)
-class CoverageTerm:
-    """One inclusion-exclusion term: per-prime residue bitsets (bit l set =
-    residue l still admissible) and the generation = number of covered sets
-    intersected to make it.  Only the generation's parity matters: it is the
-    sign of the term in the uncovered count."""
-
-    generation: int
-    bitsets: tuple[int, ...]
-
-    def size(self) -> int:
-        out = 1
-        for b in self.bitsets:
-            out *= b.bit_count()
-        return out
-
-
-@dataclass(frozen=True)
 class CoverageState:
-    """A family of inclusion-exclusion terms for the union of accepted
-    covered sets.  `uncovered` = R + sum over terms of (-1)^generation *
-    |term| = the number of residue classes mod R not yet covered."""
+    """The signed coverage family of the accepted covered sets: `family`
+    maps each pattern (per-prime bitsets, bit l set = residue l still
+    admissible) to (net signed coefficient, size), and `uncovered` = R +
+    sum of coefficient * size = the classes mod R not yet covered.  Never
+    changed once made: `coverage_merge` commits into a copy."""
 
     R: int
     primes: tuple[int, ...]
-    terms: tuple[CoverageTerm, ...]
+    family: dict[tuple[int, ...], tuple[int, int]]
     uncovered: int
 
 
 def coverage_start(q: int) -> CoverageState:
     """The empty state: nothing accepted, all R classes uncovered."""
     prof = profile(q - 1)
-    return CoverageState(R=prof.radical, primes=prof.primes, terms=(), uncovered=prof.radical)
+    return CoverageState(R=prof.radical, primes=prof.primes, family={}, uncovered=prof.radical)
 
 
-def _term_from_log(primes: tuple[int, ...], log_r: int) -> CoverageTerm:
-    bits = tuple(((1 << p) - 1) & ~(1 << ((-log_r) % p)) for p in primes)
-    return CoverageTerm(generation=1, bitsets=bits)
+def _pattern(primes: tuple[int, ...], log_r: int) -> tuple[int, ...]:
+    # gcd(k + log_r, R) = 1 iff k != -log_r mod every prime of R
+    return tuple(((1 << p) - 1) & ~(1 << ((-log_r) % p)) for p in primes)
 
 
-def coverage_term(F: fd.FieldSpec, w: int, a: int) -> CoverageTerm | None:
-    """The covered-residue term contributed by one primitive a at this w:
-    residues k with gcd(k + log r, R) = 1 where r = a + w*a^-1.  None when
-    r = 0 (such a contributes nothing and is skipped)."""
+def coverage_term(F: fd.FieldSpec, w: int, a: int) -> tuple[int, ...] | None:
+    """The pattern of residues one primitive a covers at this w: residues k
+    with gcd(k + log r, R) = 1 where r = a + w*a^-1.  None when r = 0 (such
+    a contributes nothing and is skipped)."""
     r = fd.add(F, a, fd.mul(F, w, fd.inv(F, a)))
     if r == 0:
         return None
-    return _term_from_log(F.q_minus_1.primes, fd.discrete_log(F, r))
+    return _pattern(F.q_minus_1.primes, fd.discrete_log(F, r))
 
 
-def _consolidate(terms: list[CoverageTerm]) -> tuple[CoverageTerm, ...]:
-    # terms with the same bitsets and opposite parity cancel in every sum
-    # they will ever appear in (their future intersections pair up too), so
-    # drop matched pairs; this keeps the family near the number of distinct
-    # patterns instead of 2^(accepted terms)
-    net: dict[tuple[int, ...], int] = {}
-    for t in terms:
-        net[t.bitsets] = net.get(t.bitsets, 0) + (-1 if t.generation % 2 else 1)
-    out = []
-    for bits, m in net.items():
-        if m:
-            out.extend([CoverageTerm(generation=1 if m < 0 else 2, bitsets=bits)] * abs(m))
-    return tuple(out)
+def _offer(family: dict, pattern: tuple[int, ...]) -> tuple[int, list]:
+    """(change of the uncovered count, children) if the covered set
+    `pattern` joins the union: the set itself with coefficient -1, and its
+    intersection with every stored pattern (per-prime AND, empty ones
+    dropped) with the stored coefficient negated."""
+    size = prod(map(int.bit_count, pattern))
+    delta = -size
+    children = [(pattern, -1, size)]
+    for bits, (coef, _) in family.items():
+        meet = tuple(map(int.__and__, bits, pattern))
+        size = prod(map(int.bit_count, meet))
+        if size:
+            children.append((meet, -coef, size))
+            delta -= coef * size
+    return delta, children
+
+
+def _commit(family: dict, children: list) -> None:
+    # patterns whose coefficients cancel drop out of every later sum, which
+    # keeps the family near the number of distinct patterns
+    for bits, dcoef, size in children:
+        coef = family.get(bits, (0,))[0] + dcoef
+        if coef:
+            family[bits] = (coef, size)
+        else:
+            del family[bits]
+
+
+def _accepts(uncovered: int, delta: int, factor: Fraction) -> bool:
+    return (uncovered + delta) * factor.denominator <= uncovered * factor.numerator
 
 
 def coverage_merge(
-    state: CoverageState, term: CoverageTerm, always_accept: bool, factor: Fraction
+    state: CoverageState, term: tuple[int, ...], always_accept: bool, factor: Fraction
 ) -> CoverageState:
-    """Offer one new covered set to the state.
+    """Offer one covered set (a `coverage_term` pattern) to the state.
 
-    The new term is intersected with every stored term (per-prime AND;
-    empty products dropped) and appended, and the signed uncovered count is
-    updated.  The result is committed iff `always_accept` or the new
-    uncovered count is at most `factor` times the old one (exact rational
-    comparison); otherwise the state is returned unchanged.
+    The offer is committed iff `always_accept` or the new uncovered count is
+    at most `factor` times the old one (exact rational comparison): the
+    result is then a new state.  A rejected offer returns `state` itself.
     """
-    appended = [term]
-    delta = -term.size()
-    for t in state.terms:
-        bits = tuple(b1 & b2 for b1, b2 in zip(t.bitsets, term.bitsets))
-        nt = CoverageTerm(generation=t.generation + 1, bitsets=bits)
-        size = nt.size()
-        if size:
-            appended.append(nt)
-            delta += -size if nt.generation % 2 else size
-    new_uncovered = state.uncovered + delta
-    if not always_accept:
-        if not isinstance(factor, Fraction):
-            factor = Fraction(factor)
-        if new_uncovered * factor.denominator > state.uncovered * factor.numerator:
-            return state
-    return CoverageState(
-        R=state.R,
-        primes=state.primes,
-        terms=_consolidate(list(state.terms) + appended),
-        uncovered=new_uncovered,
-    )
+    delta, children = _offer(state.family, term)
+    if not always_accept and not _accepts(state.uncovered, delta, Fraction(factor)):
+        return state
+    family = dict(state.family)
+    _commit(family, children)
+    return CoverageState(R=state.R, primes=state.primes, family=family, uncovered=state.uncovered + delta)
 
 
 def check_w(F: fd.FieldSpec, w: int, nc: int, factor: Fraction, stats: dict | None = None) -> bool:
@@ -433,54 +456,28 @@ def check_w(F: fd.FieldSpec, w: int, nc: int, factor: Fraction, stats: dict | No
     False only means *these* parameters gave up -- at nc = phi(q-1),
     factor = 1 everything is accepted and the answer is definitive.
 
-    The term family lives in a consolidated map pattern -> (net signed
-    coefficient, set size): the same signed sum `coverage_merge` maintains,
-    just regrouped, so the uncovered counts agree exactly.
+    The family is the one `coverage_merge` keeps, updated in place, so the
+    uncovered counts agree exactly; `stats["terms_peak"]` records its
+    largest sum of |coefficients|.
     """
-    n, R, primes, L1, prim_m, units_R = _uv_tables(F)
+    t = _uv_tables(F)
     jw = int(fd.log_table(F).log[w])
     if jw < 0:
         raise ZeroDivisionError("w must be non-zero")
-    if not isinstance(factor, Fraction):
-        factor = Fraction(factor)
-    fnum, fden = factor.numerator, factor.denominator
-    full = tuple((1 << p) - 1 for p in primes)
-    fam: dict[tuple[int, ...], tuple[int, int]] = {}
-    uncovered = R
+    factor = Fraction(factor)
+    family: dict[tuple[int, ...], tuple[int, int]] = {}
+    uncovered = t.R
     c = 0
-    for lo in range(0, prim_m.size, _CHUNK):
-        chunk = prim_m[lo : lo + _CHUNK]
-        l1 = L1[(jw - 2 * chunk) % n]
-        for log_r in map(int, (chunk + l1)[l1 >= 0] % n):
+    for _, log_rs in _log_r_chunks(t, jw):
+        for log_r in map(int, log_rs):
             c += 1
-            new = tuple(m & ~(1 << ((-log_r) % p)) for m, p in zip(full, primes))
-            children: list[tuple[tuple[int, ...], int, int]] = []
-            delta = 0
-            for bits, (coef, _) in fam.items():
-                nb = tuple(b1 & b2 for b1, b2 in zip(bits, new))
-                sz = 1
-                for b in nb:
-                    sz *= b.bit_count()
-                if sz:
-                    children.append((nb, -coef, sz))
-                    delta -= coef * sz
-            sz_new = 1
-            for b in new:
-                sz_new *= b.bit_count()
-            children.append((new, -1, sz_new))
-            delta -= sz_new
-            if c > nc and (uncovered + delta) * fden > uncovered * fnum:
+            delta, children = _offer(family, _pattern(t.primes, log_r))
+            if c > nc and not _accepts(uncovered, delta, factor):
                 continue
             uncovered += delta
-            for nb, dcoef, sz in children:
-                old = fam.get(nb)
-                coef = (old[0] if old else 0) + dcoef
-                if coef:
-                    fam[nb] = (coef, sz)
-                elif old:
-                    del fam[nb]
+            _commit(family, children)
             if stats is not None:
-                peak = sum(abs(co) for co, _ in fam.values())
+                peak = sum(abs(coef) for coef, _ in family.values())
                 if peak > stats.get("terms_peak", 0):
                     stats["terms_peak"] = peak
             if uncovered == 0:
@@ -497,26 +494,18 @@ def check_element_membership_cover(q: int) -> MembershipResult:
     exhaustive pass, so both answers are definitive.  Failing (u, v) are
     then enumerated with the direct coverage pass (only failing w need it)."""
     F = fd.build_field(q)
-    n, R, primes, L1, prim_m, units_R = _uv_tables(F)
     exp = fd.log_table(F).exp
-    phi = prim_m.size
-    stats = {"stage_passes": [0] * (len(_LADDER) + 1), "terms_peak": 0}
-    bad: list[tuple[int, int]] = []
-    for jw in range(n):
-        w = int(exp[jw])
-        for i, (nc, f) in enumerate(_LADDER + ((phi, Fraction(1)),)):
-            if check_w(F, w, nc, f, stats):
+    ladder = _LADDER + ((_uv_tables(F).prim_m.size, Fraction(1)),)
+    stats = {"stage_passes": [0] * len(ladder), "terms_peak": 0}
+
+    def settled(jw: int) -> bool:
+        for i, (nc, f) in enumerate(ladder):
+            if check_w(F, int(exp[jw]), nc, f, stats):
                 stats["stage_passes"][i] += 1
-                break
-        else:
-            for k in map(int, np.nonzero(~_covered_for_w(n, R, L1, prim_m, units_R, jw))[0]):
-                bad.append((k, (k + jw) % n))
-    bad.sort()
-    failures = tuple((int(exp[k]), int(exp[jv])) for k, jv in bad)
-    return MembershipResult(
-        q=q, set="element", member=not failures, failures=failures,
-        algorithm="ie", stats=stats,
-    )
+                return True
+        return False
+
+    return _element_membership(F, "ie", stats, settled)
 
 
 # --------------------------------------------------------------------------

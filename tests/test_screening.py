@@ -403,6 +403,33 @@ def test_sweep_small_window():
     assert "element_proved" not in by_status
 
 
+@pytest.fixture(scope="module")
+def rows_to_104597():
+    """The full survey rows that meet [3, 104597] (q_min of omega 7 is
+    510511)."""
+    return {om: sc.survey(om) for om in range(1, 7)}
+
+
+@pytest.mark.parametrize("lo,hi", [(3, 200), (100, 5000), (900, 104597)])
+def test_sweep_window_is_the_surveys_restricted_to_it(lo, hi, rows_to_104597):
+    rows, verdicts = sc.sweep(lo, hi)
+    in_window = lambda qs: tuple(q for q in qs if lo <= q <= hi)
+    for row in rows:
+        full = rows_to_104597.get(row.omega)
+        if full is None:
+            assert row.q_min > hi and row.candidates == 0 and row.failing_list == ()
+            continue
+        assert (row.chosen_s, row.q_min, row.q_max) == (full.chosen_s, full.q_min, full.q_max)
+        assert row.failing_primes == in_window(full.failing_primes)
+        assert row.failing_prime_powers == in_window(full.failing_prime_powers)
+    failing = sorted(q for full in rows_to_104597.values() for q in in_window(full.failing_list))
+    assert [v.q for v in verdicts] == failing
+    # these q fail the element stage, so screen() decides them by the pair stage
+    for v in verdicts:
+        ref = sc.screen(v.q)
+        assert (v.status, v.witness) == (ref.status, ref.witness), v.q
+
+
 # -------------------------------------------------------- auto thresholds
 
 def test_auto_threshold_frozen():

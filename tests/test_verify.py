@@ -218,6 +218,43 @@ def test_logs_and_coverage_algorithms_agree_on_member_fields(q):
     assert len(b.stats["stage_passes"]) == 4
 
 
+# The full stats of the three checkers, captured at a reference commit: the
+# CLI emits these dicts and perfbench/probes.py reads their keys.
+FROZEN_STATS = {
+    13: (
+        {"primitives_consumed": 48, "logs_computed": 44, "w_values": 12},
+        {"stage_passes": [0, 0, 0, 0], "terms_peak": 3},
+        {"orbits": 78, "witness_scans": 111},
+    ),
+    31: (
+        {"primitives_consumed": 240, "logs_computed": 232, "w_values": 30},
+        {"stage_passes": [3, 0, 0, 0], "terms_peak": 27},
+        {"orbits": 465, "witness_scans": 571},
+    ),
+    61: (
+        {"primitives_consumed": 960, "logs_computed": 944, "w_values": 60},
+        {"stage_passes": [4, 0, 0, 0], "terms_peak": 31},
+        {"orbits": 1830, "witness_scans": 1909},
+    ),
+}
+
+
+@pytest.mark.parametrize("q", sorted(FROZEN_STATS))
+def test_membership_stats_frozen(q):
+    logs, ie, brute = FROZEN_STATS[q]
+    assert vf.check_element_membership_logs(q).stats == logs
+    assert vf.check_element_membership_cover(q).stats == ie
+    assert vf.check_pair_membership(q).stats == brute
+
+
+@pytest.mark.parametrize("q", [13, 31, 211])
+def test_blocked_coverage_scatter_changes_nothing(q, monkeypatch):
+    # one residue row per scatter block instead of all of them at once
+    whole = vf.check_element_membership_logs(q)
+    monkeypatch.setattr(vf, "_SCATTER", 1)
+    assert vf.check_element_membership_logs(q) == whole
+
+
 # ------------------------------------------------------- pair-set membership
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 13])
@@ -253,15 +290,13 @@ def test_pair_membership_reports_orbit_representatives():
 def test_coverage_start():
     state = vf.coverage_start(13)
     assert (state.R, state.primes) == (6, (2, 3))
-    assert state.terms == () and state.uncovered == 6
+    assert state.family == {} and state.uncovered == 6
 
 
 def test_coverage_term_by_hand():
     F = fd.build_field(13)
     term = vf.coverage_term(F, 1, 2)  # r = 2 + 1/2 = 9 = gamma^8
-    assert term.generation == 1
-    assert [b.bit_count() for b in term.bitsets] == [1, 2]
-    assert term.size() == 2
+    assert [b.bit_count() for b in term] == [1, 2]
 
 
 def test_coverage_term_vanishing_r():
@@ -276,14 +311,14 @@ def test_coverage_merge_basics():
     state = vf.coverage_start(13)
     term = vf.coverage_term(F, 1, 2)
     one = vf.coverage_merge(state, term, True, Fraction(1))
-    assert one.uncovered == state.R - term.size()
-    assert len(one.terms) == 1
+    assert one.uncovered == state.R - 2
+    assert len(one.family) == 1
 
     # merging the identical term again changes nothing: the new copy and its
     # self-intersection cancel, and consolidation collapses the family back
     two = vf.coverage_merge(one, term, True, Fraction(1))
     assert two.uncovered == one.uncovered
-    assert len(two.terms) == 1
+    assert len(two.family) == 1
 
 
 def test_coverage_merge_rejection_returns_the_same_state():
@@ -351,6 +386,18 @@ def test_coverage_signed_count_equals_union_bitmap(q, rng):
 def test_check_w_frozen():
     assert vf.check_w(fd.build_field(23), 1, 10, Fraction(3, 4))
     assert not vf.check_w(fd.build_field(13), 1, 10, Fraction(3, 4))
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 129) if nt.is_prime_power(q)])
+def test_exhaustive_check_w_equals_direct_coverage(q):
+    """With every offer accepted, the signed count reaches zero exactly when
+    the direct pass covers every residue, for every w."""
+    F = fd.build_field(q)
+    t = vf._uv_tables(F)
+    exp = fd.log_table(F).exp
+    phi = len(fd.primitive_elements(F))
+    for jw in range(q - 1):
+        assert vf.check_w(F, int(exp[jw]), phi, Fraction(1)) == vf._covered_for_w(t, jw).all(), (q, jw)
 
 
 def test_check_w_stats_and_zero_w():
