@@ -152,30 +152,34 @@ def _verify_record(job: tuple[str, str, int]) -> dict:
 
 
 def _map_jobs(fn, items, jobs: int):
-    if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
+    # the pool forks all its workers up front, so never more than there are
+    # items or cores
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
     return [fn(x) for x in items]
 
 
 # --------------------------------------------------------------------------
 # subcommand drivers
 
-def _q_list(args, parser) -> list[int]:
+def _q_list(args, parser, omega: int | None = None) -> list[int]:
+    """The requested q, ascending; with `omega`, only those with
+    omega(q - 1) == omega."""
     if args.q:
         try:
             for q in args.q:
                 ntcore.prime_power_decompose(q)
         except NotAPrimePowerError as e:
             parser.error(str(e))
-        return sorted(set(args.q))
+        return sorted(q for q in set(args.q) if omega is None or ntcore.profile(q - 1).omega == omega)
     if args.max is None:
         parser.error("provide --q or a --min/--max range")
     lo = args.min if args.min is not None else 2
     if lo > args.max:
         parser.error(f"empty range [{lo}, {args.max}]")
-    qs = [pp.q for pp in ntcore.enumerate_prime_powers(lo, args.max)]
-    return qs
+    return [pp.q for pp in ntcore.enumerate_prime_powers(lo, args.max, omega)]
 
 
 def run_screen(args, parser) -> tuple[dict, int]:
@@ -230,9 +234,7 @@ def run_screen(args, parser) -> tuple[dict, int]:
         }
         return {"command": _echo(args), "records": records, "totals": totals}, 0
 
-    qs = _q_list(args, parser)
-    if args.omega is not None:
-        qs = [q for q in qs if ntcore.profile(q - 1).omega == args.omega]
+    qs = _q_list(args, parser, args.omega)
     records = _map_jobs(_screen_record, qs, args.jobs)
     records.sort(key=lambda r: r["q"])
     totals = {"records": len(records)}
@@ -381,6 +383,8 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
     args._argv = argv
     report, code = args.func(args, parser)
     _emit(report, args.format, args.out)

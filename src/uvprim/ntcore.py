@@ -366,13 +366,67 @@ def _omega_of(n: int) -> int:
 
 
 def enumerate_prime_powers(lo: int, hi: int, omega: int | None = None) -> list[PrimePowerId]:
-    """All prime powers q in the closed range [lo, hi]; if `omega` is given,
-    keep only those with omega(q - 1) == omega."""
-    return [
-        PrimePowerId(q=q, p=p, r=r)
-        for q, p, r, om in iter_prime_powers(lo, hi)
-        if omega is None or om == omega
+    """All prime powers q in the closed range [lo, hi], ascending; if `omega`
+    is given, only those with omega(q - 1) == omega.
+
+    Without `omega` this is the windowed sieve of `iter_prime_powers`.  With
+    it, nothing is sieved: the candidates are built from the factorisation of
+    q - 1 (`_omega_prime_powers`), so the work follows the number of q - 1
+    with omega distinct primes, not the length of the range.
+    """
+    if omega is not None:
+        return _omega_prime_powers(lo, hi, omega)
+    return [PrimePowerId(q=q, p=p, r=r) for q, p, r, _ in iter_prime_powers(lo, hi)]
+
+
+def _omega_prime_powers(lo: int, hi: int, omega: int) -> list[PrimePowerId]:
+    """The prime powers q in [lo, hi] with omega(q - 1) == omega.
+
+    An odd q has 2 | q - 1, so a depth-first search over ascending odd primes
+    builds every even n <= hi - 1 with exactly omega distinct prime factors,
+    pruned by n * p**k <= hi - 1 with k primes still to place; n + 1 is kept
+    when it is prime, or an odd p**r (r >= 2) of `_higher_powers`.  The
+    powers of 2 are tested one by one.  The largest prime of n is at most
+    (hi - 1) // primorial(omega - 1), so that bounds the prime list (omega = 1
+    needs none).
+    """
+    lo = max(lo, 2)
+    # n >= primorial(omega) >= 2**omega for every n = q - 1 with omega primes
+    if hi < lo or not 0 <= omega < (hi - 1).bit_length():
+        return []
+    top = hi - 1
+    out = [
+        PrimePowerId(q=1 << r, p=2, r=r)
+        for r in range((lo - 1).bit_length(), hi.bit_length())
+        if len(factorize((1 << r) - 1)) == omega
     ]
+    if omega == 0:
+        return out
+    odd_higher = {q: (p, r) for q, p, r in _higher_powers(lo, hi) if p > 2}
+    odd = primes_up_to(top // primorial(omega - 1)).tolist()[1:] if omega > 1 else []
+
+    def place(n: int, i: int, k: int) -> None:
+        if k == 0:
+            q = n + 1
+            if q >= lo and (is_prime(q) or q in odd_higher):
+                p, r = odd_higher.get(q, (q, 1))
+                out.append(PrimePowerId(q=q, p=p, r=r))
+            return
+        for j in range(i, len(odd)):
+            p = odd[j]
+            if n * p**k > top:
+                break
+            m = n * p
+            while m * p ** (k - 1) <= top:
+                place(m, j + 1, k - 1)
+                m *= p
+
+    n = 2
+    while n * 3 ** (omega - 1) <= top:
+        place(n, 0, omega - 1)
+        n *= 2
+    out.sort(key=lambda pp: pp.q)
+    return out
 
 
 # --------------------------------------------------------------------------

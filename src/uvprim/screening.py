@@ -63,9 +63,9 @@ from . import field as fd
 from .ntcore import (
     ArithmeticProfile,
     delta,
+    enumerate_prime_powers,
     first_primes,
     is_prime,
-    iter_prime_powers,
     primorial,
     profile,
     sqrt_bounds,
@@ -460,14 +460,19 @@ def generic_q_max(omega: int, s: int | None = None) -> int:
 def survey(omega: int) -> SurveyRow:
     """For one omega, the exact finite list of q that the element criteria
     cannot settle: pick the s whose worst-case model has the smallest q_max,
-    enumerate all prime powers up to it, and re-test each with the element
-    stage of `screen` at its own exact densities."""
+    enumerate the prime powers q <= q_max with omega(q - 1) == omega, and
+    re-test each with the element stage of `screen` at its own exact
+    densities."""
     return _survey_row(omega, 0, inf)
 
 
 def _survey_row(omega: int, lo: int, hi: int | float) -> SurveyRow:
     """The survey row for omega, with candidates enumerated and re-tested
-    only in [lo, hi] (the row's q_min, q_max and chosen_s stay its own)."""
+    only in [lo, hi] (the row's q_min, q_max and chosen_s stay its own).
+
+    The candidates are the prime powers q with omega(q - 1) == omega, built
+    from the factorisation of q - 1 by `enumerate_prime_powers`; each is
+    re-tested with the element stage at its own exact densities."""
     if omega < 1:
         raise ValueError("the survey covers omega >= 1")
     if omega == 1:
@@ -479,19 +484,16 @@ def _survey_row(omega: int, lo: int, hi: int | float) -> SurveyRow:
         )
     q_min = primorial(omega) + 1
     failing_p, failing_pp = [], []
-    n_candidates = 0
-    for q, p, r, om in iter_prime_powers(max(q_min, lo), min(q_max, hi)):
-        if om != omega:
-            continue
-        n_candidates += 1
-        if not any(rep.holds for rep in _element_stage(q)):
-            (failing_p if r == 1 else failing_pp).append(q)
+    candidates = enumerate_prime_powers(max(q_min, lo), min(q_max, hi), omega)
+    for pp in candidates:
+        if not any(rep.holds for rep in _element_stage(pp.q)):
+            (failing_p if pp.r == 1 else failing_pp).append(pp.q)
     return SurveyRow(
         omega=omega,
         chosen_s=chosen_s,
         q_min=q_min,
         q_max=q_max,
-        candidates=n_candidates,
+        candidates=len(candidates),
         failing_primes=tuple(failing_p),
         failing_prime_powers=tuple(failing_pp),
     )

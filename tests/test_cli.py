@@ -6,7 +6,7 @@ from importlib.resources import files
 
 import pytest
 
-from uvprim import cli, verify
+from uvprim import cli, ntcore, verify
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -57,10 +57,23 @@ def test_screen_witness_serialization(tmp_path):
     assert set(cfg) == {"k", "s", "sieving_primes", "delta2", "delta3", "delta4"}
 
 
-def test_screen_omega_filter(tmp_path):
+def test_screen_omega_filter(tmp_path, monkeypatch):
+    calls = []
+    enumerate_prime_powers = ntcore.enumerate_prime_powers
+
+    def spy(lo, hi, omega=None):
+        calls.append((lo, hi, omega))
+        return enumerate_prime_powers(lo, hi, omega)
+
+    monkeypatch.setattr(ntcore, "enumerate_prime_powers", spy)
     _, rep = run(["screen", "--min", "3", "--max", "40", "--omega", "1", "--jobs", "1"], tmp_path)
     assert [r["q"] for r in rep["records"]] == [3, 4, 5, 8, 9, 17, 32]
     assert all(r["omega"] == 1 for r in rep["records"])
+    # a range is enumerated by omega directly, not filtered afterwards
+    assert calls == [(3, 40, 1)]
+    # an explicit list is filtered by omega(q - 1)
+    _, rep = run(["screen", "--q", "17", "7", "3", "13", "5", "--omega", "1", "--jobs", "1"], tmp_path)
+    assert [r["q"] for r in rep["records"]] == [3, 5, 17]
 
 
 def test_survey_row(tmp_path):
@@ -192,6 +205,8 @@ def test_oracle_cases(tmp_path):
         ["oracle", "M", "--q", "31", "--u", "0"],
         ["oracle", "N", "--q", "13", "--v", "-1"],
         ["oracle", "M", "--q", "9", "--u", "9"],
+        ["screen", "--q", "13", "--jobs", "0"],
+        ["screen", "--q", "13", "--jobs", "-3"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, tmp_path):
@@ -230,6 +245,40 @@ def test_parallel_jobs_are_deterministic(tmp_path):
     _, two = run(["screen", "--min", "3", "--max", "60", "--jobs", "2"], tmp_path, "b.json")
     assert strip_elapsed(one["records"]) == strip_elapsed(two["records"])
     assert one["totals"] == two["totals"]
+
+
+def test_jobs_are_capped_by_items_and_cores(tmp_path, monkeypatch):
+    """The pool forks every worker it is asked for, so --jobs is capped by the
+    number of items and of cores.  The stand-in pool records its size and
+    runs the map in this process."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli._map_jobs(abs, [-1, -2, -3], 5000) == [1, 2, 3]
+    assert cli._map_jobs(abs, list(range(-10, 0)), 5000) == list(range(10, 0, -1))
+    assert cli._map_jobs(abs, list(range(-10, 0)), 2) == list(range(10, 0, -1))
+    assert cli._map_jobs(abs, [-1], 5000) == [1]
+    assert sizes == [3, 4, 2]
+    code, rep = run(["screen", "--min", "3", "--max", "60", "--jobs", "5000"], tmp_path)
+    assert code == 0 and rep["totals"]["records"] == 24
+    assert sizes == [3, 4, 2, 4]
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli._map_jobs(abs, [-1, -2], 5000) == [1, 2]
+    assert sizes == [3, 4, 2, 4]
 
 
 def test_version(capsys):

@@ -163,6 +163,39 @@ def test_enumerate_with_omega_filter():
     assert got == naive
 
 
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        (2, 300_000),
+        (3, 1025),
+        (1000, 66_000),
+        (65537, 65537),
+        (50, 40),  # empty
+        (-5, 1000),  # lo < 2
+        ((1 << 21) - 5000, (1 << 21) + 5000),  # straddles a sieve window
+        # hi is a prime whose q - 1 meets a pruning bound with equality:
+        # 96 = 2**5 * 3 and 2310 = 2 * 3 * 5 * 7 * 11
+        (2, 97),
+        (2, 2311),
+    ],
+)
+def test_enumerate_with_omega_equals_the_sieve(lo, hi):
+    """The omega path builds q - 1 from its factorisation; the sieve of
+    `iter_prime_powers` is the reference."""
+    sieved = list(nt.iter_prime_powers(lo, hi))
+    for omega in range(9):
+        want = [nt.PrimePowerId(q, p, r) for q, p, r, om in sieved if om == omega]
+        assert nt.enumerate_prime_powers(lo, hi, omega) == want, omega
+
+
+def test_enumerate_omega_one_to_2_40():
+    # q - 1 a prime power: Fermat primes, 9, and 2**r with 2**r - 1 a
+    # Mersenne prime; sieving that range would not finish
+    got = [pp.q for pp in nt.enumerate_prime_powers(3, 2**40, omega=1)]
+    assert got == [3, 4, 5, 8, 9, 17, 32, 128, 257, 8192, 65537, 131072, 524288, 2147483648]
+    assert all(len(sympy.factorint(q)) == len(sympy.factorint(q - 1)) == 1 for q in got)
+
+
 def test_iter_prime_powers_order_and_omega():
     rows = list(nt.iter_prime_powers(2, 1000))
     qs = [q for q, _, _, _ in rows]

@@ -344,6 +344,14 @@ def test_survey_row_omega_two_frozen():
     assert row.failing_prime_powers == (16, 25, 27, 49, 64, 81, 125, 243, 289)
 
 
+def test_survey_row_candidate_counts_frozen():
+    # an empty window gives each row's own q_min and q_max without a re-test
+    rows, _ = sc.sweep(3, 2)
+    assert all(row.candidates == 0 for row in rows)
+    counts = [len(nt.enumerate_prime_powers(row.q_min, row.q_max, row.omega)) for row in rows]
+    assert counts == [6, 75, 692, 3391, 7722, 3968, 681, 49]
+
+
 def test_survey_q_min_is_primorial_plus_one():
     for om in (1, 2, 3):
         assert sc.survey(om).q_min == nt.primorial(om) + 1
