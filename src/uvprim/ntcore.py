@@ -365,30 +365,48 @@ def _omega_of(n: int) -> int:
     return len(factorize(n))
 
 
+# The search of `_omega_prime_powers` spends 4-10 us on each q - 1 it builds
+# (most of it Miller-Rabin on q), the window sieve about 0.3 us on each
+# number of [lo, hi].  So the search runs only while it builds at most one
+# q - 1 per _SEARCH_RATIO numbers of the range, where it costs well under the
+# sieve; a search given up at that budget has cost about 3% of the sieve
+# that replaces it.
+_SEARCH_RATIO = 128
+
+
 def enumerate_prime_powers(lo: int, hi: int, omega: int | None = None) -> list[PrimePowerId]:
     """All prime powers q in the closed range [lo, hi], ascending; if `omega`
     is given, only those with omega(q - 1) == omega.
 
     Without `omega` this is the windowed sieve of `iter_prime_powers`.  With
-    it, nothing is sieved: the candidates are built from the factorisation of
-    q - 1 (`_omega_prime_powers`), so the work follows the number of q - 1
-    with omega distinct primes, not the length of the range.
+    it, the candidates are first built from the factorisation of q - 1
+    (`_omega_prime_powers`), whose work follows the number of q - 1 with
+    omega distinct primes rather than the length of the range.  Where those
+    are dense, or the range is narrow beside hi, that search gives up and
+    the sieve's omega is filtered instead.
     """
     if omega is not None:
-        return _omega_prime_powers(lo, hi, omega)
-    return [PrimePowerId(q=q, p=p, r=r) for q, p, r, _ in iter_prime_powers(lo, hi)]
+        found = _omega_prime_powers(lo, hi, omega, (hi - lo + 1) // _SEARCH_RATIO)
+        if found is not None:
+            return found
+    return [
+        PrimePowerId(q=q, p=p, r=r)
+        for q, p, r, om in iter_prime_powers(lo, hi)
+        if omega is None or om == omega
+    ]
 
 
-def _omega_prime_powers(lo: int, hi: int, omega: int) -> list[PrimePowerId]:
-    """The prime powers q in [lo, hi] with omega(q - 1) == omega.
+def _omega_prime_powers(lo: int, hi: int, omega: int, budget: float) -> list[PrimePowerId] | None:
+    """The prime powers q in [lo, hi] with omega(q - 1) == omega, or None if
+    that needs more than `budget` odd primes or values of q - 1.
 
     An odd q has 2 | q - 1, so a depth-first search over ascending odd primes
-    builds every even n <= hi - 1 with exactly omega distinct prime factors,
-    pruned by n * p**k <= hi - 1 with k primes still to place; n + 1 is kept
-    when it is prime, or an odd p**r (r >= 2) of `_higher_powers`.  The
-    powers of 2 are tested one by one.  The largest prime of n is at most
-    (hi - 1) // primorial(omega - 1), so that bounds the prime list (omega = 1
-    needs none).
+    builds every even n <= hi - 1 with exactly omega distinct prime factors
+    (`_odd_prime_power_multiples`); n + 1 is kept when it is prime, or an
+    odd p**r (r >= 2) of `_higher_powers`.  The powers of 2 are tested one
+    by one.  The largest prime of n is at most (hi - 1) // primorial(omega - 1),
+    so that bounds the prime list (omega = 1 needs none).  Every n <= hi - 1
+    counts against the budget, not only those in the range.
     """
     lo = max(lo, 2)
     # n >= primorial(omega) >= 2**omega for every n = q - 1 with omega primes
@@ -402,31 +420,51 @@ def _omega_prime_powers(lo: int, hi: int, omega: int) -> list[PrimePowerId]:
     ]
     if omega == 0:
         return out
+    # omega = 1 places no odd prime
+    limit = top // primorial(omega - 1) if omega > 1 else 0
+    if limit > budget:
+        return None
+    odd = primes_up_to(limit).tolist()[1:]
+
+    def built():
+        n = 2
+        while n * 3 ** (omega - 1) <= top:
+            yield from _odd_prime_power_multiples(n, odd, 0, omega - 1, top)
+            n *= 2
+
+    ns = []
+    for count, n in enumerate(built(), 1):
+        if count > budget:
+            return None
+        if n >= lo - 1:
+            ns.append(n)
     odd_higher = {q: (p, r) for q, p, r in _higher_powers(lo, hi) if p > 2}
-    odd = primes_up_to(top // primorial(omega - 1)).tolist()[1:] if omega > 1 else []
-
-    def place(n: int, i: int, k: int) -> None:
-        if k == 0:
-            q = n + 1
-            if q >= lo and (is_prime(q) or q in odd_higher):
-                p, r = odd_higher.get(q, (q, 1))
-                out.append(PrimePowerId(q=q, p=p, r=r))
-            return
-        for j in range(i, len(odd)):
-            p = odd[j]
-            if n * p**k > top:
-                break
-            m = n * p
-            while m * p ** (k - 1) <= top:
-                place(m, j + 1, k - 1)
-                m *= p
-
-    n = 2
-    while n * 3 ** (omega - 1) <= top:
-        place(n, 0, omega - 1)
-        n *= 2
+    for n in ns:
+        q = n + 1
+        if q in odd_higher:
+            p, r = odd_higher[q]
+            out.append(PrimePowerId(q=q, p=p, r=r))
+        elif is_prime(q):
+            out.append(PrimePowerId(q=q, p=q, r=1))
     out.sort(key=lambda pp: pp.q)
     return out
+
+
+def _odd_prime_power_multiples(n: int, primes: list[int], i: int, k: int, top: int):
+    """Yield every n * m <= top where m is a product of powers of exactly k
+    distinct primes from primes[i:] (ascending)."""
+    if k == 0:
+        yield n
+        return
+    for j in range(i, len(primes)):
+        p = primes[j]
+        # the k primes still to place are each at least p
+        if n * p**k > top:
+            break
+        m = n * p
+        while m * p ** (k - 1) <= top:
+            yield from _odd_prime_power_multiples(m, primes, j + 1, k - 1, top)
+            m *= p
 
 
 # --------------------------------------------------------------------------

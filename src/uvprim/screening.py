@@ -470,9 +470,10 @@ def _survey_row(omega: int, lo: int, hi: int | float) -> SurveyRow:
     """The survey row for omega, with candidates enumerated and re-tested
     only in [lo, hi] (the row's q_min, q_max and chosen_s stay its own).
 
-    The candidates are the prime powers q with omega(q - 1) == omega, built
-    from the factorisation of q - 1 by `enumerate_prime_powers`; each is
-    re-tested with the element stage at its own exact densities."""
+    The candidates are the prime powers q with omega(q - 1) == omega from
+    `enumerate_prime_powers`, which builds them from the factorisation of
+    q - 1 where they are sparse (the rows omega >= 6) and sieves otherwise;
+    each is re-tested with the element stage at its own exact densities."""
     if omega < 1:
         raise ValueError("the survey covers omega >= 1")
     if omega == 1:

@@ -1,7 +1,7 @@
 """Exact arithmetic layer, cross-checked against sympy."""
 
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, inf, isqrt, prod
 
 import pytest
 import sympy
@@ -180,12 +180,55 @@ def test_enumerate_with_omega_filter():
     ],
 )
 def test_enumerate_with_omega_equals_the_sieve(lo, hi):
-    """The omega path builds q - 1 from its factorisation; the sieve of
-    `iter_prime_powers` is the reference."""
+    """The omega path, and its search run without a budget, which builds
+    q - 1 from its factorisation; the sieve of `iter_prime_powers` is the
+    reference."""
     sieved = list(nt.iter_prime_powers(lo, hi))
     for omega in range(9):
         want = [nt.PrimePowerId(q, p, r) for q, p, r, om in sieved if om == omega]
         assert nt.enumerate_prime_powers(lo, hi, omega) == want, omega
+        assert nt._omega_prime_powers(lo, hi, omega, inf) == want, omega
+
+
+@pytest.mark.parametrize(
+    "lo,hi,omega,searched",
+    [
+        (2, 10**6, 6, True),  # 2,235 even q - 1 <= 10**6 with 6 primes
+        (2, 10**6, 5, False),  # 38,025 of them, over the budget of 7,812
+        (2, 10**6, 4, False),  # a prime list to 33,333, over the budget
+        # narrow beside hi: the search would need primes up to hi / 2
+        (10**8, 10**8 + 1000, 2, False),
+        (10**10, 10**10 + 100, 2, False),
+        (10**10, 10**10 + 100, 3, False),
+    ],
+)
+def test_enumerate_with_omega_searches_only_where_sparse(monkeypatch, lo, hi, omega, searched):
+    """The search runs where q - 1 with omega primes are sparse in [lo, hi];
+    where they are dense, or the range is narrow beside hi, the sieve runs and
+    no prime list grows past what the sieve needs (sqrt(hi)) or the search's
+    budget."""
+    sieves, limits = [], []
+    iter_prime_powers, primes_up_to = nt.iter_prime_powers, nt.primes_up_to
+
+    def iter_spy(a, b):
+        sieves.append((a, b))
+        return iter_prime_powers(a, b)
+
+    def primes_spy(n):
+        limits.append(n)
+        return primes_up_to(n)
+
+    monkeypatch.setattr(nt, "iter_prime_powers", iter_spy)
+    monkeypatch.setattr(nt, "primes_up_to", primes_spy)
+    got = nt.enumerate_prime_powers(lo, hi, omega)
+    assert sieves == ([] if searched else [(lo, hi)])
+    if not searched:
+        assert max(limits) <= max(isqrt(hi) + 1, (hi - lo + 1) // nt._SEARCH_RATIO)
+    if hi - lo <= 1000:
+        want = [q for q in range(lo, hi + 1) if nt.is_prime_power(q) and len(nt.factorize(q - 1)) == omega]
+    else:
+        want = [q for q, _, _, om in iter_prime_powers(lo, hi) if om == omega]
+    assert [pp.q for pp in got] == want
 
 
 def test_enumerate_omega_one_to_2_40():
