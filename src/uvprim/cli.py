@@ -62,10 +62,11 @@ def _config_dict(cfg: screening.SieveConfig | None) -> dict | None:
 def _witness_dict(rep: screening.BoundReport | None) -> dict | None:
     if rep is None:
         return None
+    bound = rep.lower_bound
     out = {
         "theorem": rep.theorem,
-        "bound": _frac(rep.lower_bound),
-        "bound_decimal": _frac_decimal(rep.lower_bound),
+        "bound": _frac(bound),
+        "bound_decimal": _frac_decimal(bound),
         "config": _config_dict(rep.config),
     }
     if rep.epsilon is not None:

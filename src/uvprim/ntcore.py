@@ -1,8 +1,12 @@
 """Multiplicative arithmetic used throughout the package.
 
-Everything here is exact: counts are ints, densities are `fractions.Fraction`.
-The only floating point anywhere is inside numpy sieve buffers, which hold
-integers.
+Everything here is exact.  Counts are ints.  The densities below are
+rationals, and `screening` decides every criterion from their integer
+numerators and denominators (`density_terms`, `sieve_terms`); the
+`fractions.Fraction` values (`ArithmeticProfile.theta`/`tau`,
+`DeltaValue.value`) are derived from the same integers when a caller reads
+them.  The only floating point anywhere is inside numpy sieve buffers,
+which hold integers.
 
 The quantities attached to a modulus m are the ones the screening bounds are
 built from:
@@ -23,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
 
 import numpy as np
@@ -35,6 +39,7 @@ __all__ = [
     "DeltaValue",
     "PrimePowerId",
     "delta",
+    "density_terms",
     "enumerate_prime_powers",
     "factorize",
     "first_primes",
@@ -45,6 +50,7 @@ __all__ = [
     "primorial",
     "prime_power_decompose",
     "profile",
+    "sieve_terms",
     "sqrt_bounds",
     "squarefree_divisors",
 ]
@@ -54,6 +60,10 @@ __all__ = [
 # primes
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic below 3.3e24
+# The first four witnesses alone are deterministic below 3,215,031,751, the
+# least strong pseudoprime to all of them (Pomerance, Selfridge and Wagstaff,
+# Math. Comp. 35, 1980; Jaeschke, Math. Comp. 61, 1993).
+_MR_SMALL_LIMIT = 3_215_031_751
 
 _prime_cache: np.ndarray = np.array([2, 3, 5, 7], dtype=np.int64)
 _prime_cache_limit = 10
@@ -96,14 +106,14 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin (valid far beyond any input used here)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for a in _MR_WITNESSES[:4] if n < _MR_SMALL_LIMIT else _MR_WITNESSES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -180,7 +190,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class ArithmeticProfile:
-    """The exact multiplicative statistics of a modulus m."""
+    """The exact multiplicative statistics of a modulus m.  `theta` and `tau`
+    are derived on access; `density_terms(primes)` gives them as integers."""
 
     m: int
     factors: tuple[tuple[int, int], ...]
@@ -188,12 +199,19 @@ class ArithmeticProfile:
     radical: int
     w: int
     phi: int
-    theta: Fraction
-    tau: Fraction
 
-    @property
+    @cached_property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
+
+    @property
+    def theta(self) -> Fraction:
+        return Fraction(self.phi, self.m)
+
+    @property
+    def tau(self) -> Fraction:
+        phi_rad, _, tau_num = density_terms(self.primes)
+        return Fraction(tau_num, phi_rad * phi_rad)
 
 
 @lru_cache(maxsize=1 << 16)
@@ -204,9 +222,6 @@ def profile(m: int) -> ArithmeticProfile:
     phi = m
     for p in primes:
         phi = phi // p * (p - 1)
-    tau = Fraction(1)
-    for p in primes:
-        tau *= 1 - Fraction(1, p - 1) + Fraction(1, (p - 1) ** 2)
     return ArithmeticProfile(
         m=m,
         factors=fac,
@@ -214,9 +229,27 @@ def profile(m: int) -> ArithmeticProfile:
         radical=prod(primes),
         w=1 << len(fac),
         phi=phi,
-        theta=Fraction(phi, m),
-        tau=tau,
     )
+
+
+def density_terms(primes: tuple[int, ...] | list[int]) -> tuple[int, int, int]:
+    """(a, b, c) for a modulus whose distinct primes are `primes`:
+    a = prod(l - 1), b = prod(l), c = prod(l*l - 3l + 3), all positive, with
+    theta = a/b and tau = c/a**2 (l*l - 3l + 3 over (l - 1)**2 is the factor
+    1 - 1/(l-1) + 1/(l-1)**2)."""
+    a = b = c = 1
+    for p in primes:
+        a *= p - 1
+        b *= p
+        c *= p * p - 3 * p + 3
+    return a, b, c
+
+
+def sieve_terms(primes: tuple[int, ...] | list[int]) -> tuple[int, int]:
+    """(P, S) with P = prod(p) and S = sum(P/p) over distinct sieving
+    primes, so that delta_j = 1 - j * sum(1/p) = (P - j*S)/P."""
+    P = prod(primes)
+    return P, sum(P // p for p in primes)
 
 
 @dataclass(frozen=True)
@@ -234,8 +267,8 @@ def delta(j: int, primes: tuple[int, ...] | list[int]) -> DeltaValue:
     ps = tuple(primes)
     if len(set(ps)) != len(ps):
         raise ValueError("sieving primes must be distinct")
-    value = 1 - j * sum((Fraction(1, p) for p in ps), Fraction(0))
-    return DeltaValue(j=j, primes=ps, value=value)
+    P, S = sieve_terms(ps)
+    return DeltaValue(j=j, primes=ps, value=Fraction(P - j * S, P))
 
 
 def squarefree_divisors(m: int) -> list[int]:
@@ -378,22 +411,36 @@ def enumerate_prime_powers(lo: int, hi: int, omega: int | None = None) -> list[P
     """All prime powers q in the closed range [lo, hi], ascending; if `omega`
     is given, only those with omega(q - 1) == omega.
 
-    Without `omega` this is the windowed sieve of `iter_prime_powers`.  With
-    it, the candidates are first built from the factorisation of q - 1
-    (`_omega_prime_powers`), whose work follows the number of q - 1 with
-    omega distinct primes rather than the length of the range.  Where those
-    are dense, or the range is narrow beside hi, that search gives up and
-    the sieve's omega is filtered instead.
+    Without `omega` this is the windowed prime sieve of `iter_prime_powers`
+    without its omega(q - 1) sieve.  With it, the candidates are first built
+    from the factorisation of q - 1 (`_omega_prime_powers`), whose work
+    follows the number of q - 1 with omega distinct primes rather than the
+    length of the range.  Where those are dense, or the range is narrow
+    beside hi, that search gives up and the sieve's omega is filtered
+    instead.
     """
-    if omega is not None:
-        found = _omega_prime_powers(lo, hi, omega, (hi - lo + 1) // _SEARCH_RATIO)
-        if found is not None:
-            return found
-    return [
-        PrimePowerId(q=q, p=p, r=r)
-        for q, p, r, om in iter_prime_powers(lo, hi)
-        if omega is None or om == omega
-    ]
+    if omega is None:
+        return [PrimePowerId(q=q, p=p, r=r) for q, p, r in _sieved_prime_powers(lo, hi)]
+    found = _omega_prime_powers(lo, hi, omega, (hi - lo + 1) // _SEARCH_RATIO)
+    if found is not None:
+        return found
+    return [PrimePowerId(q=q, p=p, r=r) for q, p, r, om in iter_prime_powers(lo, hi) if om == omega]
+
+
+def _sieved_prime_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """(q, p, r) for every prime power q in [lo, hi], ascending: the window
+    prime masks of `iter_prime_powers` and `_higher_powers`, without the
+    omega(q - 1) sieve."""
+    lo = max(lo, 2)
+    if hi < lo:
+        return []
+    base = primes_up_to(isqrt(hi) + 1)
+    out = []
+    for a in range(lo, hi + 1, _WINDOW):
+        mask = _window_prime_mask(a, min(a + _WINDOW, hi + 1), base)
+        out += ((q, q, 1) for q in (np.nonzero(mask)[0] + a).tolist())
+    # two ascending runs with no q in common: the sort merges them
+    return sorted(out + _higher_powers(lo, hi))
 
 
 def _omega_prime_powers(lo: int, hi: int, omega: int, budget: float) -> list[PrimePowerId] | None:

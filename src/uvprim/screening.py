@@ -8,11 +8,17 @@ primitive.  ``q in the pair set`` means N > 0 for every nonzero (u,v);
 pair-set membership via (a, a^-1).
 
 Every criterion here is a margin alpha - beta*sqrt(q) with rational alpha and
-beta, built in one place per formula; it holds iff the margin is positive,
-which is decided *exactly* by sign analysis plus squaring.  The reported
-``lower_bound`` is a positive scale times a certified rational lower bound for
-the margin, obtained through a tight rational enclosure of sqrt(q), and is a
-lower bound for the true count.
+beta, built in one place per formula.  Each formula writes alpha = A/D and
+beta = B/D with Python ints A, B and D > 0, from the integer numerators and
+denominators of theta, tau and delta_j (`ntcore.density_terms`,
+`ntcore.sieve_terms`).  The criterion holds iff A > B*sqrt(q), decided
+*exactly* by sign analysis plus integer squaring, and `best_config` compares
+two configs by cross-multiplying their denominators; no `Fraction` takes
+part in a decision.  The `Fraction`s of a report (``lower_bound``, ``alpha``,
+``beta`` and the config's deltas) are derived from those integers when they
+are read.  ``lower_bound`` is a positive scale times a certified rational
+lower bound for the margin, obtained through a tight rational enclosure of
+sqrt(q), and is a lower bound for the true count.
 
 With theta, tau, W as in `ntcore` and stats taken at q-1:
 
@@ -56,18 +62,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf, prod
+from math import inf
 
 from .errors import BoundNotApplicableError
 from . import field as fd
 from .ntcore import (
     ArithmeticProfile,
-    delta,
+    density_terms,
     enumerate_prime_powers,
     first_primes,
     is_prime,
     primorial,
     profile,
+    sieve_terms,
     sqrt_bounds,
 )
 
@@ -105,8 +112,8 @@ NEEDS_CHECK = "needs_check"
 # --------------------------------------------------------------------------
 # exact comparisons against beta*sqrt(q)
 
-def _gt_sqrt(alpha: Fraction, beta: Fraction, q: int) -> bool:
-    """Decide alpha > beta*sqrt(q) exactly (any signs)."""
+def _gt_sqrt(alpha: int, beta: int, q: int) -> bool:
+    """Decide alpha > beta*sqrt(q) exactly for integers of any sign."""
     if beta == 0:
         return alpha > 0
     if beta > 0:
@@ -115,60 +122,91 @@ def _gt_sqrt(alpha: Fraction, beta: Fraction, q: int) -> bool:
     return alpha >= 0 or alpha * alpha < beta * beta * q
 
 
-def _certified(alpha: Fraction, beta: Fraction, q: int) -> Fraction:
-    """A rational lower bound for alpha - beta*sqrt(q)."""
-    lo, hi = sqrt_bounds(q)
-    return alpha - beta * (hi if beta >= 0 else lo)
-
-
 # --------------------------------------------------------------------------
 # report types
 
 @dataclass(frozen=True)
 class SieveConfig:
-    """A factorization Rad(q-1) = k * (product of s sieving primes), with the
-    exact densities the sieved bounds need."""
+    """A factorization Rad(q-1) = k * P, P the product of the s sieving
+    primes.  With `slack` = sum(P/p), delta_j = 1 - j * sum(1/p) is
+    `delta_num(j)`/P: the bounds use that integer numerator, and the
+    `Fraction`s `delta2`, `delta3`, `delta4` are derived on access."""
 
     q: int
     k: int
     sieving_primes: tuple[int, ...]
     s: int
-    k_profile: ArithmeticProfile
-    theta_q_minus_1: Fraction
-    delta2: Fraction
-    delta3: Fraction
-    delta4: Fraction
+    product: int
+    slack: int
+
+    def delta_num(self, j: int) -> int:
+        return self.product - j * self.slack
+
+    @property
+    def delta2(self) -> Fraction:
+        return Fraction(self.delta_num(2), self.product)
+
+    @property
+    def delta3(self) -> Fraction:
+        return Fraction(self.delta_num(3), self.product)
+
+    @property
+    def delta4(self) -> Fraction:
+        return Fraction(self.delta_num(4), self.product)
+
+    @property
+    def k_profile(self) -> ArithmeticProfile:
+        return profile(self.k)
+
+    @property
+    def theta_q_minus_1(self) -> Fraction:
+        return profile(self.q - 1).theta
+
+    @property
+    def k_primes(self) -> tuple[int, ...]:
+        """The primes of q - 1 left unsieved, i.e. the primes of k."""
+        primes = profile(self.q - 1).primes
+        return primes[: len(primes) - self.s]
 
 
 @dataclass(frozen=True)
 class BoundReport:
-    """One criterion evaluated at one q.  `alpha` and `beta` are its exact
-    margin terms: the criterion holds iff alpha > beta*sqrt(q).
-    `lower_bound` is a certified rational lower bound for the relevant count
-    (or criterion margin): a positive scale times a rational lower bound for
-    alpha - beta*sqrt(q)."""
+    """One criterion evaluated at one q.  Its margin alpha - beta*sqrt(q) is
+    (A - B*sqrt(q))/D with `terms` = (A, B, D), ints and D > 0: the
+    criterion holds iff A > B*sqrt(q).  `alpha`, `beta` and `lower_bound`
+    are `Fraction`s derived on access.  `lower_bound` is a certified
+    rational lower bound for the relevant count (or criterion margin): the
+    positive `scale` (numerator, denominator) times a rational lower bound
+    for alpha - beta*sqrt(q)."""
 
     theorem: str
     q: int
-    lower_bound: Fraction
     holds: bool
-    alpha: Fraction
-    beta: Fraction
+    terms: tuple[int, int, int]
+    scale: tuple[int, int] = (1, 1)
     config: SieveConfig | None = None
     epsilon: int | None = None
 
+    @property
+    def alpha(self) -> Fraction:
+        return Fraction(self.terms[0], self.terms[2])
 
-def _report(theorem: str, q: int, alpha: Fraction, beta: Fraction, scale: Fraction = 1, **extra) -> BoundReport:
+    @property
+    def beta(self) -> Fraction:
+        return Fraction(self.terms[1], self.terms[2])
+
+    @property
+    def lower_bound(self) -> Fraction:
+        A, B, D = self.terms
+        lo, hi = sqrt_bounds(self.q)
+        root = hi if B >= 0 else lo  # so that B*root >= B*sqrt(q)
+        num, den = self.scale
+        return Fraction(num * (A * root.denominator - B * root.numerator), den * D * root.denominator)
+
+
+def _report(theorem: str, q: int, A: int, B: int, D: int, scale: tuple[int, int] = (1, 1), **extra) -> BoundReport:
     """The one constructor of every criterion's report."""
-    return BoundReport(
-        theorem=theorem,
-        q=q,
-        lower_bound=scale * _certified(alpha, beta, q),
-        holds=_gt_sqrt(alpha, beta, q),
-        alpha=alpha,
-        beta=beta,
-        **extra,
-    )
+    return BoundReport(theorem=theorem, q=q, holds=_gt_sqrt(A, B, q), terms=(A, B, D), scale=scale, **extra)
 
 
 @dataclass(frozen=True)
@@ -205,33 +243,24 @@ def sieve_config(q: int, s: int) -> SieveConfig:
     if not 0 <= s <= prof.omega:
         raise BoundNotApplicableError(f"s={s} out of range for omega={prof.omega}")
     sieving = prof.primes[prof.omega - s :]
-    k = prof.radical // prod(sieving)
-    # delta_j = 1 - j * slack; the reciprocal sum is formed once for all j
-    slack = sum((Fraction(1, p) for p in sieving), Fraction(0))
-    return SieveConfig(
-        q=q,
-        k=k,
-        sieving_primes=sieving,
-        s=s,
-        k_profile=profile(k),
-        theta_q_minus_1=prof.theta,
-        delta2=1 - 2 * slack,
-        delta3=1 - 3 * slack,
-        delta4=1 - 4 * slack,
-    )
+    P, slack = sieve_terms(sieving)
+    return SieveConfig(q=q, k=prof.radical // P, sieving_primes=sieving, s=s, product=P, slack=slack)
 
 
 # --------------------------------------------------------------------------
 # pair-count bounds
+#
+# With theta = a/b and tau = c/a**2 (`density_terms`), each bound's alpha and
+# beta are put over one positive integer denominator.
 
 def prime_pair_interval(p: int) -> BoundReport:
     """Classic interval bound for the pair count over a prime field (odd p)."""
     if p < 3 or not is_prime(p):
         raise BoundNotApplicableError("this bound needs an odd prime")
     st = profile(p - 1)
-    alpha = st.theta**3 * st.tau * (p - 1) ** 2
-    beta = 5 * st.theta**4 * st.w**4 * p
-    return _report("prime-pair-interval", p, alpha, beta)
+    a, b, c = density_terms(st.primes)
+    # alpha = theta^3 tau (p-1)^2, beta = 5 theta^4 W^4 p, over b^4
+    return _report("prime-pair-interval", p, a * c * (p - 1) ** 2 * b, 5 * a**4 * st.w**4 * p, b**4)
 
 
 def pair_interval(q: int) -> BoundReport:
@@ -239,43 +268,43 @@ def pair_interval(q: int) -> BoundReport:
     if q <= 2:
         raise BoundNotApplicableError("the pair interval bound needs q > 2")
     st = profile(q - 1)
-    alpha = st.theta**3 * st.tau * (q - 1) * q
-    beta = st.theta**4 * st.w**3 * (q - 1)
-    return _report("pair-interval", q, alpha, beta)
+    a, b, c = density_terms(st.primes)
+    # alpha = theta^3 tau (q-1) q, beta = theta^4 W^3 (q-1), over b^4
+    return _report("pair-interval", q, a * c * (q - 1) * q * b, a**4 * st.w**3 * (q - 1), b**4)
+
+
+def _pair_sieve_terms(q: int, s: int, kept: tuple[int, ...], P: int, d4: int) -> tuple[int, int, int]:
+    """alpha = scale tau q and beta = scale theta W^3 with scale =
+    delta_4 theta^3 (q-1), stats at k, over P b^4 (delta_4 = d4/P)."""
+    a, b, c = density_terms(kept)
+    w = 1 << len(kept)
+    return d4 * a * c * (q - 1) * q * b, d4 * a**4 * (q - 1) * w**3, P * b**4
+
+
+def _pair_sieve_asym_terms(q: int, s: int, kept: tuple[int, ...], P: int, d3: int) -> tuple[int, int, int]:
+    """alpha = scale delta_3 tau q and beta = scale theta W^3 with scale =
+    theta^2 theta(q-1) (q-1), stats at k, over b^3 f P where theta(q-1) = e/f
+    (delta_3 = d3/P)."""
+    a, b, c = density_terms(kept)
+    w = 1 << len(kept)
+    e, f, _ = density_terms(profile(q - 1).primes)
+    return e * (q - 1) * d3 * c * q * b, a**3 * e * (q - 1) * w**3 * P, b**3 * f * P
 
 
 def pair_sieve_bound(q: int, s: int) -> BoundReport:
     """Sieved pair bound; needs q > 2 and delta_4 > 0."""
-    if q <= 2:
-        raise BoundNotApplicableError("the pair sieve needs q > 2")
-    cfg = sieve_config(q, s)
-    if cfg.delta4 <= 0:
-        raise BoundNotApplicableError(f"delta_4 = {cfg.delta4} <= 0)")
-    st = cfg.k_profile
-    scale = cfg.delta4 * st.theta**3 * (q - 1)
-    alpha = scale * st.tau * q
-    beta = scale * st.theta * st.w**3
-    return _report("pair-sieve", q, alpha, beta, config=cfg)
+    return _sieve_report("pair", q, s)
 
 
 def pair_sieve_asym_bound(q: int, s: int) -> BoundReport:
     """Asymmetric pair sieve; needs q > 2 and delta_3 > 0.  Often stronger
     than the symmetric sieve because it tolerates more sieving primes."""
-    if q <= 2:
-        raise BoundNotApplicableError("the pair sieve needs q > 2")
-    cfg = sieve_config(q, s)
-    if cfg.delta3 <= 0:
-        raise BoundNotApplicableError(f"delta_3 = {cfg.delta3} <= 0")
-    st = cfg.k_profile
-    scale = st.theta**2 * cfg.theta_q_minus_1 * (q - 1)
-    alpha = scale * cfg.delta3 * st.tau * q
-    beta = scale * st.theta * st.w**3
-    return _report("pair-sieve-asym", q, alpha, beta, config=cfg)
+    return _sieve_report("pair-asym", q, s)
 
 
 def pair_w6(q: int) -> BoundReport:
     """Crude pair criterion q > W(q-1)**6; lower_bound is the margin."""
-    return _report("pair-w6", q, Fraction(q - profile(q - 1).w ** 6), Fraction(0))
+    return _report("pair-w6", q, q - profile(q - 1).w ** 6, 0, 1)
 
 
 # --------------------------------------------------------------------------
@@ -302,9 +331,13 @@ def element_interval(q: int, eps: int | None = None) -> BoundReport:
     if eps is None:
         eps = _worst_epsilon(q)
     st = profile(q - 1)
-    alpha = st.theta**2 * (q - 1 - eps * st.w)
-    beta = 2 * st.theta**2 * (st.w**2 - st.w - (1 / st.theta - 1) / 2)
-    return _report("element-interval", q, alpha, beta, epsilon=eps)
+    a, b, _ = density_terms(st.primes)
+    w = st.w
+    # alpha = theta^2 (q-1-eps W), beta = 2 theta^2 (W^2 - W - (1/theta - 1)/2),
+    # over b^2
+    return _report(
+        "element-interval", q, a * a * (q - 1 - eps * w), 2 * a * a * (w * w - w) - a * (b - a), b * b, epsilon=eps
+    )
 
 
 def element_sieve_criterion(q: int, s: int) -> BoundReport:
@@ -314,35 +347,57 @@ def element_sieve_criterion(q: int, s: int) -> BoundReport:
     Needs q > 3 and delta_2 > 0.  The margin terms are (q - CW, CW(2W - 1));
     lower_bound certifies theta^2 {(q - CW) - (2CW^2 - CW) sqrt(q)}, a lower
     bound for the count."""
-    if q <= 3:
-        raise BoundNotApplicableError("the element sieve needs q > 3")
-    cfg = sieve_config(q, s)
-    if cfg.delta2 <= 0:
-        raise BoundNotApplicableError(f"delta_2 = {cfg.delta2} <= 0")
-    st = cfg.k_profile
-    alpha, beta = _element_sieve_terms(q, s, cfg.delta2, st.w)
-    return _report("element-sieve", q, alpha, beta, st.theta**2, config=cfg)
+    return _sieve_report("element", q, s)
 
 
-def _element_sieve_terms(q: int, s: int, delta2: Fraction, w: int) -> tuple[Fraction, Fraction]:
-    """The element sieve's margin terms (q - CW, CW(2W - 1)), C = (2s-1)/delta_2 + 2."""
-    C = Fraction(2 * s - 1, 1) / delta2 + 2
-    return q - C * w, C * w * (2 * w - 1)
+def _element_sieve_margin(q: int, s: int, P: int, d2: int, w: int) -> tuple[int, int]:
+    """The element sieve's margin terms (q - CW, CW(2W - 1)) times d2 > 0,
+    where delta_2 = d2/P and C = (2s-1)/delta_2 + 2, so that
+    C*d2 = (2s-1)P + 2*d2 is an integer."""
+    cd2 = (2 * s - 1) * P + 2 * d2
+    return q * d2 - cd2 * w, cd2 * w * (2 * w - 1)
+
+
+def _element_sieve_terms(q: int, s: int, kept: tuple[int, ...], P: int, d2: int) -> tuple[int, int, int]:
+    """The element sieve's margin over d2, with W = 2**omega(k)."""
+    return (*_element_sieve_margin(q, s, P, d2, 1 << len(kept)), d2)
+
+
+def _element_sieve_scale(kept: tuple[int, ...]) -> tuple[int, int]:
+    """theta(k)^2, the positive factor from the margin to the count bound."""
+    a, b, _ = density_terms(kept)
+    return a * a, b * b
 
 
 def element_w4(q: int) -> BoundReport:
     """Crude element criterion q > 4*W(q-1)**4; lower_bound is the margin."""
-    return _report("element-w4", q, Fraction(q - 4 * profile(q - 1).w ** 4), Fraction(0))
+    return _report("element-w4", q, q - 4 * profile(q - 1).w ** 4, 0, 1)
 
 
 # --------------------------------------------------------------------------
-# best configuration per objective
+# the sieves and their best configuration
 
+# objective -> (theorem, the j whose delta_j must be positive, least q,
+# margin terms (A, B, D) from (q, s, primes of k, P, delta_j * P), scale of
+# the reported bound from the primes of k, or None for 1)
 _SIEVES = {
-    "element": element_sieve_criterion,
-    "pair": pair_sieve_bound,
-    "pair-asym": pair_sieve_asym_bound,
+    "element": ("element-sieve", 2, 4, _element_sieve_terms, _element_sieve_scale),
+    "pair": ("pair-sieve", 4, 3, _pair_sieve_terms, None),
+    "pair-asym": ("pair-sieve-asym", 3, 3, _pair_sieve_asym_terms, None),
 }
+
+
+def _sieve_report(objective: str, q: int, s: int) -> BoundReport:
+    """The report of one sieve at one config s, or BoundNotApplicableError."""
+    theorem, j, q_least, terms, scale = _SIEVES[objective]
+    if q < q_least:
+        raise BoundNotApplicableError(f"the {theorem} bound needs q > {q_least - 1}")
+    cfg = sieve_config(q, s)
+    d = cfg.delta_num(j)
+    if d <= 0:
+        raise BoundNotApplicableError(f"delta_{j} = {Fraction(d, cfg.product)} <= 0")
+    kept = cfg.k_primes
+    return _report(theorem, q, *terms(q, s, kept, cfg.product, d), scale(kept) if scale else (1, 1), config=cfg)
 
 
 def best_config(q: int, objective: str) -> BoundReport | None:
@@ -356,20 +411,27 @@ def best_config(q: int, objective: str) -> BoundReport | None:
     holds.
 
     Scans s = 0 .. omega(q-1)-1 over applicable configs (positive delta);
-    exact sqrt(q) comparisons; ties keep the smaller s.  Returns None when no
-    config is applicable.
+    exact integer comparisons; ties keep the smaller s.  Returns None when
+    no config is applicable.
     """
-    make = _SIEVES[objective]
-    best: BoundReport | None = None
-    for s in range(max(profile(q - 1).omega, 1)):
-        try:
-            rep = make(q, s)
-        except BoundNotApplicableError:
-            continue
-        # rep's margin beats best's  <=>  (a - a0) > (b - b0) sqrt(q)
-        if best is None or _gt_sqrt(rep.alpha - best.alpha, rep.beta - best.beta, q):
-            best = rep
-    return best
+    _, j, q_least, terms, _ = _SIEVES[objective]
+    if q < q_least:
+        return None
+    primes = profile(q - 1).primes
+    omega = len(primes)
+    best_s = best = None
+    for s in range(max(omega, 1)):
+        # the terms of sieve_config(q, s), without building it
+        P, slack = sieve_terms(primes[omega - s :])
+        d = P - j * slack
+        if d <= 0:
+            break  # each further s sieves one more prime, so delta_j only falls
+        A, B, D = terms(q, s, primes[: omega - s], P, d)
+        # A/D - B/D sqrt(q) beats A0/D0 - B0/D0 sqrt(q)
+        #   <=>  (A D0 - A0 D) > (B D0 - B0 D) sqrt(q)
+        if best is None or _gt_sqrt(A * best[2] - best[0] * D, B * best[2] - best[1] * D, q):
+            best_s, best = s, (A, B, D)
+    return None if best is None else _sieve_report(objective, q, best_s)
 
 
 # --------------------------------------------------------------------------
@@ -427,23 +489,25 @@ def _generic_element_passes(q: int, omega: int, s: int | None) -> bool:
     chosen criterion, using worst-case densities over all such fields."""
     if omega == 1:
         # interval bound, worst case W=2, eps=2, bracket -> W^2 = 4
-        return _gt_sqrt(Fraction(q - 5), Fraction(4), q)
-    d2 = _worst_delta2(omega, s)
+        return _gt_sqrt(q - 5, 4, q)
+    P, d2 = _worst_sieve(omega, s)
     if d2 <= 0:
         return False
-    return _gt_sqrt(*_element_sieve_terms(q, s, d2, 1 << (omega - s)), q)
+    return _gt_sqrt(*_element_sieve_margin(q, s, P, d2, 1 << (omega - s)), q)
 
 
-def _worst_delta2(omega: int, s: int) -> Fraction:
-    """delta_2 when the s sieving primes are the largest of the first omega
-    primes: the worst case over all q with omega(q-1) = omega."""
-    return delta(2, first_primes(omega)[omega - s :]).value
+def _worst_sieve(omega: int, s: int) -> tuple[int, int]:
+    """(P, d2) with delta_2 = d2/P when the s sieving primes are the largest
+    of the first omega primes: the worst case over all q with
+    omega(q-1) = omega."""
+    P, slack = sieve_terms(first_primes(omega)[omega - s :])
+    return P, P - 2 * slack
 
 
 def generic_q_max(omega: int, s: int | None = None) -> int:
     """The largest q that the worst-case criterion fails to settle for this
     omega (the failing region is an initial segment, so bisection is exact)."""
-    if omega >= 2 and _worst_delta2(omega, s) <= 0:
+    if omega >= 2 and _worst_sieve(omega, s)[1] <= 0:
         raise BoundNotApplicableError(f"worst-case delta_2 <= 0 for omega={omega}, s={s}")
     lo, hi = 1, 64
     while not _generic_element_passes(hi, omega, s):
@@ -480,7 +544,7 @@ def _survey_row(omega: int, lo: int, hi: int | float) -> SurveyRow:
         chosen_s, q_max = None, generic_q_max(1)
     else:
         chosen_s, q_max = min(
-            ((s, generic_q_max(omega, s)) for s in range(1, omega) if _worst_delta2(omega, s) > 0),
+            ((s, generic_q_max(omega, s)) for s in range(1, omega) if _worst_sieve(omega, s)[1] > 0),
             key=lambda t: (t[1], t[0]),
         )
     q_min = primorial(omega) + 1
@@ -524,17 +588,19 @@ def auto_threshold(kind: str = "pair", horizon: int = 300) -> int:
 
     kind "pair" uses the pair interval (positivity tau^2 q > theta^2 W^6);
     kind "prime-pair" uses the classic prime bound (tau^2 (p-1)^4 > 25 theta^2
-    W^8 p^3).  Exact rational arithmetic throughout; verified to hold at every
+    W^8 p^3).  Exact integer arithmetic throughout; verified to hold at every
     omega from the returned value up to `horizon`.
     """
 
     def passes(omega: int) -> bool:
         P = primorial(omega)
-        st = profile(P)
+        # theta = a/P and tau = c/a^2: multiply both sides by a^4 P^2
+        a, _, c = density_terms(first_primes(omega))
+        w = 1 << omega
         if kind == "pair":
-            return st.tau**2 * (P + 1) > st.theta**2 * Fraction(1 << (6 * omega))
+            return c * c * P * P * (P + 1) > a**6 * w**6
         if kind == "prime-pair":
-            return st.tau**2 * P**4 > 25 * st.theta**2 * Fraction(1 << (8 * omega)) * (P + 1) ** 3
+            return c * c * P**6 > 25 * a**6 * w**8 * (P + 1) ** 3
         raise ValueError(f"unknown kind {kind!r}")
 
     ok = [passes(om) for om in range(1, horizon + 1)]

@@ -47,6 +47,24 @@ def test_is_prime_hard_cases(n):
     assert nt.is_prime(n) == sympy.isprime(n)
 
 
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**i, n) == n - 1 for i in range(1, s))
+
+
+def test_is_prime_keeps_base_7_below_the_cut_over():
+    # 25,326,001 = 2251 * 11251 passes bases 2, 3 and 5, so below
+    # 3,215,031,751 the four-base test needs base 7 to reject it
+    n = 25_326_001
+    assert n == 2251 * 11251 and n < nt._MR_SMALL_LIMIT
+    assert all(_strong_probable_prime(n, a) for a in (2, 3, 5))
+    assert not _strong_probable_prime(n, 7)
+    assert nt.is_prime(n) is False
+
+
 @given(st.integers(min_value=1, max_value=10**9))
 def test_factorize_matches_sympy(n):
     fac = nt.factorize(n)
@@ -90,6 +108,13 @@ def test_profile_invariants(m):
     # theta and tau only see the radical
     assert pr.theta == nt.profile(pr.radical).theta
     assert pr.tau == nt.profile(pr.radical).tau
+    # the integer terms against the Fraction definitions
+    a, b, c = nt.density_terms(pr.primes)
+    assert Fraction(a, b) == pr.theta == prod((1 - Fraction(1, p) for p in pr.primes), start=Fraction(1))
+    assert Fraction(c, a * a) == pr.tau
+    assert pr.tau == prod(
+        (1 - Fraction(1, p - 1) + Fraction(1, (p - 1) ** 2) for p in pr.primes), start=Fraction(1)
+    )
 
 
 @given(st.integers(min_value=1, max_value=100_000))
@@ -155,6 +180,28 @@ def test_enumerate_prime_powers(lo, hi):
     assert [pp.q for pp in got] == _naive_prime_powers(lo, hi)
     for pp in got:
         assert pp.p ** pp.r == pp.q and sympy.isprime(pp.p)
+
+
+@pytest.mark.parametrize(
+    "lo,hi",
+    [
+        (2, 300_000),
+        (-5, 1000),
+        (50, 40),
+        (65537, 65537),
+        ((1 << 21) - 5000, (1 << 21) + 5000),
+    ],
+)
+def test_enumerate_without_omega_skips_the_omega_sieve(monkeypatch, lo, hi):
+    """The plain range is the sieve's prime powers, found without omega(q - 1)."""
+    want = [nt.PrimePowerId(q, p, r) for q, p, r, _ in nt.iter_prime_powers(lo, hi)]
+
+    def no_omega(*args):
+        raise AssertionError("the plain range computed omega")
+
+    monkeypatch.setattr(nt, "_window_omega", no_omega)
+    monkeypatch.setattr(nt, "_omega_of", no_omega)
+    assert nt.enumerate_prime_powers(lo, hi) == want
 
 
 def test_enumerate_with_omega_filter():

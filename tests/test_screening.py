@@ -6,13 +6,17 @@ exactly; every lower bound is certified rational, so equality comparisons
 are legitimate.
 """
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import fraction_bounds as fb
 import helpers
+from uvprim import cli
 from uvprim import field as fd
 from uvprim import ntcore as nt
 from uvprim import screening as sc
@@ -203,6 +207,82 @@ def test_certified_element_bound_never_exceeds_brute_counts(q):
             u, v = int(t.exp[ju]), int(t.exp[jv])
             rep = sc.element_interval(q, eps=sc.epsilon(q, u, v))
             assert rep.lower_bound <= int(grid[ju, jv])
+
+
+# ------------------------------------- integer margins against Fractions
+
+@pytest.mark.parametrize(
+    "alpha,beta,q,expected",
+    [
+        (21, 3, 49, False),  # 21 = 3 * 7: a tie is no strict win
+        (22, 3, 49, True),
+        (20, 3, 49, False),
+        (-21, -3, 49, False),  # -21 > -21 fails at the tie as well
+        (-20, -3, 49, True),
+        (-22, -3, 49, False),
+        (7, 1, 50, False),  # 7 < sqrt(50) < 8
+        (8, 1, 50, True),
+        (-7, -1, 50, True),
+        (-8, -1, 50, False),
+        (0, -1, 4, True),
+        (0, 1, 4, False),
+        (1, 0, 4, True),
+        (0, 0, 4, False),
+        (-1, 0, 4, False),
+    ],
+)
+def test_gt_sqrt_is_exact_at_ties(alpha, beta, q, expected):
+    assert sc._gt_sqrt(alpha, beta, q) is expected
+
+
+def _same_as_fractions(rep, terms):
+    alpha, beta, scale = terms
+    assert (rep.alpha, rep.beta) == (alpha, beta)
+    assert rep.holds == fb.gt_sqrt(alpha, beta, rep.q)
+    assert rep.lower_bound == fb.lower_bound(alpha, beta, scale, rep.q)
+
+
+def test_integer_margins_equal_the_fraction_formulas():
+    """Every criterion at every prime power q <= 20000 and every s: the
+    integer margins give the verdict, the alpha and beta and the certified
+    lower bound of the formulas written in Fractions (fraction_bounds.py),
+    and best_config picks the same s."""
+    for q in (pp.q for pp in nt.enumerate_prime_powers(2, 20_000)):
+        omega = nt.profile(q - 1).omega
+        checks = [(sc.element_w4(q), fb.element_w4(q)), (sc.pair_w6(q), fb.pair_w6(q))]
+        checks.append((sc.element_interval(q), fb.element_interval(q, 2 if q % 2 else 1)))
+        checks += [(sc.element_interval(q, eps), fb.element_interval(q, eps)) for eps in (0, 1, 2)]
+        if q > 2:
+            checks.append((sc.pair_interval(q), fb.pair_interval(q)))
+        if q > 2 and nt.is_prime(q):
+            checks.append((sc.prime_pair_interval(q), fb.prime_pair_interval(q)))
+        for objective, make in (
+            ("element", sc.element_sieve_criterion),
+            ("pair", sc.pair_sieve_bound),
+            ("pair-asym", sc.pair_sieve_asym_bound),
+        ):
+            for s in range(omega + 1):
+                try:
+                    terms = fb.SIEVES[objective](q, s)
+                except BoundNotApplicableError:
+                    with pytest.raises(BoundNotApplicableError):
+                        make(q, s)
+                    continue
+                rep = make(q, s)
+                sieving = rep.config.sieving_primes
+                assert [rep.config.delta2, rep.config.delta3, rep.config.delta4] == [
+                    fb.delta(j, sieving) for j in (2, 3, 4)
+                ], (q, s)
+                checks.append((rep, terms))
+            want = fb.best_config(q, objective)
+            rep = sc.best_config(q, objective)
+            if want is None:
+                assert rep is None, (q, objective)
+                continue
+            assert rep.config.s == want[0], (q, objective)
+            checks.append((rep, want[1]))
+        for rep, terms in checks:
+            _same_as_fractions(rep, terms)
 
 
 # ----------------------------------------------------------- config search
@@ -436,6 +516,20 @@ def test_sweep_window_is_the_surveys_restricted_to_it(lo, hi, rows_to_104597):
     for v in verdicts:
         ref = sc.screen(v.q)
         assert (v.status, v.witness) == (ref.status, ref.witness), v.q
+
+
+def test_sweep_witnesses_frozen(full_sweep):
+    """What the needs-check sweep prints for each verdict: q, status and the
+    witness (theorem, certified bound, config deltas), hashed.  Frozen from
+    the Fraction implementation, so a changed bound cannot hide behind
+    unchanged counts."""
+    _, verdicts = full_sweep
+    digest = hashlib.sha256()
+    for v in verdicts:
+        line = json.dumps([v.q, v.status, cli._witness_dict(v.witness)], sort_keys=True)
+        digest.update(line.encode() + b"\n")
+    assert len(verdicts) == 3031
+    assert digest.hexdigest() == "76ef364c2e2ad4367215643d0d5e037552eeb3547e3ebfda82e9207169444d51"
 
 
 # -------------------------------------------------------- auto thresholds
