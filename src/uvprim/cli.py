@@ -103,23 +103,28 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
 # --------------------------------------------------------------------------
 # per-q workers (top level so process pools can pickle them)
 
-def _screen_record(q: int) -> dict:
-    t0 = time.perf_counter()
-    verdict = screening.screen(q)
-    pp = ntcore.prime_power_decompose(q)
+def _verdict_record(pp: ntcore.PrimePowerId, verdict: screening.ScreeningVerdict, elapsed_ms: float | None) -> dict:
+    """The one record of a screening verdict."""
     return {
-        "q": q,
+        "q": pp.q,
         "p": pp.p,
         "r": pp.r,
-        "omega": ntcore.profile(q - 1).omega,
+        "omega": ntcore.profile(pp.q - 1).omega,
         "status": verdict.status,
         "witness": _witness_dict(verdict.witness),
-        "elapsed_ms": round((time.perf_counter() - t0) * 1e3, 3),
+        "elapsed_ms": elapsed_ms,
     }
 
 
-def _verify_record(job: tuple[str, str, int]) -> dict:
-    which, algo, q = job
+def _screen_record(pp: ntcore.PrimePowerId) -> dict:
+    t0 = time.perf_counter()
+    verdict = screening.screen(pp.q)
+    return _verdict_record(pp, verdict, round((time.perf_counter() - t0) * 1e3, 3))
+
+
+def _verify_record(job: tuple[str, str, ntcore.PrimePowerId]) -> dict:
+    which, algo, pp = job
+    q = pp.q
     t0 = time.perf_counter()
     if which == "pair":
         res = verify.check_pair_membership(q)
@@ -137,7 +142,6 @@ def _verify_record(job: tuple[str, str, int]) -> dict:
             raise RuntimeError(f"algorithm disagreement at q={q}: {a.failures} vs {b.failures}")
         res = a
         stats = {"logs": a.stats, "ie": b.stats}
-    pp = ntcore.prime_power_decompose(q)
     return {
         "q": q,
         "p": pp.p,
@@ -165,22 +169,26 @@ def _map_jobs(fn, items, jobs: int):
 # --------------------------------------------------------------------------
 # subcommand drivers
 
-def _q_list(args, parser, omega: int | None = None) -> list[int]:
-    """The requested q, ascending; with `omega`, only those with
+def _range(args, parser, default_min: int) -> tuple[int, int]:
+    """--min (default `default_min`) to --max, which must not be empty."""
+    lo = args.min if args.min is not None else default_min
+    if lo > args.max:
+        parser.error(f"empty range [{lo}, {args.max}]")
+    return lo, args.max
+
+
+def _q_list(args, parser, omega: int | None = None) -> list[ntcore.PrimePowerId]:
+    """The requested prime powers, ascending; with `omega`, only those with
     omega(q - 1) == omega."""
     if args.q:
         try:
-            for q in args.q:
-                ntcore.prime_power_decompose(q)
+            ids = [ntcore.prime_power_decompose(q) for q in sorted(set(args.q))]
         except NotAPrimePowerError as e:
             parser.error(str(e))
-        return sorted(q for q in set(args.q) if omega is None or ntcore.profile(q - 1).omega == omega)
+        return [pp for pp in ids if omega is None or ntcore.profile(pp.q - 1).omega == omega]
     if args.max is None:
         parser.error("provide --q or a --min/--max range")
-    lo = args.min if args.min is not None else 2
-    if lo > args.max:
-        parser.error(f"empty range [{lo}, {args.max}]")
-    return [pp.q for pp in ntcore.enumerate_prime_powers(lo, args.max, omega)]
+    return ntcore.enumerate_prime_powers(*_range(args, parser, 2), omega)
 
 
 def run_screen(args, parser) -> tuple[dict, int]:
@@ -209,22 +217,8 @@ def run_screen(args, parser) -> tuple[dict, int]:
     if args.needs_check_only:
         if args.max is None:
             parser.error("--needs-check-only requires --max")
-        lo = args.min if args.min is not None else 3
-        _, verdicts = screening.sweep(lo, args.max)
-        records = []
-        for v in verdicts:
-            pp = ntcore.prime_power_decompose(v.q)
-            records.append(
-                {
-                    "q": v.q,
-                    "p": pp.p,
-                    "r": pp.r,
-                    "omega": ntcore.profile(v.q - 1).omega,
-                    "status": v.status,
-                    "witness": _witness_dict(v.witness),
-                    "elapsed_ms": None,
-                }
-            )
+        _, verdicts = screening.sweep(*_range(args, parser, 3))
+        records = [_verdict_record(ntcore.prime_power_decompose(v.q), v, None) for v in verdicts]
         totals = {
             "records": len(records),
             "primes": sum(1 for r in records if r["r"] == 1),
@@ -257,8 +251,11 @@ def run_verify(args, parser) -> tuple[dict, int]:
             algo = "logs"
         if algo not in ("logs", "ie", "both"):
             parser.error("the element set supports --algo logs|ie|both")
+    top = max(args.q) if args.q else args.max
+    if top is not None and top > field.LOG_TABLE_CAP:
+        parser.error(f"verify builds a log table of the field; q <= {field.LOG_TABLE_CAP} only")
     qs = _q_list(args, parser)
-    records = _map_jobs(_verify_record, [(which, algo, q) for q in qs], args.jobs)
+    records = _map_jobs(_verify_record, [(which, algo, pp) for pp in qs], args.jobs)
     records.sort(key=lambda r: r["q"])
     non_members = [r["q"] for r in records if not r["member"]]
     totals = {"records": len(records), "members": len(records) - len(non_members), "non_members": non_members}
@@ -267,7 +264,7 @@ def run_verify(args, parser) -> tuple[dict, int]:
     if args.expect:
         with open(args.expect) as fh:
             expected = sorted(json.load(fh))
-        scanned = set(qs)
+        scanned = {pp.q for pp in qs}
         expected_here = [q for q in expected if q in scanned]
         report["expect"] = {"file": args.expect, "expected": expected_here, "match": expected_here == non_members}
         code = 0 if report["expect"]["match"] else 1
@@ -295,6 +292,8 @@ def run_oracle(args, parser) -> tuple[dict, int]:
             es = [int(x) for x in args.e.split(",")]
         except ValueError:
             parser.error(f"bad --e list: {args.e!r}")
+        if any(e < 1 or (q - 1) % e for e in es):
+            parser.error(f"every --e must divide q - 1 = {q - 1}")
     t0 = time.perf_counter()
     if args.kind == "N":
         if es is not None and len(es) != 4:

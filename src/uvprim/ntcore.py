@@ -20,6 +20,12 @@ built from:
                 the density correction appearing in the pair-count main term
                 (the l = 2 factor is exactly 1, so even moduli are harmless)
 * delta_j    -- 1 - j * sum(1/p) over a set of sieving primes
+
+Every screening run starts by listing field orders.  `iter_prime_powers`
+is the one windowed sieve that lists prime powers q as `PrimePowerId`s,
+optionally only those with a given omega(q - 1); `enumerate_prime_powers`
+returns that list, or, for a given omega where such q are sparse, builds it
+from the factorisation of q - 1 instead.
 """
 
 from __future__ import annotations
@@ -312,18 +318,17 @@ def is_prime_power(q: int) -> bool:
 _WINDOW = 1 << 21
 
 
-def _higher_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
-    # all p**r with r >= 2 in [lo, hi]
-    out = []
+def _higher_powers(lo: int, hi: int) -> dict[int, tuple[int, int]]:
+    """{p**r: (p, r)} for every p**r with r >= 2 in [lo, hi]."""
+    out = {}
     for p in map(int, primes_up_to(isqrt(hi))):
         q = p * p
         r = 2
         while q <= hi:
             if q >= lo:
-                out.append((q, p, r))
+                out[q] = (p, r)
             q *= p
             r += 1
-    out.sort()
     return out
 
 
@@ -365,45 +370,40 @@ def _window_prime_mask(a: int, b: int, base: np.ndarray) -> np.ndarray:
     return mask
 
 
-def iter_prime_powers(lo: int, hi: int):
-    """Yield (q, p, r, omega(q - 1)) for every prime power q with
-    lo <= q <= hi, in ascending order of q.
+def iter_prime_powers(lo: int, hi: int, omega: int | None = None):
+    """Yield the `PrimePowerId` of every prime power q with lo <= q <= hi,
+    in ascending order of q; if `omega` is given, only those with
+    omega(q - 1) == omega.
 
-    Windowed numpy sieves keep this workable up to hi around 10**8 without
-    factoring each q - 1 individually.
+    One pass of windowed numpy sieves: each window of [lo, hi] marks its
+    primes and its higher powers p**r (r >= 2), and, only when `omega` is
+    given, keeps those whose q - 1 has omega distinct primes by sieving
+    omega over the window's q - 1.  Nothing is factored one q at a time, so
+    this stays workable up to hi around 10**8.
     """
     lo = max(lo, 2)
     if hi < lo:
         return
     base = primes_up_to(isqrt(hi) + 1)
     higher = _higher_powers(lo, hi)
-    hp_i = 0
     for a in range(lo, hi + 1, _WINDOW):
         b = min(a + _WINDOW, hi + 1)
-        pmask = _window_prime_mask(a, b, base)
-        om = _window_omega(a - 1, b, base)  # omega(n) for n in [a-1, b): covers q-1
-        for q in map(int, np.nonzero(pmask)[0] + a):
-            while hp_i < len(higher) and higher[hp_i][0] < q:
-                hq, hp, hr = higher[hp_i]
-                yield hq, hp, hr, int(om[hq - a]) if a <= hq < b else _omega_of(hq - 1)
-                hp_i += 1
-            yield q, q, 1, int(om[q - a])
-    while hp_i < len(higher):
-        hq, hp, hr = higher[hp_i]
-        yield hq, hp, hr, _omega_of(hq - 1)
-        hp_i += 1
+        mask = _window_prime_mask(a, b, base)
+        mask[[q - a for q in higher if a <= q < b]] = True
+        if omega is not None:
+            mask &= _window_omega(a - 1, b - 1, base) == omega  # omega(q - 1) for q in [a, b)
+        for q in (np.nonzero(mask)[0] + a).tolist():
+            p, r = higher.get(q, (q, 1))
+            yield PrimePowerId(q=q, p=p, r=r)
 
 
-def _omega_of(n: int) -> int:
-    return len(factorize(n))
-
-
-# The search of `_omega_prime_powers` spends 4-10 us on each q - 1 it builds
-# (most of it Miller-Rabin on q), the window sieve about 0.3 us on each
-# number of [lo, hi].  So the search runs only while it builds at most one
-# q - 1 per _SEARCH_RATIO numbers of the range, where it costs well under the
-# sieve; a search given up at that budget has cost about 3% of the sieve
-# that replaces it.
+# At omega = 5 over [3, 10**7] (2-core Xeon, Python 3.11), the search of
+# `_omega_prime_powers` spends 4.4-4.8 us on each q - 1 it builds (most of
+# it Miller-Rabin on q), and `iter_prime_powers` sieving omega 0.26-0.30 us
+# on each number of [lo, hi].  So the search runs only while it builds at
+# most one q - 1 per _SEARCH_RATIO numbers of the range, where it costs well
+# under the sieve; a search given up at that budget (1.0-1.2 us per q - 1,
+# with no Miller-Rabin) has cost about 3% of the sieve that replaces it.
 _SEARCH_RATIO = 128
 
 
@@ -411,36 +411,18 @@ def enumerate_prime_powers(lo: int, hi: int, omega: int | None = None) -> list[P
     """All prime powers q in the closed range [lo, hi], ascending; if `omega`
     is given, only those with omega(q - 1) == omega.
 
-    Without `omega` this is the windowed prime sieve of `iter_prime_powers`
-    without its omega(q - 1) sieve.  With it, the candidates are first built
-    from the factorisation of q - 1 (`_omega_prime_powers`), whose work
-    follows the number of q - 1 with omega distinct primes rather than the
-    length of the range.  Where those are dense, or the range is narrow
-    beside hi, that search gives up and the sieve's omega is filtered
-    instead.
+    Without `omega` this is the list of `iter_prime_powers`, whose sieve
+    then computes no omega.  With it, the candidates are first built from
+    the factorisation of q - 1 (`_omega_prime_powers`), whose work follows
+    the number of q - 1 with omega distinct primes rather than the length
+    of the range.  Where those are dense, or the range is narrow beside hi,
+    that search gives up and `iter_prime_powers` sieves omega instead.
     """
-    if omega is None:
-        return [PrimePowerId(q=q, p=p, r=r) for q, p, r in _sieved_prime_powers(lo, hi)]
-    found = _omega_prime_powers(lo, hi, omega, (hi - lo + 1) // _SEARCH_RATIO)
-    if found is not None:
-        return found
-    return [PrimePowerId(q=q, p=p, r=r) for q, p, r, om in iter_prime_powers(lo, hi) if om == omega]
-
-
-def _sieved_prime_powers(lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """(q, p, r) for every prime power q in [lo, hi], ascending: the window
-    prime masks of `iter_prime_powers` and `_higher_powers`, without the
-    omega(q - 1) sieve."""
-    lo = max(lo, 2)
-    if hi < lo:
-        return []
-    base = primes_up_to(isqrt(hi) + 1)
-    out = []
-    for a in range(lo, hi + 1, _WINDOW):
-        mask = _window_prime_mask(a, min(a + _WINDOW, hi + 1), base)
-        out += ((q, q, 1) for q in (np.nonzero(mask)[0] + a).tolist())
-    # two ascending runs with no q in common: the sort merges them
-    return sorted(out + _higher_powers(lo, hi))
+    if omega is not None:
+        found = _omega_prime_powers(lo, hi, omega, (hi - lo + 1) // _SEARCH_RATIO)
+        if found is not None:
+            return found
+    return list(iter_prime_powers(lo, hi, omega))
 
 
 def _omega_prime_powers(lo: int, hi: int, omega: int, budget: float) -> list[PrimePowerId] | None:
@@ -485,11 +467,11 @@ def _omega_prime_powers(lo: int, hi: int, omega: int, budget: float) -> list[Pri
             return None
         if n >= lo - 1:
             ns.append(n)
-    odd_higher = {q: (p, r) for q, p, r in _higher_powers(lo, hi) if p > 2}
+    higher = _higher_powers(lo, hi)
     for n in ns:
         q = n + 1
-        if q in odd_higher:
-            p, r = odd_higher[q]
+        if q in higher:
+            p, r = higher[q]
             out.append(PrimePowerId(q=q, p=p, r=r))
         elif is_prime(q):
             out.append(PrimePowerId(q=q, p=q, r=1))

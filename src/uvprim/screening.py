@@ -14,11 +14,11 @@ denominators of theta, tau and delta_j (`ntcore.density_terms`,
 `ntcore.sieve_terms`).  The criterion holds iff A > B*sqrt(q), decided
 *exactly* by sign analysis plus integer squaring, and `best_config` compares
 two configs by cross-multiplying their denominators; no `Fraction` takes
-part in a decision.  The `Fraction`s of a report (``lower_bound``, ``alpha``,
-``beta`` and the config's deltas) are derived from those integers when they
-are read.  ``lower_bound`` is a positive scale times a certified rational
-lower bound for the margin, obtained through a tight rational enclosure of
-sqrt(q), and is a lower bound for the true count.
+part in a decision.  The `Fraction`s of a report (``lower_bound`` and the
+config's deltas) are derived from those integers when they are read.
+``lower_bound`` is a positive scale times a certified rational lower bound
+for the margin, obtained through a tight rational enclosure of sqrt(q), and
+is a lower bound for the true count.
 
 With theta, tau, W as in `ntcore` and stats taken at q-1:
 
@@ -67,7 +67,6 @@ from math import inf
 from .errors import BoundNotApplicableError
 from . import field as fd
 from .ntcore import (
-    ArithmeticProfile,
     density_terms,
     enumerate_prime_powers,
     first_primes,
@@ -155,14 +154,6 @@ class SieveConfig:
         return Fraction(self.delta_num(4), self.product)
 
     @property
-    def k_profile(self) -> ArithmeticProfile:
-        return profile(self.k)
-
-    @property
-    def theta_q_minus_1(self) -> Fraction:
-        return profile(self.q - 1).theta
-
-    @property
     def k_primes(self) -> tuple[int, ...]:
         """The primes of q - 1 left unsieved, i.e. the primes of k."""
         primes = profile(self.q - 1).primes
@@ -173,11 +164,10 @@ class SieveConfig:
 class BoundReport:
     """One criterion evaluated at one q.  Its margin alpha - beta*sqrt(q) is
     (A - B*sqrt(q))/D with `terms` = (A, B, D), ints and D > 0: the
-    criterion holds iff A > B*sqrt(q).  `alpha`, `beta` and `lower_bound`
-    are `Fraction`s derived on access.  `lower_bound` is a certified
-    rational lower bound for the relevant count (or criterion margin): the
-    positive `scale` (numerator, denominator) times a rational lower bound
-    for alpha - beta*sqrt(q)."""
+    criterion holds iff A > B*sqrt(q).  `lower_bound`, a `Fraction`
+    derived on access, is a certified rational lower bound for the relevant
+    count (or criterion margin): the positive `scale` (numerator,
+    denominator) times a rational lower bound for alpha - beta*sqrt(q)."""
 
     theorem: str
     q: int
@@ -186,14 +176,6 @@ class BoundReport:
     scale: tuple[int, int] = (1, 1)
     config: SieveConfig | None = None
     epsilon: int | None = None
-
-    @property
-    def alpha(self) -> Fraction:
-        return Fraction(self.terms[0], self.terms[2])
-
-    @property
-    def beta(self) -> Fraction:
-        return Fraction(self.terms[1], self.terms[2])
 
     @property
     def lower_bound(self) -> Fraction:

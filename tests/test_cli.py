@@ -76,6 +76,24 @@ def test_screen_omega_filter(tmp_path, monkeypatch):
     assert [r["q"] for r in rep["records"]] == [3, 5, 17]
 
 
+def test_screen_records_reuse_the_enumerated_prime_powers(tmp_path, monkeypatch):
+    """A range's records take p and r from the enumeration; an explicit list
+    decomposes each distinct q once, when it is validated."""
+    calls = []
+    prime_power_decompose = ntcore.prime_power_decompose
+
+    def spy(q):
+        calls.append(q)
+        return prime_power_decompose(q)
+
+    monkeypatch.setattr(ntcore, "prime_power_decompose", spy)
+    _, rep = run(["screen", "--min", "3", "--max", "2000", "--jobs", "1"], tmp_path)
+    assert calls == [] and rep["totals"]["records"] == 332
+    _, rep = run(["screen", "--q", "13", "13", "169", "--jobs", "1"], tmp_path)
+    assert sorted(calls) == [13, 169]
+    assert [(r["q"], r["p"], r["r"]) for r in rep["records"]] == [(13, 13, 1), (169, 13, 2)]
+
+
 def test_survey_row(tmp_path):
     code, rep = run(["screen", "--survey", "1"], tmp_path)
     assert code == 0
@@ -207,6 +225,13 @@ def test_oracle_cases(tmp_path):
         ["oracle", "M", "--q", "9", "--u", "9"],
         ["screen", "--q", "13", "--jobs", "0"],
         ["screen", "--q", "13", "--jobs", "-3"],
+        # e must divide q - 1
+        ["oracle", "N", "--q", "31", "--e", "0,1,1,1"],
+        ["oracle", "M", "--q", "31", "--e", "4,1"],
+        # the least prime above the log-table cap 2**26
+        ["verify", "--set", "T", "--q", "67108879"],
+        ["verify", "--set", "S", "--min", "67108000", "--max", "67108879"],
+        ["screen", "--needs-check-only", "--min", "100", "--max", "50"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, tmp_path):

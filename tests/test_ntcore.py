@@ -193,14 +193,16 @@ def test_enumerate_prime_powers(lo, hi):
     ],
 )
 def test_enumerate_without_omega_skips_the_omega_sieve(monkeypatch, lo, hi):
-    """The plain range is the sieve's prime powers, found without omega(q - 1)."""
-    want = [nt.PrimePowerId(q, p, r) for q, p, r, _ in nt.iter_prime_powers(lo, hi)]
+    """The plain range is the sieve's prime powers, found without omega(q - 1)
+    of any prime or higher power."""
+    # omega(q - 1) <= 7 for every q below 2**21 + 5000
+    want = sorted((pp for om in range(9) for pp in nt.iter_prime_powers(lo, hi, om)), key=lambda pp: pp.q)
 
     def no_omega(*args):
         raise AssertionError("the plain range computed omega")
 
     monkeypatch.setattr(nt, "_window_omega", no_omega)
-    monkeypatch.setattr(nt, "_omega_of", no_omega)
+    monkeypatch.setattr(nt, "factorize", no_omega)
     assert nt.enumerate_prime_powers(lo, hi) == want
 
 
@@ -229,10 +231,14 @@ def test_enumerate_with_omega_filter():
 def test_enumerate_with_omega_equals_the_sieve(lo, hi):
     """The omega path, and its search run without a budget, which builds
     q - 1 from its factorisation; the sieve of `iter_prime_powers` is the
-    reference."""
-    sieved = list(nt.iter_prime_powers(lo, hi))
+    reference, itself checked against sympy on the windows up to 66,000."""
+    naive = None
+    if hi <= 66_000:
+        naive = [nt.PrimePowerId(q, *sympy.factorint(q).popitem()) for q in _naive_prime_powers(lo, hi)]
     for omega in range(9):
-        want = [nt.PrimePowerId(q, p, r) for q, p, r, om in sieved if om == omega]
+        want = list(nt.iter_prime_powers(lo, hi, omega))
+        if naive is not None:
+            assert want == [pp for pp in naive if len(sympy.factorint(pp.q - 1)) == omega], omega
         assert nt.enumerate_prime_powers(lo, hi, omega) == want, omega
         assert nt._omega_prime_powers(lo, hi, omega, inf) == want, omega
 
@@ -257,9 +263,9 @@ def test_enumerate_with_omega_searches_only_where_sparse(monkeypatch, lo, hi, om
     sieves, limits = [], []
     iter_prime_powers, primes_up_to = nt.iter_prime_powers, nt.primes_up_to
 
-    def iter_spy(a, b):
-        sieves.append((a, b))
-        return iter_prime_powers(a, b)
+    def iter_spy(a, b, omega=None):
+        sieves.append((a, b, omega))
+        return iter_prime_powers(a, b, omega)
 
     def primes_spy(n):
         limits.append(n)
@@ -268,13 +274,13 @@ def test_enumerate_with_omega_searches_only_where_sparse(monkeypatch, lo, hi, om
     monkeypatch.setattr(nt, "iter_prime_powers", iter_spy)
     monkeypatch.setattr(nt, "primes_up_to", primes_spy)
     got = nt.enumerate_prime_powers(lo, hi, omega)
-    assert sieves == ([] if searched else [(lo, hi)])
+    assert sieves == ([] if searched else [(lo, hi, omega)])
     if not searched:
         assert max(limits) <= max(isqrt(hi) + 1, (hi - lo + 1) // nt._SEARCH_RATIO)
     if hi - lo <= 1000:
         want = [q for q in range(lo, hi + 1) if nt.is_prime_power(q) and len(nt.factorize(q - 1)) == omega]
     else:
-        want = [q for q, _, _, om in iter_prime_powers(lo, hi) if om == omega]
+        want = [pp.q for pp in iter_prime_powers(lo, hi, omega)]
     assert [pp.q for pp in got] == want
 
 
@@ -288,17 +294,19 @@ def test_enumerate_omega_one_to_2_40():
 
 def test_iter_prime_powers_order_and_omega():
     rows = list(nt.iter_prime_powers(2, 1000))
-    qs = [q for q, _, _, _ in rows]
+    qs = [pp.q for pp in rows]
     assert qs == sorted(qs) == _naive_prime_powers(2, 1000)
-    for q, p, r, om in rows:
-        assert p**r == q
-        assert om == len(sympy.factorint(q - 1))
+    for pp in rows:
+        assert pp.p**pp.r == pp.q
+    for om in range(9):
+        for pp in nt.iter_prime_powers(2, 1000, om):
+            assert om == len(sympy.factorint(pp.q - 1))
 
 
 def test_iter_prime_powers_across_window_boundary():
     # the sieve works in fixed-size windows; straddle the first boundary
     lo, hi = (1 << 21) - 40, (1 << 21) + 60
-    got = [q for q, _, _, _ in nt.iter_prime_powers(lo, hi)]
+    got = [pp.q for pp in nt.iter_prime_powers(lo, hi)]
     assert got == _naive_prime_powers(lo, hi)
 
 

@@ -35,7 +35,6 @@ def test_sieve_config_structure():
     # the s largest primes are sieved; the cofactor keeps the rest
     assert cfg.sieving_primes == prof.primes[-5:]
     assert cfg.k * prod(cfg.sieving_primes) == prof.radical
-    assert cfg.theta_q_minus_1 == prof.theta
 
 
 def test_sieve_config_s_zero_is_the_whole_radical():
@@ -61,7 +60,6 @@ def test_sieve_config_invariants(q, data):
     cfg = sc.sieve_config(q, s)
     assert cfg.k * prod(cfg.sieving_primes) == prof.radical
     assert cfg.delta2 >= cfg.delta3 >= cfg.delta4
-    assert cfg.k_profile.m == cfg.k
 
 
 # ------------------------------------------------------------------- epsilon
@@ -237,7 +235,8 @@ def test_gt_sqrt_is_exact_at_ties(alpha, beta, q, expected):
 
 def _same_as_fractions(rep, terms):
     alpha, beta, scale = terms
-    assert (rep.alpha, rep.beta) == (alpha, beta)
+    A, B, D = rep.terms
+    assert (Fraction(A, D), Fraction(B, D)) == (alpha, beta)
     assert rep.holds == fb.gt_sqrt(alpha, beta, rep.q)
     assert rep.lower_bound == fb.lower_bound(alpha, beta, scale, rep.q)
 
