@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -103,13 +104,15 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
 # --------------------------------------------------------------------------
 # per-q workers (top level so process pools can pickle them)
 
+def _q_fields(pp: ntcore.PrimePowerId) -> dict:
+    """The q, p, r and omega(q - 1) fields every per-q record starts with."""
+    return {**pp._asdict(), "omega": ntcore.profile(pp.q - 1).omega}
+
+
 def _verdict_record(pp: ntcore.PrimePowerId, verdict: screening.ScreeningVerdict, elapsed_ms: float | None) -> dict:
     """The one record of a screening verdict."""
     return {
-        "q": pp.q,
-        "p": pp.p,
-        "r": pp.r,
-        "omega": ntcore.profile(pp.q - 1).omega,
+        **_q_fields(pp),
         "status": verdict.status,
         "witness": _witness_dict(verdict.witness),
         "elapsed_ms": elapsed_ms,
@@ -122,34 +125,34 @@ def _screen_record(pp: ntcore.PrimePowerId) -> dict:
     return _verdict_record(pp, verdict, round((time.perf_counter() - t0) * 1e3, 3))
 
 
-def _verify_record(job: tuple[str, str, ntcore.PrimePowerId]) -> dict:
-    which, algo, pp = job
-    q = pp.q
+# functions are named, not bound, so that each call looks them up in their
+# module and a wrapped (traced) replacement is the one that runs
+_CHECKERS = {
+    "logs": "check_element_membership_logs",
+    "ie": "check_element_membership_cover",
+    "brute": "check_pair_membership",
+}
+# the algorithms of each --set, the default first; "both" cross-checks logs
+# against ie
+_ALGOS = dict.fromkeys(("T", "element"), ("logs", "ie", "both")) | dict.fromkeys(("S", "pair"), ("brute",))
+
+
+def _verify_record(job: tuple[str, ntcore.PrimePowerId]) -> dict:
+    algo, pp = job
     t0 = time.perf_counter()
-    if which == "pair":
-        res = verify.check_pair_membership(q)
-        stats: dict = res.stats
-    elif algo == "logs":
-        res = verify.check_element_membership_logs(q)
-        stats = res.stats
-    elif algo == "ie":
-        res = verify.check_element_membership_cover(q)
-        stats = res.stats
-    else:  # both, cross-checked
-        a = verify.check_element_membership_logs(q)
-        b = verify.check_element_membership_cover(q)
+    if algo == "both":
+        a, b = (getattr(verify, _CHECKERS[x])(pp.q) for x in ("logs", "ie"))
         if (a.member, a.failures) != (b.member, b.failures):
-            raise RuntimeError(f"algorithm disagreement at q={q}: {a.failures} vs {b.failures}")
-        res = a
-        stats = {"logs": a.stats, "ie": b.stats}
+            raise RuntimeError(f"algorithm disagreement at q={pp.q}: {a.failures} vs {b.failures}")
+        res, stats = a, {"logs": a.stats, "ie": b.stats}
+    else:
+        res = getattr(verify, _CHECKERS[algo])(pp.q)
+        stats = res.stats
     return {
-        "q": q,
-        "p": pp.p,
-        "r": pp.r,
-        "omega": ntcore.profile(q - 1).omega,
+        **_q_fields(pp),
         "set": res.set,
         "member": res.member,
-        "algorithm": algo if which == "element" else "brute",
+        "algorithm": algo,
         "failures": [list(f) for f in res.failures],
         "stats": stats,
         "elapsed_ms": round((time.perf_counter() - t0) * 1e3, 3),
@@ -191,30 +194,30 @@ def _q_list(args, parser, omega: int | None = None) -> list[ntcore.PrimePowerId]
     return ntcore.enumerate_prime_powers(*_range(args, parser, 2), omega)
 
 
+def _refuse(args, parser, mode: str, *options: str) -> None:
+    """Exit 2 if any of these options, which `mode` would ignore, is given."""
+    given = [f"--{o.replace('_', '-')}" for o in options if (x := getattr(args, o)) is not None and x is not False]
+    if given:
+        parser.error(f"{mode} takes no {', '.join(given)}")
+
+
 def run_screen(args, parser) -> tuple[dict, int]:
     if args.survey is not None:
+        _refuse(args, parser, "--survey", "q", "min", "max", "omega", "needs_check_only")
         if not 1 <= args.survey <= screening.MAX_SURVEY_OMEGA:
             parser.error(f"--survey takes 1..{screening.MAX_SURVEY_OMEGA}")
         t0 = time.perf_counter()
         row = screening.survey(args.survey)
-        rec = {
-            "omega": row.omega,
-            "chosen_s": row.chosen_s,
-            "q_min": row.q_min,
-            "q_max": row.q_max,
-            "candidates": row.candidates,
-            "failing_primes": list(row.failing_primes),
-            "failing_prime_powers": list(row.failing_prime_powers),
-            "elapsed_ms": round((time.perf_counter() - t0) * 1e3, 3),
-        }
+        rec = {**dataclasses.asdict(row), "elapsed_ms": round((time.perf_counter() - t0) * 1e3, 3)}
         totals = {
             "failing": len(row.failing_list),
             "failing_primes": len(row.failing_primes),
             "failing_prime_powers": len(row.failing_prime_powers),
         }
-        return {"command": _echo(args), "records": [rec], "totals": totals}, 0
+        return {"records": [rec], "totals": totals}, 0
 
     if args.needs_check_only:
+        _refuse(args, parser, "--needs-check-only", "q", "omega")
         if args.max is None:
             parser.error("--needs-check-only requires --max")
         _, verdicts = screening.sweep(*_range(args, parser, 3))
@@ -227,7 +230,7 @@ def run_screen(args, parser) -> tuple[dict, int]:
             "needs_check": sum(1 for r in records if r["status"] == screening.NEEDS_CHECK),
             "omega_ge_7": sum(1 for r in records if r["omega"] >= 7),
         }
-        return {"command": _echo(args), "records": records, "totals": totals}, 0
+        return {"records": records, "totals": totals}, 0
 
     qs = _q_list(args, parser, args.omega)
     records = _map_jobs(_screen_record, qs, args.jobs)
@@ -235,31 +238,23 @@ def run_screen(args, parser) -> tuple[dict, int]:
     totals = {"records": len(records)}
     for st in (screening.ELEMENT_PROVED, screening.PAIR_PROVED, screening.NEEDS_CHECK):
         totals[st] = sum(1 for r in records if r["status"] == st)
-    return {"command": _echo(args), "records": records, "totals": totals}, 0
+    return {"records": records, "totals": totals}, 0
 
 
 def run_verify(args, parser) -> tuple[dict, int]:
-    which = {"T": "element", "S": "pair", "element": "element", "pair": "pair"}[args.set]
-    algo = args.algo
-    if which == "pair":
-        if algo is None:
-            algo = "brute"
-        if algo != "brute":
-            parser.error("the pair set supports --algo brute only")
-    else:
-        if algo is None:
-            algo = "logs"
-        if algo not in ("logs", "ie", "both"):
-            parser.error("the element set supports --algo logs|ie|both")
+    algos = _ALGOS[args.set]
+    algo = args.algo or algos[0]
+    if algo not in algos:
+        parser.error(f"--set {args.set} supports --algo {'|'.join(algos)} only")
     top = max(args.q) if args.q else args.max
     if top is not None and top > field.LOG_TABLE_CAP:
         parser.error(f"verify builds a log table of the field; q <= {field.LOG_TABLE_CAP} only")
     qs = _q_list(args, parser)
-    records = _map_jobs(_verify_record, [(which, algo, pp) for pp in qs], args.jobs)
+    records = _map_jobs(_verify_record, [(algo, pp) for pp in qs], args.jobs)
     records.sort(key=lambda r: r["q"])
     non_members = [r["q"] for r in records if not r["member"]]
     totals = {"records": len(records), "members": len(records) - len(non_members), "non_members": non_members}
-    report = {"command": _echo(args), "records": records, "totals": totals}
+    report = {"records": records, "totals": totals}
     code = 0
     if args.expect:
         with open(args.expect) as fh:
@@ -272,6 +267,11 @@ def run_verify(args, parser) -> tuple[dict, int]:
 
 
 _ORACLE_GUARDS = {"N": 10**4, "M": 10**6, "cases": 10**4}
+# kind -> (number of --e divisors, query type, name of the exact counter)
+_COUNTS = {
+    "N": (4, verify.PairCountQuery, "count_pairs_free"),
+    "M": (2, verify.SingleCountQuery, "count_single_free"),
+}
 
 
 def run_oracle(args, parser) -> tuple[dict, int]:
@@ -282,55 +282,36 @@ def run_oracle(args, parser) -> tuple[dict, int]:
         parser.error(str(e))
     if q > _ORACLE_GUARDS[args.kind]:
         parser.error(f"oracle {args.kind} is brute-force; q <= {_ORACLE_GUARDS[args.kind]} only")
-    try:
-        field.check_nonzero(q, u=args.u, v=args.v)
-    except ValueError as e:
-        parser.error(str(e))
-    es = None
-    if args.e:
-        try:
-            es = [int(x) for x in args.e.split(",")]
-        except ValueError:
-            parser.error(f"bad --e list: {args.e!r}")
-        if any(e < 1 or (q - 1) % e for e in es):
-            parser.error(f"every --e must divide q - 1 = {q - 1}")
-    t0 = time.perf_counter()
-    if args.kind == "N":
-        if es is not None and len(es) != 4:
-            parser.error("oracle N takes --e E1,E2,E3,E4")
-        query = verify.PairCountQuery(q, args.u, args.v, *(es or (None,) * 4))
-        rec = {
-            "kind": "N",
-            "q": q,
-            "u": args.u,
-            "v": args.v,
-            "e": es,
-            "count": verify.count_pairs_free(query),
-        }
-    elif args.kind == "M":
-        if es is not None and len(es) != 2:
-            parser.error("oracle M takes --e E1,E2")
-        query = verify.SingleCountQuery(q, args.u, args.v, *(es or (None,) * 2))
-        rec = {
-            "kind": "M",
-            "q": q,
-            "u": args.u,
-            "v": args.v,
-            "e": es,
-            "count": verify.count_single_free(query),
-        }
-    else:
+    if args.kind == "cases":
+        _refuse(args, parser, "oracle cases", "u", "v", "e")
+        t0 = time.perf_counter()
         cases = {
             name: {"exists": ok, "witness": list(w) if isinstance(w, tuple) else w}
             for name, (ok, w) in verify.special_case_witnesses(q).items()
         }
         rec = {"kind": "cases", "q": q, "cases": cases}
+    else:
+        arity, query, count = _COUNTS[args.kind]
+        u, v = (1 if x is None else x for x in (args.u, args.v))
+        try:
+            field.check_nonzero(q, u=u, v=v)
+        except ValueError as e:
+            parser.error(str(e))
+        es = None
+        if args.e:
+            try:
+                es = [int(x) for x in args.e.split(",")]
+            except ValueError:
+                parser.error(f"bad --e list: {args.e!r}")
+            if any(e < 1 or (q - 1) % e for e in es):
+                parser.error(f"every --e must divide q - 1 = {q - 1}")
+            if len(es) != arity:
+                parser.error(f"oracle {args.kind} takes {arity} --e divisors")
+        t0 = time.perf_counter()
+        n = getattr(verify, count)(query(q, u, v, *(es or (None,) * arity)))
+        rec = {"kind": args.kind, "q": q, "u": u, "v": v, "e": es, "count": n}
     rec["elapsed_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
-    return {"command": _echo(args), "records": [rec], "totals": {"records": 1}}, 0
-
-
-def _echo(args) -> list[str]:
-    return list(args._argv)
+    return {"records": [rec], "totals": {"records": 1}}, 0
 
 
 # --------------------------------------------------------------------------
@@ -371,8 +352,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle", help="exact brute-force counts and witnesses")
     sp.add_argument("kind", choices=("N", "M", "cases"))
     sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--u", type=int, default=1)
-    sp.add_argument("--v", type=int, default=1)
+    sp.add_argument("--u", type=int, help="default 1")
+    sp.add_argument("--v", type=int, help="default 1")
     sp.add_argument("--e", help="comma-separated freeness divisors (4 for N, 2 for M)")
     common(sp, with_range=False)
     sp.set_defaults(func=run_oracle)
@@ -385,8 +366,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
-    args._argv = argv
     report, code = args.func(args, parser)
+    report["command"] = argv
     _emit(report, args.format, args.out)
     return code
 

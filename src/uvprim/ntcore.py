@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, isqrt, prod
+from typing import NamedTuple
 
 import numpy as np
 
@@ -287,8 +288,7 @@ def squarefree_divisors(m: int) -> list[int]:
 # --------------------------------------------------------------------------
 # prime powers
 
-@dataclass(frozen=True)
-class PrimePowerId:
+class PrimePowerId(NamedTuple):
     """A field order q = p**r."""
 
     q: int

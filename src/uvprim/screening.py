@@ -235,24 +235,34 @@ def sieve_config(q: int, s: int) -> SieveConfig:
 # With theta = a/b and tau = c/a**2 (`density_terms`), each bound's alpha and
 # beta are put over one positive integer denominator.
 
+def _prime_pair_interval_terms(p: int, primes: tuple[int, ...]) -> tuple[int, int, int]:
+    """alpha = theta^3 tau (p-1)^2 and beta = 5 theta^4 W^4 p, over b^4, with
+    theta, tau and W = 2^omega taken from `primes`."""
+    a, b, c = density_terms(primes)
+    w = 1 << len(primes)
+    return a * c * (p - 1) ** 2 * b, 5 * a**4 * w**4 * p, b**4
+
+
 def prime_pair_interval(p: int) -> BoundReport:
     """Classic interval bound for the pair count over a prime field (odd p)."""
     if p < 3 or not is_prime(p):
         raise BoundNotApplicableError("this bound needs an odd prime")
-    st = profile(p - 1)
-    a, b, c = density_terms(st.primes)
-    # alpha = theta^3 tau (p-1)^2, beta = 5 theta^4 W^4 p, over b^4
-    return _report("prime-pair-interval", p, a * c * (p - 1) ** 2 * b, 5 * a**4 * st.w**4 * p, b**4)
+    return _report("prime-pair-interval", p, *_prime_pair_interval_terms(p, profile(p - 1).primes))
+
+
+def _pair_interval_terms(q: int, primes: tuple[int, ...]) -> tuple[int, int, int]:
+    """alpha = theta^3 tau (q-1) q and beta = theta^4 W^3 (q-1), over b^4,
+    with theta, tau and W = 2^omega taken from `primes`."""
+    a, b, c = density_terms(primes)
+    w = 1 << len(primes)
+    return a * c * (q - 1) * q * b, a**4 * w**3 * (q - 1), b**4
 
 
 def pair_interval(q: int) -> BoundReport:
     """Interval bound for the pair count over any F_q, q > 2."""
     if q <= 2:
         raise BoundNotApplicableError("the pair interval bound needs q > 2")
-    st = profile(q - 1)
-    a, b, c = density_terms(st.primes)
-    # alpha = theta^3 tau (q-1) q, beta = theta^4 W^3 (q-1), over b^4
-    return _report("pair-interval", q, a * c * (q - 1) * q * b, a**4 * st.w**3 * (q - 1), b**4)
+    return _report("pair-interval", q, *_pair_interval_terms(q, profile(q - 1).primes))
 
 
 def _pair_sieve_terms(q: int, s: int, kept: tuple[int, ...], P: int, d4: int) -> tuple[int, int, int]:
@@ -314,12 +324,13 @@ def element_interval(q: int, eps: int | None = None) -> BoundReport:
         eps = _worst_epsilon(q)
     st = profile(q - 1)
     a, b, _ = density_terms(st.primes)
-    w = st.w
-    # alpha = theta^2 (q-1-eps W), beta = 2 theta^2 (W^2 - W - (1/theta - 1)/2),
-    # over b^2
-    return _report(
-        "element-interval", q, a * a * (q - 1 - eps * w), 2 * a * a * (w * w - w) - a * (b - a), b * b, epsilon=eps
-    )
+    return _report("element-interval", q, *_element_interval_terms(q, a, b, st.w, eps), epsilon=eps)
+
+
+def _element_interval_terms(q: int, a: int, b: int, w: int, eps: int) -> tuple[int, int, int]:
+    """alpha = theta^2 (q-1-eps W) and beta = 2 theta^2 (W^2 - W - (1/theta -
+    1)/2), over b^2, for theta = a/b."""
+    return a * a * (q - 1 - eps * w), 2 * a * a * (w * w - w) - a * (b - a), b * b
 
 
 def element_sieve_criterion(q: int, s: int) -> BoundReport:
@@ -470,8 +481,8 @@ def _generic_element_passes(q: int, omega: int, s: int | None) -> bool:
     """Whether every field with this omega(q-1) and this order q passes the
     chosen criterion, using worst-case densities over all such fields."""
     if omega == 1:
-        # interval bound, worst case W=2, eps=2, bracket -> W^2 = 4
-        return _gt_sqrt(q - 5, 4, q)
+        # interval bound in the worst case theta = 1, W = 2, eps = 2
+        return _gt_sqrt(*_element_interval_terms(q, 1, 1, 2, 2)[:2], q)
     P, d2 = _worst_sieve(omega, s)
     if d2 <= 0:
         return False
@@ -573,17 +584,13 @@ def auto_threshold(kind: str = "pair", horizon: int = 300) -> int:
     W^8 p^3).  Exact integer arithmetic throughout; verified to hold at every
     omega from the returned value up to `horizon`.
     """
+    terms = {"pair": _pair_interval_terms, "prime-pair": _prime_pair_interval_terms}.get(kind)
+    if terms is None:
+        raise ValueError(f"unknown kind {kind!r}")
 
     def passes(omega: int) -> bool:
-        P = primorial(omega)
-        # theta = a/P and tau = c/a^2: multiply both sides by a^4 P^2
-        a, _, c = density_terms(first_primes(omega))
-        w = 1 << omega
-        if kind == "pair":
-            return c * c * P * P * (P + 1) > a**6 * w**6
-        if kind == "prime-pair":
-            return c * c * P**6 > 25 * a**6 * w**8 * (P + 1) ** 3
-        raise ValueError(f"unknown kind {kind!r}")
+        q = primorial(omega) + 1
+        return _gt_sqrt(*terms(q, first_primes(omega))[:2], q)
 
     ok = [passes(om) for om in range(1, horizon + 1)]
     # find the start of the final all-True run

@@ -29,9 +29,12 @@ size) with uncovered = R + sum of coefficient * size, grown by `_offer`
 and `_commit`: in place for one w by `check_w`, one offer at a time on
 immutable states by `coverage_start` / `coverage_term` / `coverage_merge`.
 
-Counts (`count_pairs_free`, `count_single_free` and the *_grid variants) are
-exact and sit behind the same L1 machinery; they are what the interval bounds
-get sandwich-tested against.
+`_sum_log` is the one read of L1: log(u a + v b) = log u + x + L1[(jw + y -
+x) mod n] for a = gamma^x, b = gamma^y, with b = a^-1 at y = -x.  The pair
+problem's second sum needs no second read, since v a^-1 + u b^-1 =
+(u a + v b) / (a b).  The checkers and the exact counts
+(`count_pairs_free`, `count_single_free` and the *_grid variants, which the
+interval bounds get sandwich-tested against) all go through it.
 """
 
 from __future__ import annotations
@@ -98,16 +101,33 @@ def _uv_tables(F: fd.FieldSpec) -> _UVTables:
     return _UVTables(n, R, prof.primes, L1, prim_m, units_R)
 
 
-def _free_mask(n: int, e: int) -> np.ndarray:
-    """mask[x] = True iff gamma**x is e-free, i.e. gcd(x, Rad(e)) = 1."""
-    rad = profile(e).radical
-    return np.gcd(np.arange(n, dtype=np.int64), rad) == 1
+def _free_masks(n: int, es) -> list[np.ndarray]:
+    """For each e in `es` (None means q - 1): mask[x] = True iff gamma**x is
+    e-free, i.e. gcd(x, Rad(e)) = 1.  Raises InvalidDivisorError unless
+    every e divides n = q - 1."""
+    es = [n if e is None else e for e in es]
+    for e in es:
+        if e < 1 or n % e:
+            raise InvalidDivisorError(f"e={e} does not divide q-1={n}")
+    xs = np.arange(n, dtype=np.int64)
+    return [np.gcd(xs, profile(e).radical) == 1 for e in es]
 
 
-def _check_divisor(n: int, e: int) -> int:
-    if e < 1 or n % e:
-        raise InvalidDivisorError(f"e={e} does not divide q-1={n}")
-    return e
+def _sum_log(t: _UVTables, ju: int, jw: int, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """(log(u a + v b) mod n, mask of u a + v b != 0) for u = gamma**ju,
+    v = u w with w = gamma**jw, a = gamma**xs and b = gamma**ys, broadcast
+    like numpy; b = a^-1 is ys = -xs.  Since u a + v b = u a (1 + gamma^(jw
+    + y - x)), this is the one read of the add-one table."""
+    l1 = t.L1[(jw + ys - xs) % t.n]
+    return (ju + xs + l1) % t.n, l1 >= 0
+
+
+def _pair_hits(t: _UVTables, ju: int, jw: int, xs, ys, m3: np.ndarray, m4: np.ndarray):
+    """For each x in xs, yield the number of y in ys with u a + v b nonzero
+    in m3 and v a^-1 + u b^-1 = (u a + v b) / (a b) nonzero in m4."""
+    for x in map(int, xs):
+        log3, ok = _sum_log(t, ju, jw, x, ys)
+        yield int(np.count_nonzero(ok & m3[log3] & m4[(log3 - x - ys) % t.n]))
 
 
 # --------------------------------------------------------------------------
@@ -162,38 +182,22 @@ def count_pairs_free(query: PairCountQuery) -> int:
     fd.check_nonzero(query.q, u=query.u, v=query.v)
     F = fd.build_field(query.q)
     t = _uv_tables(F)
-    n = t.n
-    es = [_check_divisor(n, e) if e is not None else n for e in (query.e1, query.e2, query.e3, query.e4)]
-    m1, m2, m3, m4 = (_free_mask(n, e) for e in es)
+    m1, m2, m3, m4 = _free_masks(t.n, (query.e1, query.e2, query.e3, query.e4))
     ju = fd.discrete_log(F, query.u)
-    jv = fd.discrete_log(F, query.v)
-    jw = (jv - ju) % n
-    ys = np.nonzero(m2)[0]
-    total = 0
-    for x in map(int, np.nonzero(m1)[0]):
-        l1 = t.L1[(jw + ys - x) % n]
-        valid = l1 >= 0
-        log3 = (ju + x + l1) % n
-        log4 = (log3 - x - ys) % n
-        total += int(np.count_nonzero(valid & m3[log3] & m4[log4]))
-    return total
+    jw = (fd.discrete_log(F, query.v) - ju) % t.n
+    return sum(_pair_hits(t, ju, jw, np.nonzero(m1)[0], np.nonzero(m2)[0], m3, m4))
 
 
 def count_single_free(query: SingleCountQuery) -> int:
     fd.check_nonzero(query.q, u=query.u, v=query.v)
     F = fd.build_field(query.q)
     t = _uv_tables(F)
-    n = t.n
-    e1 = _check_divisor(n, query.e1) if query.e1 is not None else n
-    e2 = _check_divisor(n, query.e2) if query.e2 is not None else n
-    m1, m2 = _free_mask(n, e1), _free_mask(n, e2)
+    m1, m2 = _free_masks(t.n, (query.e1, query.e2))
     ju = fd.discrete_log(F, query.u)
-    jw = (fd.discrete_log(F, query.v) - ju) % n
+    jw = (fd.discrete_log(F, query.v) - ju) % t.n
     xs = np.nonzero(m1)[0]
-    l1 = t.L1[(jw - 2 * xs) % n]
-    valid = l1 >= 0
-    log2 = (ju + xs + l1) % n
-    return int(np.count_nonzero(valid & m2[log2]))
+    log2, ok = _sum_log(t, ju, jw, xs, -xs)
+    return int(np.count_nonzero(ok & m2[log2]))
 
 
 def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> np.ndarray:
@@ -202,16 +206,14 @@ def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> n
     per difference jw."""
     t = _uv_tables(fd.build_field(q))
     n = t.n
-    m1 = _free_mask(n, _check_divisor(n, e1) if e1 is not None else n)
-    m2 = _free_mask(n, _check_divisor(n, e2) if e2 is not None else n)
+    m1, m2 = _free_masks(n, (e1, e2))
     xs = np.nonzero(m1)[0]
     m2t = np.tile(m2, 2).astype(np.int64)
     grid = np.empty((n, n), dtype=np.int64)
     ju_idx = np.arange(n)
     for jw in range(n):
-        l1 = t.L1[(jw - 2 * xs) % n]
-        s = (xs + l1)[l1 >= 0] % n  # log r per surviving a
-        h = np.bincount(s, minlength=n)
+        log_r, ok = _sum_log(t, 0, jw, xs, -xs)
+        h = np.bincount(log_r[ok], minlength=n)
         cnt = np.correlate(m2t, h, mode="valid")[:n]
         grid[ju_idx, (ju_idx + jw) % n] = cnt
     return grid
@@ -222,21 +224,16 @@ def pair_count_grid(q: int, es: tuple[int | None, int | None, int | None, int | 
     v = gamma**jv.  O(n^4) index work; meant for small q."""
     t = _uv_tables(fd.build_field(q))
     n = t.n
-    masks = [_free_mask(n, _check_divisor(n, e) if e is not None else n) for e in es]
-    m1, m2, m3, m4 = masks
-    xs = np.nonzero(m1)[0]
-    ys = np.nonzero(m2)[0]
-    m3t = np.tile(m3, 2)
-    m4t = np.tile(m4, 3)  # B + ju can reach 2n + n
+    m1, m2, m3, m4 = _free_masks(n, es)
+    xs = np.nonzero(m1)[0][:, None]
+    ys = np.nonzero(m2)[0][None, :]
     grid = np.empty((n, n), dtype=np.int64)
     for jw in range(n):
-        l1 = t.L1[(jw + ys[None, :] - xs[:, None]) % n]
-        valid = l1 >= 0
-        A = (xs[:, None] + l1) % n
-        B = (A - xs[:, None] - ys[None, :]) % n + n  # keep indices positive
-        Af, Bf = A[valid], B[valid]
+        # the logs of both sums at u = 1; each ju shifts both by ju
+        log3, ok = _sum_log(t, 0, jw, xs, ys)
+        log3, log4 = log3[ok], (log3 - xs - ys)[ok]
         for ju in range(n):
-            grid[ju, (ju + jw) % n] = np.count_nonzero(m3t[Af + ju] & m4t[Bf + ju - n])
+            grid[ju, (ju + jw) % n] = np.count_nonzero(m3[(log3 + ju) % n] & m4[(log4 + ju) % n])
     return grid
 
 
@@ -269,8 +266,8 @@ def _log_r_chunks(t: _UVTables, jw: int):
     size, log r mod n for its nonzero r = gamma^m (1 + gamma^(jw - 2m)))."""
     for lo in range(0, t.prim_m.size, _CHUNK):
         chunk = t.prim_m[lo : lo + _CHUNK]
-        l1 = t.L1[(jw - 2 * chunk) % t.n]
-        yield chunk.size, (chunk + l1)[l1 >= 0] % t.n
+        log_r, ok = _sum_log(t, 0, jw, chunk, -chunk)
+        yield chunk.size, log_r[ok]
 
 
 def _covered_for_w(t: _UVTables, jw: int, counters: dict | None = None) -> np.ndarray:
@@ -331,27 +328,18 @@ def check_pair_membership(q: int) -> MembershipResult:
     """
     F = fd.build_field(q)
     t = _uv_tables(F)
-    n, prim_m = t.n, t.prim_m
     exp = fd.log_table(F).exp
-    prim_mask = np.gcd(np.arange(n, dtype=np.int64), n) == 1
-    pm3 = np.tile(prim_mask, 2)
+    (prim,) = _free_masks(t.n, (None,))
     stats = {"orbits": 0, "witness_scans": 0}
     bad: list[tuple[int, int]] = []
-    for ju in range(n):
-        for jv in range(ju, n):
+    for ju in range(t.n):
+        for jv in range(ju, t.n):
             stats["orbits"] += 1
-            jw = (jv - ju) % n
-            found = False
-            for x in map(int, prim_m):
-                l1 = t.L1[(jw + prim_m - x) % n]
-                valid = l1 >= 0
-                log3 = (ju + x + l1) % n
-                log4 = (log3 - x - prim_m) % n
+            for hits in _pair_hits(t, ju, jv - ju, t.prim_m, t.prim_m, prim, prim):
                 stats["witness_scans"] += 1
-                if np.any(valid & pm3[log3] & pm3[log4]):
-                    found = True
+                if hits:
                     break
-            if not found:
+            else:
                 bad.append((ju, jv))
     failures = tuple((int(exp[a]), int(exp[b])) for a, b in bad)
     return MembershipResult(

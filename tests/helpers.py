@@ -53,3 +53,23 @@ def brute_M_free(F, u, v, e1, e2):
         if t != 0 and fd.is_e_free(F, t, e2):
             count += 1
     return count
+
+
+def brute_N_free(F, u, v, e1, e2, e3, e4):
+    """N_{e1,e2,e3,e4}: a is e1-free, b is e2-free, u*a + v*b nonzero and
+    e3-free, v*a^-1 + u*b^-1 nonzero and e4-free."""
+    count = 0
+    for a in range(1, F.q):
+        if not fd.is_e_free(F, a, e1):
+            continue
+        ai = fd.inv(F, a)
+        for b in range(1, F.q):
+            if not fd.is_e_free(F, b, e2):
+                continue
+            t3 = fd.add(F, fd.mul(F, u, a), fd.mul(F, v, b))
+            if t3 == 0 or not fd.is_e_free(F, t3, e3):
+                continue
+            t4 = fd.add(F, fd.mul(F, v, ai), fd.mul(F, u, fd.inv(F, b)))
+            if t4 != 0 and fd.is_e_free(F, t4, e4):
+                count += 1
+    return count

@@ -183,6 +183,28 @@ def test_verify_pair_defaults_to_brute(tmp_path):
     assert [1, 1] in rec["failures"]
 
 
+def test_checkers_and_counters_are_looked_up_at_call_time(tmp_path, monkeypatch):
+    """A replacement of a verify function (a tracing wrapper, say) is the one
+    the CLI runs, for every algorithm and count."""
+    calls = []
+
+    for name in ("check_element_membership_logs", "check_element_membership_cover",
+                 "check_pair_membership", "count_pairs_free", "count_single_free"):
+        def spy(arg, original=getattr(verify, name), name=name):
+            calls.append(name)
+            return original(arg)
+
+        monkeypatch.setattr(verify, name, spy)
+    run(["verify", "--set", "T", "--q", "7", "--algo", "both", "--jobs", "1"], tmp_path)
+    run(["verify", "--set", "S", "--q", "7", "--jobs", "1"], tmp_path)
+    run(["oracle", "N", "--q", "7"], tmp_path)
+    run(["oracle", "M", "--q", "7"], tmp_path)
+    assert calls == [
+        "check_element_membership_logs", "check_element_membership_cover",
+        "check_pair_membership", "count_pairs_free", "count_single_free",
+    ]
+
+
 # ------------------------------------------------------------------ oracle
 
 def test_oracle_counts_match_library(tmp_path):
@@ -195,6 +217,13 @@ def test_oracle_counts_match_library(tmp_path):
         verify.SingleCountQuery(31, 2, 7, 6, 10)
     )
     assert rep["records"][0]["e"] == [6, 10]
+
+
+def test_oracle_reads_missing_u_v_as_one(tmp_path):
+    _, rep = run(["oracle", "N", "--q", "13", "--v", "2"], tmp_path)
+    rec = rep["records"][0]
+    assert (rec["u"], rec["v"]) == (1, 2)
+    assert rec["count"] == verify.count_pairs_free(verify.PairCountQuery(13, 1, 2))
 
 
 def test_oracle_cases(tmp_path):
@@ -232,6 +261,19 @@ def test_oracle_cases(tmp_path):
         ["verify", "--set", "T", "--q", "67108879"],
         ["verify", "--set", "S", "--min", "67108000", "--max", "67108879"],
         ["screen", "--needs-check-only", "--min", "100", "--max", "50"],
+        # options the chosen mode would ignore
+        ["screen", "--survey", "3", "--omega", "2"],
+        ["screen", "--survey", "3", "--q", "13"],
+        ["screen", "--survey", "3", "--min", "3"],
+        ["screen", "--survey", "3", "--max", "100"],
+        ["screen", "--survey", "3", "--min", "0"],
+        ["screen", "--survey", "3", "--needs-check-only", "--max", "100"],
+        ["screen", "--needs-check-only", "--max", "100", "--omega", "3"],
+        ["screen", "--needs-check-only", "--max", "100", "--q", "13"],
+        ["oracle", "cases", "--q", "7", "--e", "6"],
+        ["oracle", "cases", "--q", "7", "--u", "3"],
+        ["oracle", "cases", "--q", "7", "--v", "3"],
+        ["oracle", "cases", "--q", "7", "--u", "1"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, tmp_path):

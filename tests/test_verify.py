@@ -98,6 +98,48 @@ def test_free_counts_with_divisor_arguments(q, data):
     assert got == helpers.brute_M_free(F, u, v, e1, e2)
 
 
+@pytest.mark.parametrize("q", [7, 9, 13])
+def test_pair_counts_with_divisor_arguments(q):
+    """N_{e1,e2,e3,e4} agrees with a plain loop over the field for
+    divisor quadruples, not just the primitive corner."""
+    F = fd.build_field(q)
+    n = q - 1
+    divisors = [e for e in range(1, n + 1) if n % e == 0]
+    rng = random.Random(q)
+    for _ in range(6):
+        es = [rng.choice(divisors) for _ in range(4)]
+        u, v = rng.randrange(1, q), rng.randrange(1, q)
+        got = vf.count_pairs_free(vf.PairCountQuery(q, u, v, *es))
+        assert got == helpers.brute_N_free(F, u, v, *es), (q, u, v, es)
+
+
+@pytest.mark.parametrize("q", [7, 9, 13])
+def test_grids_with_divisor_arguments(q):
+    """Both grids with non-default divisors equal the pointwise counts at
+    every (u, v)."""
+    t = fd.log_table(fd.build_field(q))
+    n = q - 1
+    divisors = [e for e in range(1, n) if n % e == 0]  # never q - 1 itself
+    rng = random.Random(q)
+    es = tuple(rng.choice(divisors) for _ in range(4))
+    pg = vf.pair_count_grid(q, es)
+    sg = vf.single_count_grid(q, es[0], es[1])
+    for ju in range(n):
+        for jv in range(n):
+            u, v = int(t.exp[ju]), int(t.exp[jv])
+            assert pg[ju, jv] == vf.count_pairs_free(vf.PairCountQuery(q, u, v, *es)), (q, es, u, v)
+            assert sg[ju, jv] == vf.count_single_free(vf.SingleCountQuery(q, u, v, es[0], es[1])), (q, es, u, v)
+
+
+def test_grids_validate_divisors():
+    with pytest.raises(InvalidDivisorError):
+        vf.single_count_grid(13, 5)
+    with pytest.raises(InvalidDivisorError):
+        vf.single_count_grid(13, None, 0)
+    with pytest.raises(InvalidDivisorError):
+        vf.pair_count_grid(13, (None, None, 7, None))
+
+
 def test_trivial_freeness_counts_everything_nonvanishing():
     # e1 = e2 = 1: every nonzero a with u*a + v*a^-1 != 0
     from uvprim import screening as sc
