@@ -159,10 +159,11 @@ def _verify_record(job: tuple[str, ntcore.PrimePowerId]) -> dict:
     }
 
 
-def _map_jobs(fn, items, jobs: int):
-    # the pool forks all its workers up front, so never more than there are
-    # items or cores
-    workers = min(jobs, len(items), os.cpu_count() or 1)
+def _map_jobs(fn, items, jobs: int | None):
+    # jobs = None means all cores; the pool forks all its workers up front,
+    # so never more than there are items or cores
+    cores = os.cpu_count() or 1
+    workers = min(jobs or cores, len(items), cores)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
@@ -203,7 +204,7 @@ def _refuse(args, parser, mode: str, *options: str) -> None:
 
 def run_screen(args, parser) -> tuple[dict, int]:
     if args.survey is not None:
-        _refuse(args, parser, "--survey", "q", "min", "max", "omega", "needs_check_only")
+        _refuse(args, parser, "--survey", "q", "min", "max", "omega", "needs_check_only", "jobs")
         if not 1 <= args.survey <= screening.MAX_SURVEY_OMEGA:
             parser.error(f"--survey takes 1..{screening.MAX_SURVEY_OMEGA}")
         t0 = time.perf_counter()
@@ -323,11 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, with_range=True):
-        if with_range:
+        if with_range:  # the modes that run one job per q
             sp.add_argument("--q", type=int, nargs="+", help="explicit prime powers (overrides the range)")
             sp.add_argument("--min", type=int, help="range start (inclusive)")
             sp.add_argument("--max", type=int, help="range end (inclusive)")
-        sp.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="worker processes (default: all cores)")
+            sp.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
         sp.add_argument("--out", help="write the report to this file instead of stdout")
 
@@ -338,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--needs-check-only",
         action="store_true",
-        help="fast sweep emitting only the q not provable by element bounds",
+        help="fast single-process sweep emitting only the q not provable by element bounds (ignores --jobs)",
     )
     sp.set_defaults(func=run_screen)
 
@@ -364,8 +365,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.jobs < 1:
-        parser.error(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = getattr(args, "jobs", None)  # oracle takes no --jobs
+    if jobs is not None and jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {jobs}")
     report, code = args.func(args, parser)
     report["command"] = argv
     _emit(report, args.format, args.out)

@@ -25,12 +25,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt
+from math import isqrt
 
 import numpy as np
 
 from .errors import InvalidDivisorError, LogTableTooLargeError
-from .ntcore import ArithmeticProfile, PrimePowerId, prime_power_decompose, profile
+from .ntcore import ArithmeticProfile, PrimePowerId, coprime_mask, prime_power_decompose, profile
 
 __all__ = [
     "LOG_TABLE_CAP",
@@ -248,9 +248,7 @@ def primitive_elements(F: FieldSpec) -> list[int]:
     """All phi(q-1) primitive elements, as gamma**m for ascending m coprime
     to q - 1.  This ordering pairs inverses head-to-tail: element k from the
     front is the inverse of element k from the back."""
-    n = F.q - 1
-    exp = log_table(F).exp
-    return [int(exp[m]) for m in range(n) if gcd(m, n) == 1]
+    return log_table(F).exp[coprime_mask(F.q - 1, F.q_minus_1.primes)].tolist()
 
 
 # --------------------------------------------------------------------------

@@ -21,6 +21,10 @@ built from:
                 (the l = 2 factor is exactly 1, so even moduli are harmless)
 * delta_j    -- 1 - j * sum(1/p) over a set of sieving primes
 
+`coprime_mask` is the one definition of an e-free exponent: for a generator
+gamma, gamma**x is e-free iff gcd(x, Rad(e)) = 1, i.e. iff the sieve over
+the primes of e leaves x standing.
+
 Every screening run starts by listing field orders.  `iter_prime_powers`
 is the one windowed sieve that lists prime powers q as `PrimePowerId`s,
 optionally only those with a given omega(q - 1); `enumerate_prime_powers`
@@ -45,6 +49,7 @@ __all__ = [
     "ArithmeticProfile",
     "DeltaValue",
     "PrimePowerId",
+    "coprime_mask",
     "delta",
     "density_terms",
     "enumerate_prime_powers",
@@ -276,6 +281,15 @@ def delta(j: int, primes: tuple[int, ...] | list[int]) -> DeltaValue:
         raise ValueError("sieving primes must be distinct")
     P, S = sieve_terms(ps)
     return DeltaValue(j=j, primes=ps, value=Fraction(P - j * S, P))
+
+
+def coprime_mask(size: int, primes: tuple[int, ...] | list[int]) -> np.ndarray:
+    """mask[x] = True iff no prime in `primes` divides x, for 0 <= x < size:
+    a sieve that strikes every multiple of each prime (0 included)."""
+    mask = np.ones(size, dtype=bool)
+    for p in primes:
+        mask[::p] = False
+    return mask
 
 
 def squarefree_divisors(m: int) -> list[int]:

@@ -13,6 +13,9 @@ in any hot loop -- just index arithmetic on numpy arrays.
 So each primitive a (r != 0) covers the classes k = log u mod R with
 gcd(k + log r, R) = 1: a pattern, one residue bitset per prime of R.
 
+Every e-free mask comes from `ntcore.coprime_mask`; the tables hold the
+primitive one (`prim`, e = q - 1), built once per field.
+
 Three checkers:
 
 * `check_element_membership_logs` -- direct coverage over residues
@@ -49,7 +52,7 @@ import numpy as np
 
 from .errors import InvalidDivisorError
 from . import field as fd
-from .ntcore import profile
+from .ntcore import coprime_mask, profile
 
 __all__ = [
     "CoverageState",
@@ -81,6 +84,7 @@ class _UVTables(NamedTuple):
     R: int  # Rad(q - 1)
     primes: tuple[int, ...]  # the primes of R
     L1: np.ndarray  # L1[t] = log(1 + gamma^t), -1 where the sum vanishes
+    prim: np.ndarray  # prim[x] = gcd(x, n) == 1, read-only
     prim_m: np.ndarray  # exponents of the primitive elements
     units_R: np.ndarray  # residues mod R coprime to R
 
@@ -96,21 +100,22 @@ def _uv_tables(F: fd.FieldSpec) -> _UVTables:
     low = exp % F.p
     plus_one = exp - low + (low + 1) % F.p
     L1 = log[plus_one]
-    prim_m = np.nonzero(np.gcd(np.arange(n, dtype=np.int64), n) == 1)[0]
-    units_R = np.nonzero(np.gcd(np.arange(R, dtype=np.int64), R) == 1)[0]
-    return _UVTables(n, R, prof.primes, L1, prim_m, units_R)
+    prim = coprime_mask(n, prof.primes)
+    prim.flags.writeable = False
+    # R | n and R has the primes of n, so prim[:R] marks the units mod R
+    units_R = np.flatnonzero(prim[:R])
+    return _UVTables(n, R, prof.primes, L1, prim, np.flatnonzero(prim), units_R)
 
 
-def _free_masks(n: int, es) -> list[np.ndarray]:
+def _free_masks(t: _UVTables, es) -> list[np.ndarray]:
     """For each e in `es` (None means q - 1): mask[x] = True iff gamma**x is
-    e-free, i.e. gcd(x, Rad(e)) = 1.  Raises InvalidDivisorError unless
-    every e divides n = q - 1."""
-    es = [n if e is None else e for e in es]
+    e-free, i.e. gcd(x, Rad(e)) = 1; for None that is the table's own
+    read-only `prim`.  Raises InvalidDivisorError unless every e divides
+    n = q - 1."""
     for e in es:
-        if e < 1 or n % e:
-            raise InvalidDivisorError(f"e={e} does not divide q-1={n}")
-    xs = np.arange(n, dtype=np.int64)
-    return [np.gcd(xs, profile(e).radical) == 1 for e in es]
+        if e is not None and (e < 1 or t.n % e):
+            raise InvalidDivisorError(f"e={e} does not divide q-1={t.n}")
+    return [t.prim if e is None else coprime_mask(t.n, profile(e).primes) for e in es]
 
 
 def _sum_log(t: _UVTables, ju: int, jw: int, xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +187,7 @@ def count_pairs_free(query: PairCountQuery) -> int:
     fd.check_nonzero(query.q, u=query.u, v=query.v)
     F = fd.build_field(query.q)
     t = _uv_tables(F)
-    m1, m2, m3, m4 = _free_masks(t.n, (query.e1, query.e2, query.e3, query.e4))
+    m1, m2, m3, m4 = _free_masks(t, (query.e1, query.e2, query.e3, query.e4))
     ju = fd.discrete_log(F, query.u)
     jw = (fd.discrete_log(F, query.v) - ju) % t.n
     return sum(_pair_hits(t, ju, jw, np.nonzero(m1)[0], np.nonzero(m2)[0], m3, m4))
@@ -192,7 +197,7 @@ def count_single_free(query: SingleCountQuery) -> int:
     fd.check_nonzero(query.q, u=query.u, v=query.v)
     F = fd.build_field(query.q)
     t = _uv_tables(F)
-    m1, m2 = _free_masks(t.n, (query.e1, query.e2))
+    m1, m2 = _free_masks(t, (query.e1, query.e2))
     ju = fd.discrete_log(F, query.u)
     jw = (fd.discrete_log(F, query.v) - ju) % t.n
     xs = np.nonzero(m1)[0]
@@ -206,7 +211,7 @@ def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> n
     per difference jw."""
     t = _uv_tables(fd.build_field(q))
     n = t.n
-    m1, m2 = _free_masks(n, (e1, e2))
+    m1, m2 = _free_masks(t, (e1, e2))
     xs = np.nonzero(m1)[0]
     m2t = np.tile(m2, 2).astype(np.int64)
     grid = np.empty((n, n), dtype=np.int64)
@@ -224,7 +229,7 @@ def pair_count_grid(q: int, es: tuple[int | None, int | None, int | None, int | 
     v = gamma**jv.  O(n^4) index work; meant for small q."""
     t = _uv_tables(fd.build_field(q))
     n = t.n
-    m1, m2, m3, m4 = _free_masks(n, es)
+    m1, m2, m3, m4 = _free_masks(t, es)
     xs = np.nonzero(m1)[0][:, None]
     ys = np.nonzero(m2)[0][None, :]
     grid = np.empty((n, n), dtype=np.int64)
@@ -329,13 +334,12 @@ def check_pair_membership(q: int) -> MembershipResult:
     F = fd.build_field(q)
     t = _uv_tables(F)
     exp = fd.log_table(F).exp
-    (prim,) = _free_masks(t.n, (None,))
     stats = {"orbits": 0, "witness_scans": 0}
     bad: list[tuple[int, int]] = []
     for ju in range(t.n):
         for jv in range(ju, t.n):
             stats["orbits"] += 1
-            for hits in _pair_hits(t, ju, jv - ju, t.prim_m, t.prim_m, prim, prim):
+            for hits in _pair_hits(t, ju, jv - ju, t.prim_m, t.prim_m, t.prim, t.prim):
                 stats["witness_scans"] += 1
                 if hits:
                     break

@@ -1,0 +1,41 @@
+"""The benchmark's worker contract, on one small repetition.
+
+`perfbench/worker.py` runs the package as the benchmark does, traced by
+`perfbench/probes.py`.  A probed function renamed away, a stats key the
+probes no longer find or a CLI argv the parser refuses would otherwise
+show only when the benchmark runs.
+"""
+
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_pair_repetition_meets_the_worker_contract():
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "worker.py"), "pair", "0", "1"],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["missing"] == []
+    wl = _workloads()
+    qs = wl.inputs("pair", 0)
+    assert wl.check("pair", qs, result["outputs"]) == (len(qs), 0)

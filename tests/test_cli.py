@@ -121,6 +121,13 @@ def test_needs_check_only_sweep(tmp_path):
     assert all(r["status"] != "element_proved" for r in rep["records"])
 
 
+def test_needs_check_only_accepts_and_ignores_jobs(tmp_path):
+    # the benchmark's sweep argv passes --jobs 1; the sweep runs in one process
+    code, rep = run(["screen", "--needs-check-only", "--min", "3", "--max", "200", "--jobs", "1"], tmp_path)
+    assert code == 0
+    assert rep["totals"]["records"] == 57
+
+
 # ------------------------------------------------------------------ verify
 
 def test_verify_element_range_both_algorithms(tmp_path):
@@ -274,6 +281,9 @@ def test_oracle_cases(tmp_path):
         ["oracle", "cases", "--q", "7", "--u", "3"],
         ["oracle", "cases", "--q", "7", "--v", "3"],
         ["oracle", "cases", "--q", "7", "--u", "1"],
+        # modes that run in one process take no --jobs
+        ["oracle", "M", "--q", "11", "--jobs", "7"],
+        ["screen", "--survey", "1", "--jobs", "7"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, tmp_path):
@@ -343,9 +353,15 @@ def test_jobs_are_capped_by_items_and_cores(tmp_path, monkeypatch):
     code, rep = run(["screen", "--min", "3", "--max", "60", "--jobs", "5000"], tmp_path)
     assert code == 0 and rep["totals"]["records"] == 24
     assert sizes == [3, 4, 2, 4]
+    # without --jobs a mode gets None, which means every core
+    assert cli._map_jobs(abs, list(range(-10, 0)), None) == list(range(10, 0, -1))
+    code, rep = run(["screen", "--min", "3", "--max", "60"], tmp_path)
+    assert code == 0 and rep["totals"]["records"] == 24
+    assert sizes == [3, 4, 2, 4, 4, 4]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert cli._map_jobs(abs, [-1, -2], 5000) == [1, 2]
-    assert sizes == [3, 4, 2, 4]
+    assert cli._map_jobs(abs, [-1, -2], None) == [1, 2]
+    assert sizes == [3, 4, 2, 4, 4, 4]
 
 
 def test_version(capsys):

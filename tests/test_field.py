@@ -129,6 +129,13 @@ def test_primitive_elements_pair_inverses_head_to_tail(q):
         assert fd.inv(F, prim[k]) == prim[-1 - k]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 31, 64, 211, 961])
+def test_primitive_elements_in_ascending_exponent_order(q):
+    F = fd.build_field(q)
+    n, exp = q - 1, fd.log_table(F).exp
+    assert fd.primitive_elements(F) == [int(exp[m]) for m in range(n) if gcd(m, n) == 1]
+
+
 @given(fields, st.data())
 def test_is_primitive_iff_coprime_log(F, data):
     a = data.draw(st.integers(1, F.q - 1))

@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import gcd, inf, isqrt, prod
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -128,6 +129,22 @@ def test_squarefree_divisors(m):
 
 def test_squarefree_divisors_frozen():
     assert nt.squarefree_divisors(120) == [1, 2, 3, 5, 6, 10, 15, 30]
+
+
+def test_coprime_mask_matches_gcd():
+    """The sieve over the primes of d marks exactly the x in [0, n) with
+    gcd(x, d) = 1, for every n <= 3000 and every divisor d of n (d = 1 is
+    the empty prime tuple)."""
+    assert nt.coprime_mask(1, ()).tolist() == [True]
+    assert nt.coprime_mask(7, ()).all()
+    for n in range(1, 3001):
+        # gcd(x, d) = gcd(gcd(x, n), d) for d | n, so tabulate on gcd(x, n)
+        g = np.array([gcd(x, n) for x in range(n)])
+        divisors = sympy.divisors(n)
+        for d in divisors:
+            coprime = np.zeros(n + 1, dtype=bool)
+            coprime[divisors] = [gcd(h, d) == 1 for h in divisors]
+            assert np.array_equal(nt.coprime_mask(n, nt.profile(d).primes), coprime[g]), (n, d)
 
 
 # ---------------------------------------------------------------------- delta

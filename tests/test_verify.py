@@ -83,6 +83,30 @@ def test_single_count_frozen():
     assert vf.count_single_free(vf.SingleCountQuery(11, 1, 1)) == 2
 
 
+@pytest.mark.parametrize("q,count", [(1025641, 42076), (1051051, 38748)])
+def test_single_count_near_2_pow_20_frozen(q, count):
+    # q - 1 = 1025640 lies just below 2**20 and 1051050 above it, so a stride
+    # or slicing fault that shows only at large n fails here; the counts are
+    # those frozen in perfbench/data/large_field.json
+    assert vf.count_single_free(vf.SingleCountQuery(q, 1, 1)) == count
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 13, 31, 64, 211, 961, 2311])
+def test_uv_tables_masks_match_gcd(q):
+    """The one coprimality sieve gives the gcd definition of the primitive
+    exponents and of the units mod R, is what e = None reads, and cannot be
+    written through."""
+    t = vf._uv_tables(fd.build_field(q))
+    prim = np.gcd(np.arange(t.n), t.n) == 1
+    assert np.array_equal(t.prim, prim)
+    assert np.array_equal(t.prim_m, np.flatnonzero(prim))
+    assert np.array_equal(t.units_R, np.flatnonzero(np.gcd(np.arange(t.R), t.R) == 1))
+    assert vf._free_masks(t, (None,))[0] is t.prim
+    assert not t.prim.flags.writeable
+    with pytest.raises(ValueError):
+        t.prim[0] = True
+
+
 @given(st.sampled_from([7, 9, 11, 13, 16, 25]), st.data())
 def test_free_counts_with_divisor_arguments(q, data):
     """M_{e1,e2} agrees with a double-loop oracle for arbitrary divisor
