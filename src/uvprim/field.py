@@ -18,6 +18,16 @@ Discrete logs are always taken to base gamma.  ``log_table`` materializes the
 full exp/log arrays (numpy, capped at 2**26 entries); ``discrete_log`` is
 independent of the table and works by Pohlig-Hellman with baby-step
 giant-step, which the tests cross-check against the tables.
+
+Every per-element table is int32: below the cap every exponent and every
+packed element fits.  A field's tables take 13 bytes per element once
+built -- exp and log here, 4 bytes each; the add-one log table L1 (4 bytes)
+and the primitive mask (1 byte) in ``verify`` -- plus 8 bytes per primitive
+exponent and per unit mod Rad(q - 1) (``verify``'s ``prim_m`` and
+``units_R``).  That is at most 21 bytes per element for odd q and 29 for
+q = 2**k; 15.1 at q = 31,651,621 and 23.7 at the cap q = 2**26 (1.6 GB).
+The tables are filled in slices of ``TABLE_SLICE`` entries, so no build
+holds an n-sized temporary.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from .ntcore import ArithmeticProfile, PrimePowerId, coprime_mask, prime_power_d
 
 __all__ = [
     "LOG_TABLE_CAP",
+    "TABLE_SLICE",
     "FieldSpec",
     "LogTable",
     "add",
@@ -55,6 +66,9 @@ __all__ = [
 ]
 
 LOG_TABLE_CAP = 1 << 26
+TABLE_SLICE = 1 << 20  # entries per slice of a table fill
+_EXP_BLOCK = 1 << 14  # powers of gamma per vectorised step, prime fields
+_EXP_BLOCK_EXT = 1 << 12  # the same for extension fields
 
 
 @dataclass(frozen=True)
@@ -256,8 +270,10 @@ def primitive_elements(F: FieldSpec) -> list[int]:
 
 @dataclass
 class LogTable:
-    """Dense base-gamma exp/log arrays: exp[j] = gamma**j for 0 <= j < q-1,
-    log[a] = j with exp[j] = a for nonzero a, and log[0] = -1."""
+    """Dense base-gamma int32 exp/log arrays: exp[j] = gamma**j for
+    0 <= j < q-1, log[a] = j with exp[j] = a for nonzero a, and log[0] =
+    log[q] = -1.  The sentinel at q makes log[exp + 1] the add-one log
+    table of a prime field: exp = p - 1 lands on it."""
 
     q: int
     exp: np.ndarray
@@ -266,24 +282,27 @@ class LogTable:
 
 def _exp_array_prime(F: FieldSpec) -> np.ndarray:
     q, g, n = F.q, F.gamma, F.q - 1
-    exp = np.empty(n, dtype=np.int64)
-    m = min(n, 1 << 14)
+    exp = np.empty(n, dtype=np.int32)
+    m = min(n, _EXP_BLOCK)
     x = 1
     for j in range(m):
         exp[j] = x
         x = x * g % q
     if n > m:
         gm = pow(g, m, q)
+        buf = np.empty(m, dtype=np.int64)  # products reach q**2 > 2**31
         for a in range(m, n, m):
             b = min(a + m, n)
-            np.mod(exp[a - m : b - m] * gm, q, out=exp[a:b])
+            prod = buf[: b - a]
+            np.multiply(exp[a - m : b - m], gm, out=prod, dtype=np.int64)
+            np.mod(prod, q, out=exp[a:b])
     return exp
 
 
 def _exp_array_ext(F: FieldSpec) -> np.ndarray:
     p, r, n = F.p, F.r, F.q - 1
-    exp = np.empty(n, dtype=np.int64)
-    m = min(n, 1 << 12)
+    exp = np.empty(n, dtype=np.int32)
+    m = min(n, _EXP_BLOCK_EXT)
     x = 1
     for j in range(m):
         exp[j] = x
@@ -311,8 +330,10 @@ def log_table(F: FieldSpec, cap: int = LOG_TABLE_CAP) -> LogTable:
     if F.q > cap:
         raise LogTableTooLargeError(f"q={F.q} exceeds the log-table cap {cap}")
     exp = _exp_array_prime(F) if F.r == 1 else _exp_array_ext(F)
-    log = np.full(F.q, -1, dtype=np.int64)
-    log[exp] = np.arange(F.q - 1, dtype=np.int64)
+    log = np.full(F.q + 1, -1, dtype=np.int32)
+    for lo in range(0, F.q - 1, TABLE_SLICE):
+        hi = min(lo + TABLE_SLICE, F.q - 1)
+        log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
     return LogTable(q=F.q, exp=exp, log=log)
 
 

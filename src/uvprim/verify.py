@@ -35,9 +35,10 @@ immutable states by `coverage_start` / `coverage_term` / `coverage_merge`.
 `_sum_log` is the one read of L1: log(u a + v b) = log u + x + L1[(jw + y -
 x) mod n] for a = gamma^x, b = gamma^y, with b = a^-1 at y = -x.  The pair
 problem's second sum needs no second read, since v a^-1 + u b^-1 =
-(u a + v b) / (a b).  The checkers and the exact counts
+(u a + v b) / (a b).  The checkers, the exact counts
 (`count_pairs_free`, `count_single_free` and the *_grid variants, which the
-interval bounds get sandwich-tested against) all go through it.
+interval bounds get sandwich-tested against) and the special-case witness
+search all go through it.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class _UVTables(NamedTuple):
     n: int  # q - 1
     R: int  # Rad(q - 1)
     primes: tuple[int, ...]  # the primes of R
-    L1: np.ndarray  # L1[t] = log(1 + gamma^t), -1 where the sum vanishes
+    L1: np.ndarray  # int32, L1[t] = log(1 + gamma^t), -1 where the sum vanishes
     prim: np.ndarray  # prim[x] = gcd(x, n) == 1, read-only
     prim_m: np.ndarray  # exponents of the primitive elements
     units_R: np.ndarray  # residues mod R coprime to R
@@ -95,11 +96,14 @@ def _uv_tables(F: fd.FieldSpec) -> _UVTables:
     prof = F.q_minus_1
     R = prof.radical
     T = fd.log_table(F)
-    exp, log = T.exp, T.log
-    # add 1 to the low base-p digit; no carries in characteristic p
-    low = exp % F.p
-    plus_one = exp - low + (low + 1) % F.p
-    L1 = log[plus_one]
+    L1 = np.empty(n, dtype=np.int32)
+    for lo in range(0, n, fd.TABLE_SLICE):
+        plus_one = T.exp[lo : lo + fd.TABLE_SLICE] + 1
+        if F.r > 1:
+            # add 1 to the low base-p digit; no carries in characteristic p
+            plus_one[plus_one % F.p == 0] -= F.p
+        # in a prime field exp = p - 1 reads the sentinel log[q] = -1
+        L1[lo : lo + fd.TABLE_SLICE] = T.log[plus_one]
     prim = coprime_mask(n, prof.primes)
     prim.flags.writeable = False
     # R | n and R has the primes of n, so prim[:R] marks the units mod R
@@ -118,21 +122,30 @@ def _free_masks(t: _UVTables, es) -> list[np.ndarray]:
     return [t.prim if e is None else coprime_mask(t.n, profile(e).primes) for e in es]
 
 
+def _exponents(t: _UVTables, mask: np.ndarray) -> np.ndarray:
+    """The exponents `mask` marks, ascending: the table's own `prim_m` when
+    `mask` is its `prim`."""
+    return t.prim_m if mask is t.prim else np.flatnonzero(mask)
+
+
 def _sum_log(t: _UVTables, ju: int, jw: int, xs, ys) -> tuple[np.ndarray, np.ndarray]:
     """(log(u a + v b) mod n, mask of u a + v b != 0) for u = gamma**ju,
     v = u w with w = gamma**jw, a = gamma**xs and b = gamma**ys, broadcast
     like numpy; b = a^-1 is ys = -xs.  Since u a + v b = u a (1 + gamma^(jw
-    + y - x)), this is the one read of the add-one table."""
-    l1 = t.L1[(jw + ys - xs) % t.n]
-    return (ju + xs + l1) % t.n, l1 >= 0
+    + y - x)), this is the one read of the add-one table.  The logs are
+    summed in intp, since int32 arithmetic on the int32 table entries made
+    the small pair scans slower; the scalars are added first, so an int x
+    costs no array pass."""
+    l1 = t.L1[(ys + (jw - xs)) % t.n]
+    return np.add(l1, ju + xs, dtype=np.intp) % t.n, l1 >= 0
 
 
 def _pair_hits(t: _UVTables, ju: int, jw: int, xs, ys, m3: np.ndarray, m4: np.ndarray):
-    """For each x in xs, yield the number of y in ys with u a + v b nonzero
-    in m3 and v a^-1 + u b^-1 = (u a + v b) / (a b) nonzero in m4."""
+    """For each x in xs, yield the mask over ys of the y with u a + v b
+    nonzero in m3 and v a^-1 + u b^-1 = (u a + v b) / (a b) nonzero in m4."""
     for x in map(int, xs):
         log3, ok = _sum_log(t, ju, jw, x, ys)
-        yield int(np.count_nonzero(ok & m3[log3] & m4[(log3 - x - ys) % t.n]))
+        yield ok & m3[log3] & m4[(log3 - x - ys) % t.n]
 
 
 # --------------------------------------------------------------------------
@@ -190,7 +203,8 @@ def count_pairs_free(query: PairCountQuery) -> int:
     m1, m2, m3, m4 = _free_masks(t, (query.e1, query.e2, query.e3, query.e4))
     ju = fd.discrete_log(F, query.u)
     jw = (fd.discrete_log(F, query.v) - ju) % t.n
-    return sum(_pair_hits(t, ju, jw, np.nonzero(m1)[0], np.nonzero(m2)[0], m3, m4))
+    xs, ys = _exponents(t, m1), _exponents(t, m2)
+    return sum(int(np.count_nonzero(hits)) for hits in _pair_hits(t, ju, jw, xs, ys, m3, m4))
 
 
 def count_single_free(query: SingleCountQuery) -> int:
@@ -200,9 +214,13 @@ def count_single_free(query: SingleCountQuery) -> int:
     m1, m2 = _free_masks(t, (query.e1, query.e2))
     ju = fd.discrete_log(F, query.u)
     jw = (fd.discrete_log(F, query.v) - ju) % t.n
-    xs = np.nonzero(m1)[0]
-    log2, ok = _sum_log(t, ju, jw, xs, -xs)
-    return int(np.count_nonzero(ok & m2[log2]))
+    exponents = _exponents(t, m1)
+    count = 0
+    for lo in range(0, exponents.size, fd.TABLE_SLICE):
+        xs = exponents[lo : lo + fd.TABLE_SLICE]
+        log2, ok = _sum_log(t, ju, jw, xs, -xs)
+        count += int(np.count_nonzero(ok & m2[log2]))
+    return count
 
 
 def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> np.ndarray:
@@ -212,7 +230,7 @@ def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> n
     t = _uv_tables(fd.build_field(q))
     n = t.n
     m1, m2 = _free_masks(t, (e1, e2))
-    xs = np.nonzero(m1)[0]
+    xs = _exponents(t, m1)
     m2t = np.tile(m2, 2).astype(np.int64)
     grid = np.empty((n, n), dtype=np.int64)
     ju_idx = np.arange(n)
@@ -230,8 +248,8 @@ def pair_count_grid(q: int, es: tuple[int | None, int | None, int | None, int | 
     t = _uv_tables(fd.build_field(q))
     n = t.n
     m1, m2, m3, m4 = _free_masks(t, es)
-    xs = np.nonzero(m1)[0][:, None]
-    ys = np.nonzero(m2)[0][None, :]
+    xs = _exponents(t, m1)[:, None]
+    ys = _exponents(t, m2)[None, :]
     grid = np.empty((n, n), dtype=np.int64)
     for jw in range(n):
         # the logs of both sums at u = 1; each ju shifts both by ju
@@ -341,7 +359,7 @@ def check_pair_membership(q: int) -> MembershipResult:
             stats["orbits"] += 1
             for hits in _pair_hits(t, ju, jv - ju, t.prim_m, t.prim_m, t.prim, t.prim):
                 stats["witness_scans"] += 1
-                if hits:
+                if np.count_nonzero(hits):
                     break
             else:
                 bad.append((ju, jv))
@@ -518,16 +536,19 @@ def special_case_witnesses(q: int) -> dict[str, tuple[bool, tuple[int, ...] | in
     pair cases; None when existence fails.
     """
     F = fd.build_field(q)
-    prims = fd.primitive_elements(F)
-    minus_one = fd.neg(F, 1)
+    t = _uv_tables(F)
+    T = fd.log_table(F)
+    ms = t.prim_m  # ascending: the first witness has the least log a, then log b
+    jw_minus = int(T.log[fd.neg(F, 1)])
     out: dict[str, tuple[bool, tuple[int, ...] | int | None]] = {}
-    for name, v in (("element-sum", 1), ("element-diff", minus_one)):
-        hit = next((a for a in prims if is_uv_primitive_element(F, a, 1, v)), None)
-        out[name] = (hit is not None, hit)
-    for name, v in (("pair-sum", 1), ("pair-diff", minus_one)):
-        hit = next(
-            ((a, b) for a in prims for b in prims if is_uv_primitive_pair(F, a, b, 1, v)),
-            None,
-        )
-        out[name] = (hit is not None, hit)
+    for name, jw in (("element-sum", 0), ("element-diff", jw_minus)):
+        log_r, ok = _sum_log(t, 0, jw, ms, -ms)
+        hits = np.flatnonzero(ok & t.prim[log_r])
+        out[name] = (True, int(T.exp[ms[hits[0]]])) if hits.size else (False, None)
+    for name, jw in (("pair-sum", 0), ("pair-diff", jw_minus)):
+        out[name] = (False, None)
+        for x, hits in zip(ms, _pair_hits(t, 0, jw, ms, ms, t.prim, t.prim)):
+            if np.count_nonzero(hits):
+                out[name] = (True, (int(T.exp[x]), int(T.exp[ms[np.argmax(hits)]])))
+                break
     return out

@@ -8,6 +8,8 @@ implementations are checked against code with no shared structure.
 import json
 from importlib import resources
 
+import numpy as np
+
 from uvprim import field as fd
 
 # The two frozen exceptional sets, shipped with the package so the CLI's
@@ -73,3 +75,39 @@ def brute_N_free(F, u, v, e1, e2, e3, e4):
             if t4 != 0 and fd.is_e_free(F, t4, e4):
                 count += 1
     return count
+
+
+def int64_tables(F):
+    """(exp, log, L1) as int64 arrays of sizes q - 1, q and q - 1, built in
+    whole-table passes: exp by blocks of powers of gamma (prime fields) or
+    by a matrix on base-p digit vectors (extension fields), log by one
+    scatter of an arange, and L1 = log(exp + 1) through the low base-p digit
+    of exp, the way the package built them before its tables were int32."""
+    p, r, n = F.p, F.r, F.q - 1
+    exp = np.empty(n, dtype=np.int64)
+    m = min(n, 1 << 12)
+    x = 1
+    for j in range(m):
+        exp[j] = x
+        x = fd.mul(F, x, F.gamma)
+    if n > m and r == 1:
+        gm = pow(F.gamma, m, p)
+        for a in range(m, n, m):
+            b = min(a + m, n)
+            exp[a:b] = exp[a - m : b - m] * gm % p
+    elif n > m:
+        gm = fd.power(F, F.gamma, m)
+        M = np.empty((r, r), dtype=np.int64)
+        for i in range(r):
+            M[:, i] = fd.to_coeffs(F, fd.mul(F, gm, fd.from_coeffs(F, [int(k == i) for k in range(r)])))
+        pw = p ** np.arange(r, dtype=np.int64)
+        digits = np.array([fd.to_coeffs(F, int(e)) for e in exp[:m]], dtype=np.int64)
+        for a in range(m, n, m):
+            b = min(a + m, n)
+            digits = digits[: b - a] @ M.T % p
+            exp[a:b] = digits @ pw
+    log = np.full(F.q, -1, dtype=np.int64)
+    log[exp] = np.arange(n, dtype=np.int64)
+    low = exp % p
+    L1 = log[exp - low + (low + 1) % p]
+    return exp, log, L1

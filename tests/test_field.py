@@ -5,6 +5,7 @@ prime fields and extensions; arithmetic is checked against its defining
 identities rather than a second implementation.
 """
 
+import random
 from math import gcd
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from uvprim import field as fd
 from uvprim.errors import (
     InvalidDivisorError,
@@ -20,6 +22,8 @@ from uvprim.errors import (
 )
 
 FIELD_POOL = [3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 25, 27, 31, 32, 49, 64, 81, 121, 125]
+# every field the table tests build, from q = 2 to extensions past 2**20
+TABLE_QS = sorted({2, *FIELD_POOL, 961, 2039, 2311, 3**7, 65537, 1025641, 3**13, 5**8, 2**20})
 
 fields = st.sampled_from(FIELD_POOL).map(fd.build_field)
 
@@ -188,10 +192,31 @@ def test_discrete_log_agrees_with_table(q):
         assert fd.discrete_log(F, a) == int(t.log[a])
 
 
+@pytest.mark.parametrize("q", [3**13, 5**8, 2**20, 1025641])
+def test_discrete_log_agrees_with_large_tables(q):
+    F = fd.build_field(q)
+    t = fd.log_table(F)
+    rng = random.Random(q)
+    for a in [1, q - 1, *(rng.randrange(1, q) for _ in range(24))]:
+        assert fd.discrete_log(F, a) == int(t.log[a])
+
+
+@pytest.mark.parametrize("q", TABLE_QS)
+def test_tables_are_int32_and_match_the_int64_build(q):
+    F = fd.build_field(q)
+    exp, log, _ = helpers.int64_tables(F)
+    t = fd.log_table(F)
+    assert t.exp.dtype == np.int32 and t.log.dtype == np.int32
+    assert np.array_equal(t.exp, exp)
+    assert t.log.size == q + 1
+    assert np.array_equal(t.log[:q], log)
+    assert t.log[q] == -1
+
+
 def test_log_table_shape():
     F = fd.build_field(9)
     t = fd.log_table(F)
-    assert t.log[0] == -1
+    assert t.log[0] == -1 and t.log[9] == -1
     assert list(t.exp[: 3]) == [1, 3, 7]
     # exp and log invert each other on nonzero elements
     assert np.array_equal(t.log[t.exp], np.arange(8))

@@ -6,9 +6,13 @@ two independent algorithms are compared against each other and against
 plain field-arithmetic brute force at every size where that is feasible.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +109,85 @@ def test_uv_tables_masks_match_gcd(q):
     assert not t.prim.flags.writeable
     with pytest.raises(ValueError):
         t.prim[0] = True
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 13, 31, 64, 2311, 3**7, 1025641, 3**13, 5**8, 2**20])
+def test_add_one_table_is_int32_and_matches_the_int64_build(q):
+    _, _, L1 = helpers.int64_tables(fd.build_field(q))
+    t = vf._uv_tables(fd.build_field(q))
+    assert t.L1.dtype == np.int32
+    assert np.array_equal(t.L1, L1)
+
+
+def _single_queries(q):
+    """(u, v) = (1, 1) and random (u, v), with divisor arguments on some."""
+    n = q - 1
+    divisors = [e for e in range(1, n) if n % e == 0]
+    rng = random.Random(q)
+    queries = [vf.SingleCountQuery(q, 1, 1)]
+    for _ in range(4):
+        u, v = rng.randrange(1, q), rng.randrange(1, q)
+        queries.append(vf.SingleCountQuery(q, u, v))
+        queries.append(vf.SingleCountQuery(q, u, v, rng.choice(divisors), rng.choice(divisors)))
+    return queries
+
+
+@pytest.mark.parametrize("q", [2311, 3**7])
+def test_sliced_fills_and_counts_match_unsliced(q, monkeypatch):
+    """With 64-entry slices, phi(q - 1) (480 and 1,092) spans several of
+    them, yet the log table, L1 and every count equal those of one slice."""
+    F = fd.build_field(q)
+    exp, log, L1 = helpers.int64_tables(F)
+    queries = _single_queries(q)
+    expected = [vf.count_single_free(query) for query in queries]
+    monkeypatch.setattr(fd, "TABLE_SLICE", 64)
+    fd.log_table.cache_clear()
+    vf._uv_tables.cache_clear()
+    try:
+        T, t = fd.log_table(F), vf._uv_tables(F)
+        assert np.array_equal(T.exp, exp)
+        assert np.array_equal(T.log[:q], log) and T.log[q] == -1
+        assert np.array_equal(t.L1, L1)
+        assert [vf.count_single_free(query) for query in queries] == expected
+    finally:
+        fd.log_table.cache_clear()
+        vf._uv_tables.cache_clear()
+
+
+_TABLE_GROWTH = """
+import sys
+from uvprim import field, verify
+
+def peak_kib():
+    # VmHWM starts afresh at exec; ru_maxrss would start at the RSS of the
+    # test process that forked this one
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+
+F = field.build_field(int(sys.argv[1]))
+before = peak_kib()
+verify._uv_tables(F)
+print((peak_kib() - before) * 1024 / F.q)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("q", [4_194_301, 3**15])
+def test_table_build_peak_is_bounded_per_element(q):
+    """Building a field's tables (log_table, then L1 and the masks) lifts
+    the peak RSS by at most 20 bytes per element.  This build measures
+    16.0 (prime q = 4,194,301) and 17.3 (3**15); int64 tables measured 48,
+    and an L1 built through whole-field int32 temporaries measures 25."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TABLE_GROWTH, str(q)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 20
 
 
 @given(st.sampled_from([7, 9, 11, 13, 16, 25]), st.data())
@@ -492,6 +575,23 @@ def test_special_cases_f61():
     assert cases["element-diff"][0] is False
     for name in ("element-sum", "pair-sum", "pair-diff"):
         assert cases[name][0] is True
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 200) if nt.is_prime_power(q)])
+def test_special_cases_match_the_plain_loops(q):
+    """The first witnesses are those of plain loops over the primitive
+    elements in ascending exponent order, b inside a for the pairs."""
+    F = fd.build_field(q)
+    prims = fd.primitive_elements(F)
+    minus = fd.neg(F, 1)
+    expected = {}
+    for name, v in (("element-sum", 1), ("element-diff", minus)):
+        hit = next((a for a in prims if vf.is_uv_primitive_element(F, a, 1, v)), None)
+        expected[name] = (hit is not None, hit)
+    for name, v in (("pair-sum", 1), ("pair-diff", minus)):
+        hit = next(((a, b) for a in prims for b in prims if vf.is_uv_primitive_pair(F, a, b, 1, v)), None)
+        expected[name] = (hit is not None, hit)
+    assert vf.special_case_witnesses(q) == expected
 
 
 def test_special_cases_f2():
