@@ -23,9 +23,9 @@ Every per-element table is int32: below the cap every exponent and every
 packed element fits.  A field's tables take 13 bytes per element once
 built -- exp and log here, 4 bytes each; the add-one log table L1 (4 bytes)
 and the primitive mask (1 byte) in ``verify`` -- plus 8 bytes per primitive
-exponent and per unit mod Rad(q - 1) (``verify``'s ``prim_m`` and
-``units_R``).  That is at most 21 bytes per element for odd q and 29 for
-q = 2**k; 15.1 at q = 31,651,621 and 23.7 at the cap q = 2**26 (1.6 GB).
+exponent (``verify``'s ``prim_m``) and 2 Rad(q - 1) bits (its
+``nonunits_R``).  That is at most 17.25 bytes per element for odd q and 21.25
+for q = 2**k; 14.5 at q = 31,651,621 and 18.6 at the cap q = 2**26 (1.25 GB).
 The tables are filled in slices of ``TABLE_SLICE`` entries, so no build
 holds an n-sized temporary.
 """
@@ -326,9 +326,9 @@ def _exp_array_ext(F: FieldSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def log_table(F: FieldSpec, cap: int = LOG_TABLE_CAP) -> LogTable:
-    if F.q > cap:
-        raise LogTableTooLargeError(f"q={F.q} exceeds the log-table cap {cap}")
+def log_table(F: FieldSpec) -> LogTable:
+    if F.q > LOG_TABLE_CAP:
+        raise LogTableTooLargeError(f"q={F.q} exceeds the log-table cap {LOG_TABLE_CAP}")
     exp = _exp_array_prime(F) if F.r == 1 else _exp_array_ext(F)
     log = np.full(F.q + 1, -1, dtype=np.int32)
     for lo in range(0, F.q - 1, TABLE_SLICE):

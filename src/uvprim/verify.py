@@ -19,8 +19,8 @@ primitive one (`prim`, e = q - 1), built once per field.
 Three checkers:
 
 * `check_element_membership_logs` -- direct coverage over residues
-  log u mod R, one nonzero w at a time (each w contributes at most R
-  failing classes);
+  log u mod R, one nonzero w at a time, with the classes still uncovered
+  held as one R-bit int (each w contributes at most R failing classes);
 * `check_element_membership_cover` -- same decision, but w whose uncovered
   count the signed coverage family brings to zero (with an
   accept-or-discard ladder keeping it small) skip the direct pass;
@@ -87,7 +87,7 @@ class _UVTables(NamedTuple):
     L1: np.ndarray  # int32, L1[t] = log(1 + gamma^t), -1 where the sum vanishes
     prim: np.ndarray  # prim[x] = gcd(x, n) == 1, read-only
     prim_m: np.ndarray  # exponents of the primitive elements
-    units_R: np.ndarray  # residues mod R coprime to R
+    nonunits_R: int  # bit k set iff gcd(k, R) > 1, for 0 <= k < 2R
 
 
 @lru_cache(maxsize=32)
@@ -107,8 +107,8 @@ def _uv_tables(F: fd.FieldSpec) -> _UVTables:
     prim = coprime_mask(n, prof.primes)
     prim.flags.writeable = False
     # R | n and R has the primes of n, so prim[:R] marks the units mod R
-    units_R = np.flatnonzero(prim[:R])
-    return _UVTables(n, R, prof.primes, L1, prim, np.flatnonzero(prim), units_R)
+    nonunits = int.from_bytes(np.packbits(~prim[:R], bitorder="little").tobytes(), "little")
+    return _UVTables(n, R, prof.primes, L1, prim, np.flatnonzero(prim), nonunits | nonunits << R)
 
 
 def _free_masks(t: _UVTables, es) -> list[np.ndarray]:
@@ -153,7 +153,8 @@ def _pair_hits(t: _UVTables, ju: int, jw: int, xs, ys, m3: np.ndarray, m4: np.nd
 
 def is_uv_primitive_element(F: fd.FieldSpec, a: int, u: int, v: int) -> bool:
     """a primitive and u*a + v*a^-1 nonzero primitive."""
-    if a == 0 or not fd.is_primitive(F, a):
+    fd.check_nonzero(F.q, u=u, v=v, a=a or 1)  # a = 0 is never primitive
+    if not fd.is_primitive(F, a):
         return False
     s = fd.add(F, fd.mul(F, u, a), fd.mul(F, v, fd.inv(F, a)))
     return s != 0 and fd.is_primitive(F, s)
@@ -161,7 +162,8 @@ def is_uv_primitive_element(F: fd.FieldSpec, a: int, u: int, v: int) -> bool:
 
 def is_uv_primitive_pair(F: fd.FieldSpec, a: int, b: int, u: int, v: int) -> bool:
     """(a, b) primitive with u*a + v*b and v*a^-1 + u*b^-1 nonzero primitive."""
-    if 0 in (a, b) or not (fd.is_primitive(F, a) and fd.is_primitive(F, b)):
+    fd.check_nonzero(F.q, u=u, v=v, a=a or 1, b=b or 1)  # 0 is never primitive
+    if not (fd.is_primitive(F, a) and fd.is_primitive(F, b)):
         return False
     s1 = fd.add(F, fd.mul(F, u, a), fd.mul(F, v, b))
     s2 = fd.add(F, fd.mul(F, v, fd.inv(F, a)), fd.mul(F, u, fd.inv(F, b)))
@@ -281,7 +283,6 @@ class MembershipResult:
 
 
 _CHUNK = 192
-_SCATTER = 1 << 22  # most residue indices one coverage scatter materialises
 
 
 def _log_r_chunks(t: _UVTables, jw: int):
@@ -293,25 +294,25 @@ def _log_r_chunks(t: _UVTables, jw: int):
         yield chunk.size, log_r[ok]
 
 
-def _covered_for_w(t: _UVTables, jw: int, counters: dict | None = None) -> np.ndarray:
-    """Boolean coverage over residues k = log u mod R for one w = gamma**jw,
-    consuming primitive exponents lazily in chunks."""
-    covered = np.zeros(t.R, dtype=bool)
-    seen = np.zeros(t.R, dtype=bool)
-    rows = max(1, _SCATTER // t.units_R.size)
+def _uncovered_for_w(t: _UVTables, jw: int, counters: dict | None = None) -> np.ndarray:
+    """The residues k = log u mod R, ascending, that no primitive a covers
+    at w = gamma**jw, consuming primitive exponents lazily in chunks.  The
+    uncovered set is one R-bit int; c = log r mod R keeps only the k with
+    gcd(k + c, R) > 1, which is `nonunits_R` shifted down by c."""
+    gaps = (1 << t.R) - 1
     for size, log_r in _log_r_chunks(t, jw):
         if counters is not None:
             counters["primitives_consumed"] += size
             counters["logs_computed"] += log_r.size
-        cs = np.unique(log_r % t.R)
-        new = cs[~seen[cs]]
-        if new.size:
-            seen[new] = True
-            for i in range(0, new.size, rows):
-                covered[(t.units_R[None, :] - new[i : i + rows, None]) % t.R] = True
-            if covered.all():
-                break
-    return covered
+        for c in (log_r % t.R).tolist():
+            gaps &= t.nonunits_R >> c
+            if not gaps:
+                return np.empty(0, dtype=np.intp)
+    # unpack only the bytes that hold a gap
+    octets = np.frombuffer(gaps.to_bytes(-(-t.R // 8), "little"), dtype=np.uint8)
+    at = np.flatnonzero(octets)
+    rows, bits = np.nonzero(np.unpackbits(octets[at, None], axis=1, bitorder="little"))
+    return at[rows] * 8 + bits
 
 
 def _element_membership(
@@ -327,8 +328,7 @@ def _element_membership(
     bad: list[tuple[int, int]] = []
     for jw in range(t.n):
         if not settled(jw):
-            covered = _covered_for_w(t, jw, counters)
-            bad.extend((k, (k + jw) % t.n) for k in map(int, np.nonzero(~covered)[0]))
+            bad.extend((k, (k + jw) % t.n) for k in map(int, _uncovered_for_w(t, jw, counters)))
     bad.sort()
     failures = tuple((int(exp[k]), int(exp[jv])) for k, jv in bad)
     return MembershipResult(
@@ -402,6 +402,7 @@ def coverage_term(F: fd.FieldSpec, w: int, a: int) -> tuple[int, ...] | None:
     """The pattern of residues one primitive a covers at this w: residues k
     with gcd(k + log r, R) = 1 where r = a + w*a^-1.  None when r = 0 (such
     a contributes nothing and is skipped)."""
+    fd.check_nonzero(F.q, w=w, a=a)
     r = fd.add(F, a, fd.mul(F, w, fd.inv(F, a)))
     if r == 0:
         return None
@@ -470,10 +471,11 @@ def check_w(F: fd.FieldSpec, w: int, nc: int, factor: Fraction, stats: dict | No
     uncovered counts agree exactly; `stats["terms_peak"]` records its
     largest sum of |coefficients|.
     """
+    if w == 0:
+        raise ZeroDivisionError("w must be non-zero")
+    fd.check_nonzero(F.q, w=w)
     t = _uv_tables(F)
     jw = int(fd.log_table(F).log[w])
-    if jw < 0:
-        raise ZeroDivisionError("w must be non-zero")
     factor = Fraction(factor)
     family: dict[tuple[int, ...], tuple[int, int]] = {}
     uncovered = t.R
@@ -520,9 +522,6 @@ def check_element_membership_cover(q: int) -> MembershipResult:
 
 # --------------------------------------------------------------------------
 # the four classic special cases
-
-_SPECIAL_CASES = ("element-sum", "element-diff", "pair-sum", "pair-diff")
-
 
 def special_case_witnesses(q: int) -> dict[str, tuple[bool, tuple[int, ...] | int | None]]:
     """Existence and a first witness for the four classic (u, v) choices:

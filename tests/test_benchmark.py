@@ -6,12 +6,15 @@ probes no longer find or a CLI argv the parser refuses would otherwise
 show only when the benchmark runs.
 """
 
+import ast
 import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from uvprim import cli, field, verify
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -39,3 +42,28 @@ def test_traced_pair_repetition_meets_the_worker_contract():
     wl = _workloads()
     qs = wl.inputs("pair", 0)
     assert wl.check("pair", qs, result["outputs"]) == (len(qs), 0)
+
+
+def test_freeze_script_names_still_exist():
+    """`perfbench/freeze.py` re-freezes the reference outputs, rarely and
+    by hand; every package name it reads (the two table caches it clears
+    among them) must still resolve, or a table refactor breaks it silently."""
+    modules = {"cli": cli, "field": field, "verify": verify}
+    chains = set()
+    for node in ast.walk(ast.parse((PERFBENCH / "freeze.py").read_text())):
+        names = []
+        while isinstance(node, ast.Attribute):
+            names.append(node.attr)
+            node = node.value
+        if names and isinstance(node, ast.Name) and node.id in modules:
+            chains.add((node.id, *reversed(names)))
+    assert {
+        ("field", "log_table", "cache_clear"),
+        ("verify", "_uv_tables", "cache_clear"),
+        ("verify", "count_single_free"),
+        ("verify", "SingleCountQuery"),
+    } <= chains
+    for module, *names in chains:
+        obj = modules[module]
+        for name in names:
+            obj = getattr(obj, name)

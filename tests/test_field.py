@@ -6,6 +6,7 @@ identities rather than a second implementation.
 """
 
 import random
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -223,8 +224,15 @@ def test_log_table_shape():
 
 
 def test_log_table_cap():
-    with pytest.raises(LogTableTooLargeError):
-        fd.log_table(fd.build_field(13), cap=10)
+    F = fd.build_field(67_108_879)  # the first prime above the cap 2**26
+    tracemalloc.start()
+    try:
+        with pytest.raises(LogTableTooLargeError):
+            fd.log_table(F)
+        # refused before any table is allocated (one would take 256 MiB)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_discrete_log_of_zero_raises():

@@ -36,12 +36,25 @@ def test_is_uv_primitive_element_by_hand():
     assert not vf.is_uv_primitive_element(F, 0, 1, 1)
 
 
+@pytest.mark.parametrize("a,u,v", [(2, 0, 1), (2, 1, 0), (2, 13, 1), (2, 1, -1), (15, 1, 1), (13, 1, 1), (-2, 1, 1), (0, 0, 1)])
+def test_is_uv_primitive_element_rejects_inputs_outside_the_field(a, u, v):
+    # u = 0 lies outside the definition; a = 15 would otherwise be read as 2
+    with pytest.raises(ValueError, match=r"\[1, 13\)"):
+        vf.is_uv_primitive_element(fd.build_field(13), a, u, v)
+
+
 def test_is_uv_primitive_pair_by_hand():
     F = fd.build_field(7)
     # 3 and 5 are primitive; 3 - 5 = 5 and 5^-1 - 3^-1 = 3 - 5 = 5 primitive
     assert vf.is_uv_primitive_pair(F, 3, 5, 1, 6)
     assert not vf.is_uv_primitive_pair(F, 0, 3, 1, 1)
     assert not vf.is_uv_primitive_pair(F, 3, 0, 1, 1)
+
+
+@pytest.mark.parametrize("a,b,u,v", [(3, 5, 0, 6), (3, 5, 1, 7), (3, 12, 1, 6), (10, 5, 1, 6), (0, 7, 1, 6), (-4, 5, 1, 6)])
+def test_is_uv_primitive_pair_rejects_inputs_outside_the_field(a, b, u, v):
+    with pytest.raises(ValueError, match=r"\[1, 7\)"):
+        vf.is_uv_primitive_pair(fd.build_field(7), a, b, u, v)
 
 
 # ------------------------------------------------------------- exact counts
@@ -98,13 +111,13 @@ def test_single_count_near_2_pow_20_frozen(q, count):
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 13, 31, 64, 211, 961, 2311])
 def test_uv_tables_masks_match_gcd(q):
     """The one coprimality sieve gives the gcd definition of the primitive
-    exponents and of the units mod R, is what e = None reads, and cannot be
-    written through."""
+    exponents and of the non-units mod R (over two periods), is what
+    e = None reads, and cannot be written through."""
     t = vf._uv_tables(fd.build_field(q))
     prim = np.gcd(np.arange(t.n), t.n) == 1
     assert np.array_equal(t.prim, prim)
     assert np.array_equal(t.prim_m, np.flatnonzero(prim))
-    assert np.array_equal(t.units_R, np.flatnonzero(np.gcd(np.arange(t.R), t.R) == 1))
+    assert t.nonunits_R == sum(1 << k for k in range(2 * t.R) if gcd(k, t.R) > 1)
     assert vf._free_masks(t, (None,))[0] is t.prim
     assert not t.prim.flags.writeable
     with pytest.raises(ValueError):
@@ -176,7 +189,7 @@ print((peak_kib() - before) * 1024 / F.q)
 def test_table_build_peak_is_bounded_per_element(q):
     """Building a field's tables (log_table, then L1 and the masks) lifts
     the peak RSS by at most 20 bytes per element.  This build measures
-    16.0 (prime q = 4,194,301) and 17.3 (3**15); int64 tables measured 48,
+    16.0 (prime q = 4,194,301) and 17.0 (3**15); int64 tables measured 48,
     and an L1 built through whole-field int32 temporaries measures 25."""
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -396,12 +409,35 @@ def test_membership_stats_frozen(q):
     assert vf.check_pair_membership(q).stats == brute
 
 
-@pytest.mark.parametrize("q", [13, 31, 211])
-def test_blocked_coverage_scatter_changes_nothing(q, monkeypatch):
-    # one residue row per scatter block instead of all of them at once
-    whole = vf.check_element_membership_logs(q)
-    monkeypatch.setattr(vf, "_SCATTER", 1)
-    assert vf.check_element_membership_logs(q) == whole
+def _packed_add(F, a, b):
+    """Elementwise sums of arrays of packed elements, base-p digit by digit."""
+    out = np.zeros_like(a)
+    for i in range(F.r):
+        pw = F.p**i
+        out += (a // pw % F.p + b // pw % F.p) % F.p * pw
+    return out
+
+
+@pytest.mark.parametrize("q", [2, 3, 13, 31, 61, 211, 2311, 3**7])
+def test_uncovered_residues_match_the_gcd_definition(q):
+    """For every w = gamma**jw, the direct pass returns exactly the k mod R
+    with gcd(k + log r, R) > 1 for every primitive a = gamma**m whose
+    r = a + w a^-1 = gamma**m + gamma**(jw - m) is nonzero, the sums taken
+    by field addition rather than through the add-one table."""
+    F = fd.build_field(q)
+    T = fd.log_table(F)
+    t = vf._uv_tables(F)
+    n, R = q - 1, t.R
+    shared = np.array([gcd(k, R) > 1 for k in range(R)])
+    ms = np.array([m for m in range(n) if gcd(m, n) == 1])
+    for jw in range(n):
+        r = _packed_add(F, T.exp[ms], T.exp[(jw - ms) % n])
+        left = np.arange(R)
+        for c in T.log[r[r != 0]] % R:
+            left = left[shared[(left + c) % R]]
+            if not left.size:
+                break
+        assert np.array_equal(vf._uncovered_for_w(t, jw), left), (q, jw)
 
 
 # ------------------------------------------------------- pair-set membership
@@ -446,6 +482,13 @@ def test_coverage_term_by_hand():
     F = fd.build_field(13)
     term = vf.coverage_term(F, 1, 2)  # r = 2 + 1/2 = 9 = gamma^8
     assert [b.bit_count() for b in term] == [1, 2]
+
+
+@pytest.mark.parametrize("w,a", [(1, 15), (1, 13), (1, -1), (1, 0), (0, 2), (13, 2), (-12, 2)])
+def test_coverage_term_rejects_elements_outside_the_field(w, a):
+    # a = 15 would otherwise be read as 2
+    with pytest.raises(ValueError, match=r"\[1, 13\)"):
+        vf.coverage_term(fd.build_field(13), w, a)
 
 
 def test_coverage_term_vanishing_r():
@@ -546,7 +589,7 @@ def test_exhaustive_check_w_equals_direct_coverage(q):
     exp = fd.log_table(F).exp
     phi = len(fd.primitive_elements(F))
     for jw in range(q - 1):
-        assert vf.check_w(F, int(exp[jw]), phi, Fraction(1)) == vf._covered_for_w(t, jw).all(), (q, jw)
+        assert vf.check_w(F, int(exp[jw]), phi, Fraction(1)) == (vf._uncovered_for_w(t, jw).size == 0), (q, jw)
 
 
 def test_check_w_stats_and_zero_w():
@@ -555,6 +598,12 @@ def test_check_w_stats_and_zero_w():
     assert stats["terms_peak"] >= 1
     with pytest.raises(ZeroDivisionError):
         vf.check_w(fd.build_field(23), 0, 10, Fraction(3, 4))
+
+
+@pytest.mark.parametrize("w", [23, -1, 24, 10**6])
+def test_check_w_rejects_w_outside_the_field(w):
+    with pytest.raises(ValueError, match=r"\[1, 23\)"):
+        vf.check_w(fd.build_field(23), w, 10, Fraction(3, 4))
 
 
 # ------------------------------------------------------------- special cases
