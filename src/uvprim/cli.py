@@ -5,7 +5,8 @@ Subcommands
 
   screen   bound-based screening over a range (or --survey for one omega row,
            or --needs-check-only for the fast full-range sweep)
-  verify   exhaustive membership checks (element set: logs/ie; pair set: brute)
+  verify   exhaustive membership checks (element set: logs/ie; pair set:
+           lift, from the element failures, or brute)
   oracle   exact counts (N, M) and the four classic special cases
 
 Reports are deterministic: records sorted ascending by q, identical inputs
@@ -130,11 +131,12 @@ def _screen_record(pp: ntcore.PrimePowerId) -> dict:
 _CHECKERS = {
     "logs": "check_element_membership_logs",
     "ie": "check_element_membership_cover",
+    "lift": "check_pair_membership_lift",
     "brute": "check_pair_membership",
 }
 # the algorithms of each --set, the default first; "both" cross-checks logs
 # against ie
-_ALGOS = dict.fromkeys(("T", "element"), ("logs", "ie", "both")) | dict.fromkeys(("S", "pair"), ("brute",))
+_ALGOS = dict.fromkeys(("T", "element"), ("logs", "ie", "both")) | dict.fromkeys(("S", "pair"), ("lift", "brute"))
 
 
 def _verify_record(job: tuple[str, ntcore.PrimePowerId]) -> dict:
@@ -346,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="exhaustive membership verification")
     common(sp)
     sp.add_argument("--set", required=True, choices=("T", "S", "element", "pair"), help="which membership set")
-    sp.add_argument("--algo", choices=("logs", "ie", "both", "brute"))
+    sp.add_argument("--algo", choices=("logs", "ie", "both", "lift", "brute"))
     sp.add_argument("--expect", help="JSON file with the expected non-member q list")
     sp.set_defaults(func=run_verify)
 

@@ -16,7 +16,7 @@ gcd(k + log r, R) = 1: a pattern, one residue bitset per prime of R.
 Every e-free mask comes from `ntcore.coprime_mask`; the tables hold the
 primitive one (`prim`, e = q - 1), built once per field.
 
-Three checkers:
+Four checkers, two per set:
 
 * `check_element_membership_logs` -- direct coverage over residues
   log u mod R, one nonzero w at a time, with the classes still uncovered
@@ -24,8 +24,13 @@ Three checkers:
 * `check_element_membership_cover` -- same decision, but w whose uncovered
   count the signed coverage family brings to zero (with an
   accept-or-discard ladder keeping it small) skip the direct pass;
+* `check_pair_membership_lift` -- the pair problem decided from the
+  element failures: an element witness a lifts to the pair witness
+  (a, a^-1), so only the classes (log u mod R, log w) that fail the element
+  problem for both (u, v) and (v, u) get a pair witness scan;
 * `check_pair_membership` -- brute force over (u,v) orbits for the pair
-  problem, vectorized over the second primitive element.
+  problem, vectorized over the second primitive element; the oracle of
+  the lift.
 
 The signed coverage family is one engine, pattern -> (net coefficient,
 size) with uncovered = R + sum of coefficient * size, grown by `_offer`
@@ -63,6 +68,7 @@ __all__ = [
     "check_element_membership_cover",
     "check_element_membership_logs",
     "check_pair_membership",
+    "check_pair_membership_lift",
     "check_w",
     "count_pairs_free",
     "count_single_free",
@@ -278,7 +284,7 @@ class MembershipResult:
     set: str  # "element" | "pair"
     member: bool
     failures: tuple[tuple[int, int], ...]
-    algorithm: str  # "logs" | "ie" | "brute"
+    algorithm: str  # "logs" | "ie" | "lift" | "brute"
     stats: dict
 
 
@@ -367,6 +373,50 @@ def check_pair_membership(q: int) -> MembershipResult:
     return MembershipResult(
         q=q, set="pair", member=not failures, failures=failures,
         algorithm="brute", stats=stats,
+    )
+
+
+def check_pair_membership_lift(q: int) -> MembershipResult:
+    """Decide pair-set membership from the element check's failures.
+
+    An element witness a for (u, v) gives the pair witness (a, a^-1), since
+    both pair sums are then u a + v a^-1; one for (v, u) gives (a^-1, a).
+    So (u, v) can fail the pair problem only if it and (v, u) both fail the
+    element problem.  Both pair sums are u times a function of w = u^-1 v,
+    so whether (u, v) fails depends only on its class (k, jw) = (log u mod
+    R, log w), the key the element check lists its failures by (once per
+    class, at log u = k < R).  One witness scan at log u = k decides a
+    class; its failures are expanded to every log u = k mod R and reported
+    as `check_pair_membership` reports them.  The stats are the scan's
+    counters ("orbits" counts classes scanned) and the element check's.
+    """
+    F = fd.build_field(q)
+    t = _uv_tables(F)
+    T = fd.log_table(F)
+    # looked up in the module at call time, so a wrapped replacement runs
+    element = check_element_membership_logs(q)
+    classes = {
+        (int(T.log[u]) % t.R, int(T.log[v] - T.log[u]) % t.n) for u, v in element.failures
+    }
+    stats = {"orbits": 0, "witness_scans": 0, **element.stats}
+    failing: list[tuple[int, int]] = []
+    for k, jw in classes:
+        if ((k + jw) % t.R, -jw % t.n) not in classes:
+            continue  # (v, u) has an element witness
+        stats["orbits"] += 1
+        for hits in _pair_hits(t, k, jw, t.prim_m, t.prim_m, t.prim, t.prim):
+            stats["witness_scans"] += 1
+            if np.count_nonzero(hits):
+                break
+        else:
+            failing.append((k, jw))
+    bad = sorted(
+        (ju, jv) for k, jw in failing for ju in range(k, t.n, t.R) if ju <= (jv := (ju + jw) % t.n)
+    )
+    failures = tuple((int(T.exp[a]), int(T.exp[b])) for a, b in bad)
+    return MembershipResult(
+        q=q, set="pair", member=not failures, failures=failures,
+        algorithm="lift", stats=stats,
     )
 
 

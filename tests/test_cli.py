@@ -183,11 +183,28 @@ def test_verify_explicit_q_list(tmp_path):
     assert rep["records"][0]["algorithm"] == "logs"
 
 
-def test_verify_pair_defaults_to_brute(tmp_path):
+def test_verify_pair_defaults_to_lift(tmp_path):
     _, rep = run(["verify", "--set", "pair", "--q", "7", "--jobs", "1"], tmp_path)
-    rec = rep["records"][0]
-    assert rec["algorithm"] == "brute"
-    assert [1, 1] in rec["failures"]
+    lift = rep["records"][0]
+    assert lift["algorithm"] == "lift"
+    assert [1, 1] in lift["failures"]
+    _, rep = run(["verify", "--set", "pair", "--q", "7", "--algo", "brute", "--jobs", "1"], tmp_path)
+    brute = rep["records"][0]
+    assert brute["algorithm"] == "brute"
+    assert brute["failures"] == lift["failures"]
+    assert set(brute["stats"]) == {"orbits", "witness_scans"}
+
+
+def test_verify_pair_set_decided_to_1000(tmp_path):
+    expect = str(files("uvprim.data") / "exceptional_pair.json")
+    code, rep = run(
+        ["verify", "--set", "S", "--max", "1000", "--jobs", "1", "--expect", expect],
+        tmp_path,
+    )
+    assert code == 0
+    assert rep["expect"]["match"] is True
+    assert rep["totals"]["non_members"] == [2, 3, 4, 5, 7, 13]
+    assert rep["totals"]["records"] == len(ntcore.enumerate_prime_powers(2, 1000))
 
 
 def test_checkers_and_counters_are_looked_up_at_call_time(tmp_path, monkeypatch):
@@ -196,7 +213,8 @@ def test_checkers_and_counters_are_looked_up_at_call_time(tmp_path, monkeypatch)
     calls = []
 
     for name in ("check_element_membership_logs", "check_element_membership_cover",
-                 "check_pair_membership", "count_pairs_free", "count_single_free"):
+                 "check_pair_membership_lift", "check_pair_membership",
+                 "count_pairs_free", "count_single_free"):
         def spy(arg, original=getattr(verify, name), name=name):
             calls.append(name)
             return original(arg)
@@ -204,10 +222,13 @@ def test_checkers_and_counters_are_looked_up_at_call_time(tmp_path, monkeypatch)
         monkeypatch.setattr(verify, name, spy)
     run(["verify", "--set", "T", "--q", "7", "--algo", "both", "--jobs", "1"], tmp_path)
     run(["verify", "--set", "S", "--q", "7", "--jobs", "1"], tmp_path)
+    run(["verify", "--set", "S", "--q", "7", "--algo", "brute", "--jobs", "1"], tmp_path)
     run(["oracle", "N", "--q", "7"], tmp_path)
     run(["oracle", "M", "--q", "7"], tmp_path)
     assert calls == [
         "check_element_membership_logs", "check_element_membership_cover",
+        # the lift runs the element check through the module as well
+        "check_pair_membership_lift", "check_element_membership_logs",
         "check_pair_membership", "count_pairs_free", "count_single_free",
     ]
 

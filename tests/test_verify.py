@@ -409,6 +409,20 @@ def test_membership_stats_frozen(q):
     assert vf.check_pair_membership(q).stats == brute
 
 
+# the lift's stats: its witness scans over the classes it scanned, then the
+# counters of the element check it ran (the `logs` entries of FROZEN_STATS)
+FROZEN_LIFT_STATS = {
+    13: {"orbits": 34, "witness_scans": 52, "primitives_consumed": 48, "logs_computed": 44, "w_values": 12},
+    31: {"orbits": 73, "witness_scans": 98, "primitives_consumed": 240, "logs_computed": 232, "w_values": 30},
+    61: {"orbits": 142, "witness_scans": 147, "primitives_consumed": 960, "logs_computed": 944, "w_values": 60},
+}
+
+
+@pytest.mark.parametrize("q", sorted(FROZEN_LIFT_STATS))
+def test_pair_lift_stats_frozen(q):
+    assert vf.check_pair_membership_lift(q).stats == FROZEN_LIFT_STATS[q]
+
+
 def _packed_add(F, a, b):
     """Elementwise sums of arrays of packed elements, base-p digit by digit."""
     out = np.zeros_like(a)
@@ -444,21 +458,45 @@ def test_uncovered_residues_match_the_gcd_definition(q):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 13])
 def test_pair_membership_exceptional(q):
-    res = vf.check_pair_membership(q)
-    assert res.set == "pair" and not res.member
-    assert res.failures
     F = fd.build_field(q)
     prim = fd.primitive_elements(F)
-    for u, v in res.failures:
-        assert not any(
-            vf.is_uv_primitive_pair(F, a, b, u, v) for a in prim for b in prim
-        ), (q, u, v)
+    for res in (vf.check_pair_membership(q), vf.check_pair_membership_lift(q)):
+        assert res.set == "pair" and not res.member
+        assert res.failures
+        for u, v in res.failures:
+            assert not any(
+                vf.is_uv_primitive_pair(F, a, b, u, v) for a in prim for b in prim
+            ), (q, res.algorithm, u, v)
 
 
 @pytest.mark.parametrize("q", [8, 9, 11, 16, 17, 19, 25])
 def test_pair_membership_members(q):
-    res = vf.check_pair_membership(q)
-    assert res.member and res.failures == ()
+    for res in (vf.check_pair_membership(q), vf.check_pair_membership_lift(q)):
+        assert res.member and res.failures == ()
+
+
+def test_pair_lift_matches_brute_to_100():
+    """The lift reports brute force's verdict and failure tuple, in the same
+    order, on every prime power up to 100."""
+    for q in (q for q in range(2, 101) if nt.is_prime_power(q)):
+        lift, brute = vf.check_pair_membership_lift(q), vf.check_pair_membership(q)
+        assert (lift.member, lift.failures) == (brute.member, brute.failures), q
+        assert (lift.algorithm, brute.algorithm) == ("lift", "brute")
+
+
+def test_pair_failures_are_whole_classes_mod_R():
+    """Both pair sums are u times a function of w = u^-1 v, so whether
+    (u, v) fails depends only on (log u mod R, log w): brute force's
+    failures, with their swaps, are whole classes {log u = k mod R} at each
+    fixed log w.  The lift scans each class once, at log u = k."""
+    for q in (q for q in range(2, 65) if nt.is_prime_power(q)):
+        T = fd.log_table(fd.build_field(q))
+        n, R = q - 1, nt.profile(q - 1).radical
+        listed = {(int(T.log[u]), int(T.log[v])) for u, v in vf.check_pair_membership(q).failures}
+        failing = listed | {(jv, ju) for ju, jv in listed}
+        for ju, jv in failing:
+            jw = (jv - ju) % n
+            assert all((k, (k + jw) % n) in failing for k in range(ju % R, n, R)), (q, ju, jv)
 
 
 def test_pair_membership_reports_orbit_representatives():
