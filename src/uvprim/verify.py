@@ -11,7 +11,10 @@ gcd(log u + log r, R) = 1 where R = Rad(n).  No field multiplications happen
 in any hot loop -- just index arithmetic on numpy arrays.
 
 So each primitive a (r != 0) covers the classes k = log u mod R with
-gcd(k + log r, R) = 1: a pattern, one residue bitset per prime of R.
+gcd(k + log r, R) = 1: a pattern, held as one R-bit int with bit k set iff
+k is covered.  With c = log r mod R it is the complement of
+`nonunits_R >> c`, the shift the direct pass ANDs in; by CRT, two patterns
+meet in their AND and a pattern's size is its popcount.
 
 Every e-free mask comes from `ntcore.coprime_mask`; the tables hold the
 primitive one (`prim`, e = q - 1), built once per field.
@@ -32,9 +35,9 @@ Four checkers, two per set:
   problem, vectorized over the second primitive element; the oracle of
   the lift.
 
-The signed coverage family is one engine, pattern -> (net coefficient,
-size) with uncovered = R + sum of coefficient * size, grown by `_offer`
-and `_commit`: in place for one w by `check_w`, one offer at a time on
+The signed coverage family is one engine, pattern -> net coefficient
+with uncovered = R + sum of coefficient * popcount, grown by `_offer` and
+`_commit`: in place for one w by `check_w`, one offer at a time on
 immutable states by `coverage_start` / `coverage_term` / `coverage_merge`.
 
 `_sum_log` is the one read of L1: log(u a + v b) = log u + x + L1[(jw + y -
@@ -51,7 +54,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -426,14 +428,14 @@ def check_pair_membership_lift(q: int) -> MembershipResult:
 @dataclass(frozen=True)
 class CoverageState:
     """The signed coverage family of the accepted covered sets: `family`
-    maps each pattern (per-prime bitsets, bit l set = residue l still
-    admissible) to (net signed coefficient, size), and `uncovered` = R +
-    sum of coefficient * size = the classes mod R not yet covered.  Never
-    changed once made: `coverage_merge` commits into a copy."""
+    maps each pattern (an R-bit int, bit k set iff the class k mod R lies in
+    the set) to its nonzero net signed coefficient, and `uncovered` = R +
+    sum of coefficient * popcount = the classes mod R not yet covered.
+    Never changed once made: `coverage_merge` commits into a copy."""
 
     R: int
     primes: tuple[int, ...]
-    family: dict[tuple[int, ...], tuple[int, int]]
+    family: dict[int, int]
     uncovered: int
 
 
@@ -443,65 +445,76 @@ def coverage_start(q: int) -> CoverageState:
     return CoverageState(R=prof.radical, primes=prof.primes, family={}, uncovered=prof.radical)
 
 
-def _pattern(primes: tuple[int, ...], log_r: int) -> tuple[int, ...]:
-    # gcd(k + log_r, R) = 1 iff k != -log_r mod every prime of R
-    return tuple(((1 << p) - 1) & ~(1 << ((-log_r) % p)) for p in primes)
+def _pattern(t: _UVTables, log_r: int) -> int:
+    """The classes k mod R with gcd(k + log r, R) = 1, as an R-bit int: the
+    complement of the `nonunits_R` shift that `_uncovered_for_w` ANDs in.
+    By CRT, two patterns meet in their AND."""
+    return ((1 << t.R) - 1) & ~(t.nonunits_R >> (log_r % t.R))
 
 
-def coverage_term(F: fd.FieldSpec, w: int, a: int) -> tuple[int, ...] | None:
-    """The pattern of residues one primitive a covers at this w: residues k
-    with gcd(k + log r, R) = 1 where r = a + w*a^-1.  None when r = 0 (such
-    a contributes nothing and is skipped)."""
+def coverage_term(F: fd.FieldSpec, w: int, a: int) -> int | None:
+    """The pattern of the classes k = log u mod R that one primitive a
+    covers at this w, as an R-bit int: bit k set iff gcd(k + log r, R) = 1
+    where r = a + w*a^-1.  None when r = 0 (such a contributes nothing and
+    is skipped)."""
     fd.check_nonzero(F.q, w=w, a=a)
     r = fd.add(F, a, fd.mul(F, w, fd.inv(F, a)))
     if r == 0:
         return None
-    return _pattern(F.q_minus_1.primes, fd.discrete_log(F, r))
+    return _pattern(_uv_tables(F), fd.discrete_log(F, r))
 
 
-def _offer(family: dict, pattern: tuple[int, ...]) -> tuple[int, list]:
+def _offer(family: dict[int, int], pattern: int) -> tuple[int, list]:
     """(change of the uncovered count, children) if the covered set
     `pattern` joins the union: the set itself with coefficient -1, and its
-    intersection with every stored pattern (per-prime AND, empty ones
-    dropped) with the stored coefficient negated."""
-    size = prod(map(int.bit_count, pattern))
-    delta = -size
-    children = [(pattern, -1, size)]
-    for bits, (coef, _) in family.items():
-        meet = tuple(map(int.__and__, bits, pattern))
-        size = prod(map(int.bit_count, meet))
-        if size:
-            children.append((meet, -coef, size))
-            delta -= coef * size
+    intersection with every stored pattern (empty ones dropped) with the
+    stored coefficient negated."""
+    delta = -pattern.bit_count()
+    children = [(pattern, -1)]
+    for bits, coef in family.items():
+        meet = bits & pattern
+        if meet:
+            children.append((meet, -coef))
+            delta -= coef * meet.bit_count()
     return delta, children
 
 
-def _commit(family: dict, children: list) -> None:
-    # patterns whose coefficients cancel drop out of every later sum, which
-    # keeps the family near the number of distinct patterns
-    for bits, dcoef, size in children:
-        coef = family.get(bits, (0,))[0] + dcoef
+def _commit(family: dict[int, int], children: list) -> int:
+    """Add the children into `family`; returns the change of the sum of
+    |coefficients|.  Patterns whose coefficients cancel drop out of every
+    later sum, which keeps the family near the number of distinct
+    patterns."""
+    change = 0
+    for bits, dcoef in children:
+        old = family.get(bits, 0)
+        coef = old + dcoef
+        change += abs(coef) - abs(old)
         if coef:
-            family[bits] = (coef, size)
+            family[bits] = coef
         else:
             del family[bits]
+    return change
 
 
-def _accepts(uncovered: int, delta: int, factor: Fraction) -> bool:
-    return (uncovered + delta) * factor.denominator <= uncovered * factor.numerator
+def _accepts(uncovered: int, delta: int, num: int, den: int) -> bool:
+    return (uncovered + delta) * den <= uncovered * num
 
 
 def coverage_merge(
-    state: CoverageState, term: tuple[int, ...], always_accept: bool, factor: Fraction
+    state: CoverageState, term: int, always_accept: bool, factor: Fraction
 ) -> CoverageState:
     """Offer one covered set (a `coverage_term` pattern) to the state.
 
     The offer is committed iff `always_accept` or the new uncovered count is
     at most `factor` times the old one (exact rational comparison): the
     result is then a new state.  A rejected offer returns `state` itself.
+    Raises ValueError unless 0 < term < 2**R.
     """
+    if not 0 < term < 1 << state.R:
+        raise ValueError(f"a coverage term must be a nonzero {state.R}-bit pattern")
     delta, children = _offer(state.family, term)
-    if not always_accept and not _accepts(state.uncovered, delta, Fraction(factor)):
+    factor = Fraction(factor)
+    if not always_accept and not _accepts(state.uncovered, delta, factor.numerator, factor.denominator):
         return state
     family = dict(state.family)
     _commit(family, children)
@@ -527,21 +540,21 @@ def check_w(F: fd.FieldSpec, w: int, nc: int, factor: Fraction, stats: dict | No
     t = _uv_tables(F)
     jw = int(fd.log_table(F).log[w])
     factor = Fraction(factor)
-    family: dict[tuple[int, ...], tuple[int, int]] = {}
+    num, den = factor.numerator, factor.denominator
+    family: dict[int, int] = {}
     uncovered = t.R
+    terms = 0  # the family's sum of |coefficients|
     c = 0
     for _, log_rs in _log_r_chunks(t, jw):
         for log_r in map(int, log_rs):
             c += 1
-            delta, children = _offer(family, _pattern(t.primes, log_r))
-            if c > nc and not _accepts(uncovered, delta, factor):
+            delta, children = _offer(family, _pattern(t, log_r))
+            if c > nc and not _accepts(uncovered, delta, num, den):
                 continue
             uncovered += delta
-            _commit(family, children)
-            if stats is not None:
-                peak = sum(abs(coef) for coef, _ in family.values())
-                if peak > stats.get("terms_peak", 0):
-                    stats["terms_peak"] = peak
+            terms += _commit(family, children)
+            if stats is not None and terms > stats.get("terms_peak", 0):
+                stats["terms_peak"] = terms
             if uncovered == 0:
                 return True
     return False

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+import tuple_coverage as tc
 from uvprim import field as fd
 from uvprim import ntcore as nt
 from uvprim import verify as vf
@@ -409,6 +410,23 @@ def test_membership_stats_frozen(q):
     assert vf.check_pair_membership(q).stats == brute
 
 
+# The `ie` stats and failure counts beyond q = 61, captured at a reference
+# commit, where the ladder's first rung settles most w and the family grows
+# to hundreds of terms.
+FROZEN_IE_STATS = {
+    121: ({"stage_passes": [80, 0, 0, 0], "terms_peak": 56}, 44),
+    211: ({"stage_passes": [210, 0, 0, 0], "terms_peak": 232}, 0),
+    243: ({"stage_passes": [242, 0, 0, 0], "terms_peak": 130}, 0),
+    256: ({"stage_passes": [255, 0, 0, 0], "terms_peak": 1521}, 0),
+}
+
+
+@pytest.mark.parametrize("q", sorted(FROZEN_IE_STATS))
+def test_cover_stats_frozen_beyond_61(q):
+    res = vf.check_element_membership_cover(q)
+    assert (res.stats, len(res.failures)) == FROZEN_IE_STATS[q]
+
+
 # the lift's stats: its witness scans over the classes it scanned, then the
 # counters of the element check it ran (the `logs` entries of FROZEN_STATS)
 FROZEN_LIFT_STATS = {
@@ -519,7 +537,8 @@ def test_coverage_start():
 def test_coverage_term_by_hand():
     F = fd.build_field(13)
     term = vf.coverage_term(F, 1, 2)  # r = 2 + 1/2 = 9 = gamma^8
-    assert [b.bit_count() for b in term] == [1, 2]
+    # gcd(k + 8, 6) = 1 for k in [0, 6) exactly at k = 3, 5
+    assert term == 0b101000 and term.bit_count() == 2
 
 
 @pytest.mark.parametrize("w,a", [(1, 15), (1, 13), (1, -1), (1, 0), (0, 2), (13, 2), (-12, 2)])
@@ -544,11 +563,25 @@ def test_coverage_merge_basics():
     assert one.uncovered == state.R - 2
     assert len(one.family) == 1
 
-    # merging the identical term again changes nothing: the new copy and its
-    # self-intersection cancel, and consolidation collapses the family back
+    # merging the identical term again changes nothing: its copy (-1) and
+    # its meet with the stored term (+1) cancel, as (1 - [P])^2 = 1 - [P]
     two = vf.coverage_merge(one, term, True, Fraction(1))
     assert two.uncovered == one.uncovered
-    assert len(two.family) == 1
+    assert two.family == one.family == {term: -1}
+
+
+def test_coverage_merge_rejects_a_term_of_another_field():
+    # F_31 has R = 30, F_13 has R = 6: a 30-bit term is no pattern of F_13,
+    # and merged anyway it would drive the uncovered count negative
+    state = vf.coverage_start(13)
+    big = vf.coverage_term(fd.build_field(31), 1, 3)
+    assert big >= 1 << state.R
+    with pytest.raises(ValueError, match="6-bit"):
+        vf.coverage_merge(state, big, True, Fraction(1))
+    for bad in (0, -1, 1 << 6):
+        with pytest.raises(ValueError, match="6-bit"):
+            vf.coverage_merge(state, bad, True, Fraction(1))
+    assert vf.coverage_merge(state, (1 << 6) - 1, True, Fraction(1)).uncovered == 0
 
 
 def test_coverage_merge_rejection_returns_the_same_state():
@@ -560,6 +593,8 @@ def test_coverage_merge_rejection_returns_the_same_state():
     assert rejected is state
     accepted = vf.coverage_merge(state, term, False, Fraction(3, 4))
     assert accepted is not state
+    # "at most": a cut to exactly 4/6 of the count is accepted at 2/3
+    assert vf.coverage_merge(state, term, False, Fraction(2, 3)) is not state
 
 
 def test_coverage_union_at_f13():
@@ -628,6 +663,22 @@ def test_exhaustive_check_w_equals_direct_coverage(q):
     phi = len(fd.primitive_elements(F))
     for jw in range(q - 1):
         assert vf.check_w(F, int(exp[jw]), phi, Fraction(1)) == (vf._uncovered_for_w(t, jw).size == 0), (q, jw)
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 65) if nt.is_prime_power(q)])
+def test_check_w_matches_the_tuple_pattern_oracle(q):
+    """For every w and every ladder rung plus the exhaustive one, `check_w`
+    on one-integer patterns gives the answer and `terms_peak` of the engine
+    that kept each pattern as a tuple of per-prime bitsets."""
+    F = fd.build_field(q)
+    exp = fd.log_table(F).exp
+    rungs = vf._LADDER + ((vf._uv_tables(F).prim_m.size, Fraction(1)),)
+    for jw in range(q - 1):
+        w = int(exp[jw])
+        for nc, factor in rungs:
+            got, want = {}, {}
+            assert vf.check_w(F, w, nc, factor, got) == tc.check_w(F, w, nc, factor, want), (q, w, nc)
+            assert got == want, (q, w, nc)
 
 
 def test_check_w_stats_and_zero_w():
