@@ -28,6 +28,12 @@ exponent (``verify``'s ``prim_m``) and 2 Rad(q - 1) bits (its
 for q = 2**k; 14.5 at q = 31,651,621 and 18.6 at the cap q = 2**26 (1.25 GB).
 The tables are filled in slices of ``TABLE_SLICE`` entries, so no build
 holds an n-sized temporary.
+
+Only one field's tables stay cached: ``log_table`` and ``verify``'s tables
+each keep the last field asked for, since no command goes back to a field
+it has left.  ``lru_cache`` drops the old entry only after building the new
+one, so a switch between fields holds at most two fields' tables: about
+2.5 GB at the cap.
 """
 
 from __future__ import annotations
@@ -242,17 +248,19 @@ def is_square(F: FieldSpec, a: int) -> bool:
 def is_e_free(F: FieldSpec, a: int, e: int) -> bool:
     """a != 0 is e-free: no prime l | e allows writing a as an l-th power.
 
-    Requires e | q - 1.  Only Rad(e) matters, and 1-freeness is vacuous.
+    Requires e | q - 1 and a in [1, q).  Only Rad(e) matters, and
+    1-freeness is vacuous.
     """
     if e < 1 or (F.q - 1) % e:
         raise InvalidDivisorError(f"e={e} does not divide q-1={F.q - 1}")
-    if a == 0:
-        raise ValueError("freeness is only defined for nonzero elements")
+    check_nonzero(F.q, a=a)  # freeness is only defined for nonzero elements
     return all(power(F, a, (F.q - 1) // l) != 1 for l in profile(e).primes)
 
 
 def is_primitive(F: FieldSpec, a: int) -> bool:
-    """a generates the multiplicative group, i.e. a is (q-1)-free."""
+    """a generates the multiplicative group, i.e. a is (q-1)-free; 0 never
+    does.  Raises ValueError unless a lies in [0, q)."""
+    check_nonzero(F.q, a=a or 1)
     if a == 0:
         return False
     return all(power(F, a, (F.q - 1) // l) != 1 for l in F.q_minus_1.primes)
@@ -325,7 +333,7 @@ def _exp_array_ext(F: FieldSpec) -> np.ndarray:
     return exp
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def log_table(F: FieldSpec) -> LogTable:
     if F.q > LOG_TABLE_CAP:
         raise LogTableTooLargeError(f"q={F.q} exceeds the log-table cap {LOG_TABLE_CAP}")
@@ -355,13 +363,13 @@ def _bsgs(F: FieldSpec, h: int, base: int, order: int) -> int:
 
 
 def discrete_log(F: FieldSpec, a: int) -> int:
-    """The exponent j in [0, q-1) with gamma**j = a, for nonzero a.
+    """The exponent j in [0, q-1) with gamma**j = a, for a in [1, q)
+    (ValueError otherwise: 0 has no discrete log).
 
     Pohlig-Hellman over the factorization of q - 1, with BSGS in each
     prime-order subgroup; no dense table required.
     """
-    if a == 0:
-        raise ValueError("0 has no discrete log")
+    check_nonzero(F.q, a=a)
     n = F.q - 1
     if n == 1:
         return 0

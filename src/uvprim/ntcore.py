@@ -513,7 +513,7 @@ def _odd_prime_power_multiples(n: int, primes: list[int], i: int, k: int, top: i
 # --------------------------------------------------------------------------
 # exact square roots
 
-def sqrt_bounds(q: int, bits: int = 40) -> tuple[Fraction, Fraction]:
-    """A tight rational enclosure lo <= sqrt(q) <= hi with hi - lo = 2**-bits."""
-    s = isqrt(q << (2 * bits))
-    return Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits)
+def sqrt_bounds(q: int) -> tuple[Fraction, Fraction]:
+    """A tight rational enclosure lo <= sqrt(q) <= hi with hi - lo = 2**-40."""
+    s = isqrt(q << 80)
+    return Fraction(s, 1 << 40), Fraction(s + 1, 1 << 40)

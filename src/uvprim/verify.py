@@ -92,14 +92,19 @@ class _UVTables(NamedTuple):
     n: int  # q - 1
     R: int  # Rad(q - 1)
     primes: tuple[int, ...]  # the primes of R
+    exp: np.ndarray  # `fd.log_table`'s arrays themselves, not copies
+    log: np.ndarray
     L1: np.ndarray  # int32, L1[t] = log(1 + gamma^t), -1 where the sum vanishes
     prim: np.ndarray  # prim[x] = gcd(x, n) == 1, read-only
     prim_m: np.ndarray  # exponents of the primitive elements
     nonunits_R: int  # bit k set iff gcd(k, R) > 1, for 0 <= k < 2R
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=1)
 def _uv_tables(F: fd.FieldSpec) -> _UVTables:
+    """All of one field's tables.  Only the last field asked for stays
+    cached (as in `fd.log_table`): no command goes back to a field it has
+    left, and a switch holds at most two fields' tables."""
     n = F.q - 1
     prof = F.q_minus_1
     R = prof.radical
@@ -116,7 +121,7 @@ def _uv_tables(F: fd.FieldSpec) -> _UVTables:
     prim.flags.writeable = False
     # R | n and R has the primes of n, so prim[:R] marks the units mod R
     nonunits = int.from_bytes(np.packbits(~prim[:R], bitorder="little").tobytes(), "little")
-    return _UVTables(n, R, prof.primes, L1, prim, np.flatnonzero(prim), nonunits | nonunits << R)
+    return _UVTables(n, R, prof.primes, T.exp, T.log, L1, prim, np.flatnonzero(prim), nonunits | nonunits << R)
 
 
 def _free_masks(t: _UVTables, es) -> list[np.ndarray]:
@@ -154,6 +159,19 @@ def _pair_hits(t: _UVTables, ju: int, jw: int, xs, ys, m3: np.ndarray, m4: np.nd
     for x in map(int, xs):
         log3, ok = _sum_log(t, ju, jw, x, ys)
         yield ok & m3[log3] & m4[(log3 - x - ys) % t.n]
+
+
+def _pair_witness(t: _UVTables, ju: int, jw: int, stats: dict | None = None) -> tuple[int, int] | None:
+    """The exponents (x, y) of the first primitive pair witness for
+    u = gamma**ju, w = gamma**jw, least x then least y; None if there is
+    none.  Each x scanned counts in `stats["witness_scans"]`, if given."""
+    for i, hits in enumerate(_pair_hits(t, ju, jw, t.prim_m, t.prim_m, t.prim, t.prim)):
+        if stats is not None:
+            stats["witness_scans"] += 1
+        j = hits.argmax()  # the first hit, if there is one
+        if hits[j]:
+            return int(t.prim_m[i]), int(t.prim_m[j])
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -332,13 +350,12 @@ def _element_membership(
     (u, v) = (gamma**k, gamma**(k + jw)).  `counters`, if given, tallies
     the primitive exponents and logs those passes consume."""
     t = _uv_tables(F)
-    exp = fd.log_table(F).exp
     bad: list[tuple[int, int]] = []
     for jw in range(t.n):
         if not settled(jw):
             bad.extend((k, (k + jw) % t.n) for k in map(int, _uncovered_for_w(t, jw, counters)))
     bad.sort()
-    failures = tuple((int(exp[k]), int(exp[jv])) for k, jv in bad)
+    failures = tuple((int(t.exp[k]), int(t.exp[jv])) for k, jv in bad)
     return MembershipResult(
         q=F.q, set="element", member=not failures, failures=failures,
         algorithm=algorithm, stats=stats,
@@ -357,21 +374,15 @@ def check_pair_membership(q: int) -> MembershipResult:
     (u,v) and (v,u) are equivalent (swap and invert the witness pair), so
     only representatives with log u <= log v are tested and reported.
     """
-    F = fd.build_field(q)
-    t = _uv_tables(F)
-    exp = fd.log_table(F).exp
+    t = _uv_tables(fd.build_field(q))
     stats = {"orbits": 0, "witness_scans": 0}
     bad: list[tuple[int, int]] = []
     for ju in range(t.n):
         for jv in range(ju, t.n):
             stats["orbits"] += 1
-            for hits in _pair_hits(t, ju, jv - ju, t.prim_m, t.prim_m, t.prim, t.prim):
-                stats["witness_scans"] += 1
-                if np.count_nonzero(hits):
-                    break
-            else:
+            if _pair_witness(t, ju, jv - ju, stats) is None:
                 bad.append((ju, jv))
-    failures = tuple((int(exp[a]), int(exp[b])) for a, b in bad)
+    failures = tuple((int(t.exp[a]), int(t.exp[b])) for a, b in bad)
     return MembershipResult(
         q=q, set="pair", member=not failures, failures=failures,
         algorithm="brute", stats=stats,
@@ -392,13 +403,11 @@ def check_pair_membership_lift(q: int) -> MembershipResult:
     as `check_pair_membership` reports them.  The stats are the scan's
     counters ("orbits" counts classes scanned) and the element check's.
     """
-    F = fd.build_field(q)
-    t = _uv_tables(F)
-    T = fd.log_table(F)
+    t = _uv_tables(fd.build_field(q))
     # looked up in the module at call time, so a wrapped replacement runs
     element = check_element_membership_logs(q)
     classes = {
-        (int(T.log[u]) % t.R, int(T.log[v] - T.log[u]) % t.n) for u, v in element.failures
+        (int(t.log[u]) % t.R, int(t.log[v] - t.log[u]) % t.n) for u, v in element.failures
     }
     stats = {"orbits": 0, "witness_scans": 0, **element.stats}
     failing: list[tuple[int, int]] = []
@@ -406,16 +415,12 @@ def check_pair_membership_lift(q: int) -> MembershipResult:
         if ((k + jw) % t.R, -jw % t.n) not in classes:
             continue  # (v, u) has an element witness
         stats["orbits"] += 1
-        for hits in _pair_hits(t, k, jw, t.prim_m, t.prim_m, t.prim, t.prim):
-            stats["witness_scans"] += 1
-            if np.count_nonzero(hits):
-                break
-        else:
+        if _pair_witness(t, k, jw, stats) is None:
             failing.append((k, jw))
     bad = sorted(
         (ju, jv) for k, jw in failing for ju in range(k, t.n, t.R) if ju <= (jv := (ju + jw) % t.n)
     )
-    failures = tuple((int(T.exp[a]), int(T.exp[b])) for a, b in bad)
+    failures = tuple((int(t.exp[a]), int(t.exp[b])) for a, b in bad)
     return MembershipResult(
         q=q, set="pair", member=not failures, failures=failures,
         algorithm="lift", stats=stats,
@@ -434,15 +439,14 @@ class CoverageState:
     Never changed once made: `coverage_merge` commits into a copy."""
 
     R: int
-    primes: tuple[int, ...]
     family: dict[int, int]
     uncovered: int
 
 
 def coverage_start(q: int) -> CoverageState:
     """The empty state: nothing accepted, all R classes uncovered."""
-    prof = profile(q - 1)
-    return CoverageState(R=prof.radical, primes=prof.primes, family={}, uncovered=prof.radical)
+    R = profile(q - 1).radical
+    return CoverageState(R=R, family={}, uncovered=R)
 
 
 def _pattern(t: _UVTables, log_r: int) -> int:
@@ -518,7 +522,7 @@ def coverage_merge(
         return state
     family = dict(state.family)
     _commit(family, children)
-    return CoverageState(R=state.R, primes=state.primes, family=family, uncovered=state.uncovered + delta)
+    return CoverageState(R=state.R, family=family, uncovered=state.uncovered + delta)
 
 
 def check_w(F: fd.FieldSpec, w: int, nc: int, factor: Fraction, stats: dict | None = None) -> bool:
@@ -538,7 +542,7 @@ def check_w(F: fd.FieldSpec, w: int, nc: int, factor: Fraction, stats: dict | No
         raise ZeroDivisionError("w must be non-zero")
     fd.check_nonzero(F.q, w=w)
     t = _uv_tables(F)
-    jw = int(fd.log_table(F).log[w])
+    jw = int(t.log[w])
     factor = Fraction(factor)
     num, den = factor.numerator, factor.denominator
     family: dict[int, int] = {}
@@ -569,13 +573,13 @@ def check_element_membership_cover(q: int) -> MembershipResult:
     exhaustive pass, so both answers are definitive.  Failing (u, v) are
     then enumerated with the direct coverage pass (only failing w need it)."""
     F = fd.build_field(q)
-    exp = fd.log_table(F).exp
-    ladder = _LADDER + ((_uv_tables(F).prim_m.size, Fraction(1)),)
+    t = _uv_tables(F)
+    ladder = _LADDER + ((t.prim_m.size, Fraction(1)),)
     stats = {"stage_passes": [0] * len(ladder), "terms_peak": 0}
 
     def settled(jw: int) -> bool:
         for i, (nc, f) in enumerate(ladder):
-            if check_w(F, int(exp[jw]), nc, f, stats):
+            if check_w(F, int(t.exp[jw]), nc, f, stats):
                 stats["stage_passes"][i] += 1
                 return True
         return False
@@ -599,18 +603,14 @@ def special_case_witnesses(q: int) -> dict[str, tuple[bool, tuple[int, ...] | in
     """
     F = fd.build_field(q)
     t = _uv_tables(F)
-    T = fd.log_table(F)
     ms = t.prim_m  # ascending: the first witness has the least log a, then log b
-    jw_minus = int(T.log[fd.neg(F, 1)])
+    jw_minus = int(t.log[fd.neg(F, 1)])
     out: dict[str, tuple[bool, tuple[int, ...] | int | None]] = {}
     for name, jw in (("element-sum", 0), ("element-diff", jw_minus)):
         log_r, ok = _sum_log(t, 0, jw, ms, -ms)
         hits = np.flatnonzero(ok & t.prim[log_r])
-        out[name] = (True, int(T.exp[ms[hits[0]]])) if hits.size else (False, None)
+        out[name] = (True, int(t.exp[ms[hits[0]]])) if hits.size else (False, None)
     for name, jw in (("pair-sum", 0), ("pair-diff", jw_minus)):
-        out[name] = (False, None)
-        for x, hits in zip(ms, _pair_hits(t, 0, jw, ms, ms, t.prim, t.prim)):
-            if np.count_nonzero(hits):
-                out[name] = (True, (int(T.exp[x]), int(T.exp[ms[np.argmax(hits)]])))
-                break
+        xy = _pair_witness(t, 0, jw)
+        out[name] = (False, None) if xy is None else (True, tuple(int(t.exp[x]) for x in xy))
     return out

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-# Field construction and log tables are cached after the first hit, so a
-# per-example deadline only ever trips on the unlucky first draw.
+# Field construction is cached, but only the last field's tables are: a draw
+# that switches fields rebuilds them, and a per-example deadline would trip
+# on those draws.
 settings.register_profile(
     "uvprim",
     deadline=None,

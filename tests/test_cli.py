@@ -6,7 +6,7 @@ from importlib.resources import files
 
 import pytest
 
-from uvprim import cli, ntcore, verify
+from uvprim import cli, field, ntcore, verify
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -193,6 +193,21 @@ def test_verify_pair_defaults_to_lift(tmp_path):
     assert brute["algorithm"] == "brute"
     assert brute["failures"] == lift["failures"]
     assert set(brute["stats"]) == {"orbits", "witness_scans"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--set", "T", "--max", "250", "--algo", "both"], ["--set", "S", "--max", "256"]],
+    ids=["element", "pair"],
+)
+def test_verify_builds_each_field_once(argv, tmp_path):
+    """A verify run never goes back to a field it has left, which is why
+    the table caches keep one field: each q's tables are built once."""
+    field.log_table.cache_clear()
+    verify._uv_tables.cache_clear()
+    _, rep = run(["verify", *argv, "--jobs", "1"], tmp_path)
+    misses = field.log_table.cache_info().misses, verify._uv_tables.cache_info().misses
+    assert misses == (rep["totals"]["records"],) * 2
 
 
 def test_verify_pair_set_decided_to_1000(tmp_path):

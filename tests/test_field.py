@@ -240,6 +240,26 @@ def test_discrete_log_of_zero_raises():
         fd.discrete_log(fd.build_field(9), 0)
 
 
+@pytest.mark.parametrize("name", ["discrete_log", "is_primitive", "is_e_free"])
+@pytest.mark.parametrize("q,a", [(31, 40), (31, 31), (31, -1), (9, 10), (9, -3)])
+def test_element_functions_reject_elements_outside_the_field(name, q, a):
+    """An int outside [0, q) is no packed element; reading it mod q (or
+    truncating its base-p digits) would answer for a different element:
+    the log of 40 in F_31 came back as the log of 9."""
+    extra = (2,) if name == "is_e_free" else ()
+    with pytest.raises(ValueError, match=rf"\[1, {q}\)"):
+        getattr(fd, name)(fd.build_field(q), a, *extra)
+
+
+def test_element_functions_keep_their_handling_of_zero():
+    F = fd.build_field(31)
+    assert not fd.is_primitive(F, 0)
+    for call in (fd.discrete_log, lambda F, a: fd.is_e_free(F, a, 2)):
+        with pytest.raises(ValueError):
+            call(F, 0)
+    assert fd.is_primitive(F, 3) and not fd.is_primitive(F, 30)  # 3 generates F_31
+
+
 @given(fields, st.data())
 def test_log_is_a_group_homomorphism(F, data):
     n = F.q - 1

@@ -343,10 +343,3 @@ def test_sqrt_bounds_enclose(q):
 def test_sqrt_bounds_exact_on_squares():
     lo, hi = nt.sqrt_bounds(49)
     assert lo == 7
-
-
-@given(st.integers(min_value=1, max_value=10**9), st.integers(min_value=1, max_value=60))
-def test_sqrt_bounds_width_parameter(q, bits):
-    lo, hi = nt.sqrt_bounds(q, bits=bits)
-    assert lo * lo <= q <= hi * hi
-    assert hi - lo == Fraction(1, 1 << bits)
