@@ -23,14 +23,15 @@ Four checkers, two per set:
 
 * `check_element_membership_logs` -- direct coverage over residues
   log u mod R, one nonzero w at a time, with the classes still uncovered
-  held as one R-bit int (each w contributes at most R failing classes);
+  held as one R-bit int (each w contributes at most R failing classes),
+  and w^-1 mirrored from w (a witness a for (u, v) is one, a^-1, for (v, u));
 * `check_element_membership_cover` -- same decision, but w whose uncovered
-  count the signed coverage family brings to zero (with an
-  accept-or-discard ladder keeping it small) skip the direct pass;
+  count the signed coverage family brings to zero in one accept-or-discard
+  pass skip the direct pass;
 * `check_pair_membership_lift` -- the pair problem decided from the
   element failures: an element witness a lifts to the pair witness
   (a, a^-1), so only the classes (log u mod R, log w) that fail the element
-  problem for both (u, v) and (v, u) get a pair witness scan;
+  problem get a pair witness scan;
 * `check_pair_membership` -- brute force over (u,v) orbits for the pair
   problem, vectorized over the second primitive element; the oracle of
   the lift.
@@ -345,15 +346,20 @@ def _element_membership(
     F: fd.FieldSpec, algorithm: str, stats: dict, settled, counters: dict | None = None
 ) -> MembershipResult:
     """The element-set decision shared by both checkers: every w = gamma**jw
-    that `settled(jw)` cannot show fully covered gets the direct coverage
-    pass, and each residue k it leaves uncovered fails as
-    (u, v) = (gamma**k, gamma**(k + jw)).  `counters`, if given, tallies
-    the primitive exponents and logs those passes consume."""
+    with jw <= n/2 that `settled(jw)` cannot show fully covered gets the
+    direct coverage pass, and each residue k it leaves uncovered fails as
+    (u, v) = (gamma**k, gamma**(k + jw)) and, since a witness a for (u, v)
+    is one, a^-1, for (v, u), at w^-1 as (gamma**k', gamma**(k' - jw)) with
+    k' = (k + jw) mod R.  `counters`, if given, tallies the primitive
+    exponents and logs those passes consume."""
     t = _uv_tables(F)
     bad: list[tuple[int, int]] = []
-    for jw in range(t.n):
+    for jw in range(t.n // 2 + 1):
         if not settled(jw):
-            bad.extend((k, (k + jw) % t.n) for k in map(int, _uncovered_for_w(t, jw, counters)))
+            for k in map(int, _uncovered_for_w(t, jw, counters)):
+                bad.append((k, (k + jw) % t.n))
+                if 2 * jw % t.n:  # jw = 0 and jw = n/2 are their own mirrors
+                    bad.append(((k + jw) % t.R, ((k + jw) % t.R - jw) % t.n))
     bad.sort()
     failures = tuple((int(t.exp[k]), int(t.exp[jv])) for k, jv in bad)
     return MembershipResult(
@@ -363,8 +369,8 @@ def _element_membership(
 
 
 def check_element_membership_logs(q: int) -> MembershipResult:
-    """Decide element-set membership by direct coverage (one pass per w)."""
-    stats = {"primitives_consumed": 0, "logs_computed": 0, "w_values": q - 1}
+    """Decide element-set membership by direct coverage (one pass per w and w^-1)."""
+    stats = {"primitives_consumed": 0, "logs_computed": 0, "w_values": (q - 1) // 2 + 1}
     return _element_membership(fd.build_field(q), "logs", stats, lambda jw: False, stats)
 
 
@@ -393,14 +399,15 @@ def check_pair_membership_lift(q: int) -> MembershipResult:
     """Decide pair-set membership from the element check's failures.
 
     An element witness a for (u, v) gives the pair witness (a, a^-1), since
-    both pair sums are then u a + v a^-1; one for (v, u) gives (a^-1, a).
-    So (u, v) can fail the pair problem only if it and (v, u) both fail the
-    element problem.  Both pair sums are u times a function of w = u^-1 v,
-    so whether (u, v) fails depends only on its class (k, jw) = (log u mod
-    R, log w), the key the element check lists its failures by (once per
-    class, at log u = k < R).  One witness scan at log u = k decides a
-    class; its failures are expanded to every log u = k mod R and reported
-    as `check_pair_membership` reports them.  The stats are the scan's
+    both pair sums are then u a + v a^-1.  So (u, v) can fail the pair
+    problem only if it fails the element problem (and then so does (v, u),
+    whose element witnesses are the inverses of those of (u, v)).  Both pair
+    sums are u times a function of w = u^-1 v, so whether (u, v) fails
+    depends only on its class (k, jw) = (log u mod R, log w), the key the
+    element check lists its failures by (once per class, at log u = k < R).
+    One witness scan at log u = k decides a class; its failures are
+    expanded to every log u = k mod R and reported as
+    `check_pair_membership` reports them.  The stats are the scan's
     counters ("orbits" counts classes scanned) and the element check's.
     """
     t = _uv_tables(fd.build_field(q))
@@ -409,12 +416,9 @@ def check_pair_membership_lift(q: int) -> MembershipResult:
     classes = {
         (int(t.log[u]) % t.R, int(t.log[v] - t.log[u]) % t.n) for u, v in element.failures
     }
-    stats = {"orbits": 0, "witness_scans": 0, **element.stats}
+    stats = {"orbits": len(classes), "witness_scans": 0, **element.stats}
     failing: list[tuple[int, int]] = []
     for k, jw in classes:
-        if ((k + jw) % t.R, -jw % t.n) not in classes:
-            continue  # (v, u) has an element witness
-        stats["orbits"] += 1
         if _pair_witness(t, k, jw, stats) is None:
             failing.append((k, jw))
     bad = sorted(
@@ -444,8 +448,8 @@ class CoverageState:
 
 
 def coverage_start(q: int) -> CoverageState:
-    """The empty state: nothing accepted, all R classes uncovered."""
-    R = profile(q - 1).radical
+    """The empty state of F_q: nothing accepted, all R classes uncovered."""
+    R = fd.build_field(q).q_minus_1.radical
     return CoverageState(R=R, family={}, uncovered=R)
 
 
@@ -564,25 +568,20 @@ def check_w(F: fd.FieldSpec, w: int, nc: int, factor: Fraction, stats: dict | No
     return False
 
 
-_LADDER = ((10, Fraction(3, 4)), (10, Fraction(4, 5)), (12, Fraction(5, 6)))
-
-
 def check_element_membership_cover(q: int) -> MembershipResult:
-    """Decide element-set membership via the inclusion-exclusion counter,
-    escalating through accept/reject parameters and finishing with an
-    exhaustive pass, so both answers are definitive.  Failing (u, v) are
-    then enumerated with the direct coverage pass (only failing w need it)."""
+    """Decide element-set membership via the inclusion-exclusion counter:
+    one accept/reject pass, `check_w` at nc = 10, factor = 3/4, for each w
+    the `logs` checker passes, then the direct pass decides every w it
+    leaves and lists the failures.  So what `ie` checks on its own is that
+    its signed count reaches zero only at fully covered w."""
     F = fd.build_field(q)
     t = _uv_tables(F)
-    ladder = _LADDER + ((t.prim_m.size, Fraction(1)),)
-    stats = {"stage_passes": [0] * len(ladder), "terms_peak": 0}
+    stats = {"stage_passes": [0], "terms_peak": 0}
 
     def settled(jw: int) -> bool:
-        for i, (nc, f) in enumerate(ladder):
-            if check_w(F, int(t.exp[jw]), nc, f, stats):
-                stats["stage_passes"][i] += 1
-                return True
-        return False
+        hit = check_w(F, int(t.exp[jw]), 10, Fraction(3, 4), stats)
+        stats["stage_passes"][0] += hit
+        return hit
 
     return _element_membership(F, "ie", stats, settled)
 

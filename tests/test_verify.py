@@ -26,7 +26,7 @@ import tuple_coverage as tc
 from uvprim import field as fd
 from uvprim import ntcore as nt
 from uvprim import verify as vf
-from uvprim.errors import InvalidDivisorError
+from uvprim.errors import InvalidDivisorError, NotAPrimePowerError
 
 
 # ----------------------------------------------------------- spot predicates
@@ -414,25 +414,46 @@ def test_logs_and_coverage_algorithms_agree_on_member_fields(q):
     b = vf.check_element_membership_cover(q)
     assert a.member and b.member
     assert a.failures == b.failures == ()
-    assert len(b.stats["stage_passes"]) == 4
+    assert len(b.stats["stage_passes"]) == 1
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 201) if nt.is_prime_power(q)])
+def test_logs_failures_are_the_zero_cells_of_the_count_grid(q):
+    """The failures are the (u, v) with log u < R whose exact count of
+    (u,v)-primitive elements is zero, in (log u, log v) order: the grid
+    counts every (u, v) on its own, so no w is mirrored from another."""
+    t = vf._uv_tables(fd.build_field(q))
+    zeros = np.argwhere(vf.single_count_grid(q)[: t.R] == 0)
+    want = tuple((int(t.exp[ju]), int(t.exp[jv])) for ju, jv in zeros)
+    assert vf.check_element_membership_logs(q).failures == want
+
+
+def test_uncovered_residues_mirror_under_inversion():
+    """A witness a for (u, v) is a witness a^-1 for (v, u), so w^-1 leaves
+    uncovered exactly the residues k + log w mod R of those w leaves."""
+    for q in (q for q in range(2, 401) if nt.is_prime_power(q)):
+        t = vf._uv_tables(fd.build_field(q))
+        for jw in range(t.n):
+            mirrored = sorted((int(k) + jw) % t.R for k in vf._uncovered_for_w(t, jw))
+            assert vf._uncovered_for_w(t, -jw % t.n).tolist() == mirrored, (q, jw)
 
 
 # The full stats of the three checkers, captured at a reference commit: the
 # CLI emits these dicts and perfbench/probes.py reads their keys.
 FROZEN_STATS = {
     13: (
-        {"primitives_consumed": 48, "logs_computed": 44, "w_values": 12},
-        {"stage_passes": [0, 0, 0, 0], "terms_peak": 3},
+        {"primitives_consumed": 28, "logs_computed": 26, "w_values": 7},
+        {"stage_passes": [0], "terms_peak": 3},
         {"orbits": 78, "witness_scans": 111},
     ),
     31: (
-        {"primitives_consumed": 240, "logs_computed": 232, "w_values": 30},
-        {"stage_passes": [3, 0, 0, 0], "terms_peak": 27},
+        {"primitives_consumed": 128, "logs_computed": 124, "w_values": 16},
+        {"stage_passes": [2], "terms_peak": 27},
         {"orbits": 465, "witness_scans": 571},
     ),
     61: (
-        {"primitives_consumed": 960, "logs_computed": 944, "w_values": 60},
-        {"stage_passes": [4, 0, 0, 0], "terms_peak": 31},
+        {"primitives_consumed": 496, "logs_computed": 488, "w_values": 31},
+        {"stage_passes": [2], "terms_peak": 31},
         {"orbits": 1830, "witness_scans": 1909},
     ),
 }
@@ -446,14 +467,25 @@ def test_membership_stats_frozen(q):
     assert vf.check_pair_membership(q).stats == brute
 
 
+@pytest.mark.parametrize("q", [2, 3, 13, 31, 61, 64, 121])
+def test_logs_passes_run_only_up_to_half_of_q_minus_1(q):
+    """One direct pass per log w <= (q - 1)/2, and nothing else consumed."""
+    t = vf._uv_tables(fd.build_field(q))
+    want = {"primitives_consumed": 0, "logs_computed": 0}
+    for jw in range(t.n // 2 + 1):
+        vf._uncovered_for_w(t, jw, want)
+    stats = vf.check_element_membership_logs(q).stats
+    assert stats == {**want, "w_values": (q - 1) // 2 + 1}
+
+
 # The `ie` stats and failure counts beyond q = 61, captured at a reference
-# commit, where the ladder's first rung settles most w and the family grows
-# to hundreds of terms.
+# commit, where the accept-or-discard pass settles most w and the family
+# grows to hundreds of terms.
 FROZEN_IE_STATS = {
-    121: ({"stage_passes": [80, 0, 0, 0], "terms_peak": 56}, 44),
-    211: ({"stage_passes": [210, 0, 0, 0], "terms_peak": 232}, 0),
-    243: ({"stage_passes": [242, 0, 0, 0], "terms_peak": 130}, 0),
-    256: ({"stage_passes": [255, 0, 0, 0], "terms_peak": 1521}, 0),
+    121: ({"stage_passes": [40], "terms_peak": 55}, 44),
+    211: ({"stage_passes": [106], "terms_peak": 188}, 0),
+    243: ({"stage_passes": [122], "terms_peak": 130}, 0),
+    256: ({"stage_passes": [128], "terms_peak": 1521}, 0),
 }
 
 
@@ -466,9 +498,9 @@ def test_cover_stats_frozen_beyond_61(q):
 # the lift's stats: its witness scans over the classes it scanned, then the
 # counters of the element check it ran (the `logs` entries of FROZEN_STATS)
 FROZEN_LIFT_STATS = {
-    13: {"orbits": 34, "witness_scans": 52, "primitives_consumed": 48, "logs_computed": 44, "w_values": 12},
-    31: {"orbits": 73, "witness_scans": 98, "primitives_consumed": 240, "logs_computed": 232, "w_values": 30},
-    61: {"orbits": 142, "witness_scans": 147, "primitives_consumed": 960, "logs_computed": 944, "w_values": 60},
+    13: {"orbits": 34, "witness_scans": 52, "primitives_consumed": 28, "logs_computed": 26, "w_values": 7},
+    31: {"orbits": 73, "witness_scans": 98, "primitives_consumed": 128, "logs_computed": 124, "w_values": 16},
+    61: {"orbits": 142, "witness_scans": 147, "primitives_consumed": 496, "logs_computed": 488, "w_values": 31},
 }
 
 
@@ -568,6 +600,12 @@ def test_coverage_start():
     state = vf.coverage_start(13)
     assert state.R == 6
     assert state.family == {} and state.uncovered == 6
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 12, 100])
+def test_coverage_start_rejects_a_non_field_order(q):
+    with pytest.raises(NotAPrimePowerError):
+        vf.coverage_start(q)
 
 
 def test_coverage_term_by_hand():
@@ -703,15 +741,19 @@ def test_exhaustive_check_w_equals_direct_coverage(q):
 
 @pytest.mark.parametrize("q", [q for q in range(2, 65) if nt.is_prime_power(q)])
 def test_check_w_matches_the_tuple_pattern_oracle(q):
-    """For every w and every ladder rung plus the exhaustive one, `check_w`
-    on one-integer patterns gives the answer and `terms_peak` of the engine
-    that kept each pattern as a tuple of per-prime bitsets."""
+    """For every w and each (nc, factor) below, from the `ie` checker's
+    10, 3/4 to the exhaustive phi(q - 1), 1, `check_w` on one-integer
+    patterns gives the answer and `terms_peak` of the engine that kept each
+    pattern as a tuple of per-prime bitsets."""
     F = fd.build_field(q)
     exp = fd.log_table(F).exp
-    rungs = vf._LADDER + ((vf._uv_tables(F).prim_m.size, Fraction(1)),)
+    cases = (
+        (10, Fraction(3, 4)), (10, Fraction(4, 5)), (12, Fraction(5, 6)),
+        (vf._uv_tables(F).prim_m.size, Fraction(1)),
+    )
     for jw in range(q - 1):
         w = int(exp[jw])
-        for nc, factor in rungs:
+        for nc, factor in cases:
             got, want = {}, {}
             assert vf.check_w(F, w, nc, factor, got) == tc.check_w(F, w, nc, factor, want), (q, w, nc)
             assert got == want, (q, w, nc)
