@@ -5,9 +5,13 @@ Subcommands
 
   screen   bound-based screening over a range (or --survey for one omega row,
            or --needs-check-only for the fast full-range sweep)
-  verify   exhaustive membership checks (element set: logs/ie; pair set:
-           lift, from the element failures, or brute)
+  verify   exhaustive membership checks (element set: logs, or both to
+           cross-check it against inclusion-exclusion; pair set: lift, from
+           the element failures)
   oracle   exact counts (N, M) and the four classic special cases
+
+Every screen and verify record carries omega(q - 1); filter a range report
+on that field to keep the q of one omega.
 
 Reports are deterministic: records sorted ascending by q, identical inputs
 give identical bytes apart from the elapsed-time fields.  Exact rationals are
@@ -128,22 +132,17 @@ def _screen_record(pp: ntcore.PrimePowerId) -> dict:
 
 # functions are named, not bound, so that each call looks them up in their
 # module and a wrapped (traced) replacement is the one that runs
-_CHECKERS = {
-    "logs": "check_element_membership_logs",
-    "ie": "check_element_membership_cover",
-    "lift": "check_pair_membership_lift",
-    "brute": "check_pair_membership",
-}
+_CHECKERS = {"logs": "check_element_membership_logs", "lift": "check_pair_membership_lift"}
 # the algorithms of each --set, the default first; "both" cross-checks logs
-# against ie
-_ALGOS = dict.fromkeys(("T", "element"), ("logs", "ie", "both")) | dict.fromkeys(("S", "pair"), ("lift", "brute"))
+# against the inclusion-exclusion checker (stats key "ie")
+_ALGOS = dict.fromkeys(("T", "element"), ("logs", "both")) | dict.fromkeys(("S", "pair"), ("lift",))
 
 
 def _verify_record(job: tuple[str, ntcore.PrimePowerId]) -> dict:
     algo, pp = job
     t0 = time.perf_counter()
     if algo == "both":
-        a, b = (getattr(verify, _CHECKERS[x])(pp.q) for x in ("logs", "ie"))
+        a, b = verify.check_element_membership_logs(pp.q), verify.check_element_membership_cover(pp.q)
         if (a.member, a.failures) != (b.member, b.failures):
             raise RuntimeError(f"algorithm disagreement at q={pp.q}: {a.failures} vs {b.failures}")
         res, stats = a, {"logs": a.stats, "ie": b.stats}
@@ -183,18 +182,16 @@ def _range(args, parser, default_min: int) -> tuple[int, int]:
     return lo, args.max
 
 
-def _q_list(args, parser, omega: int | None = None) -> list[ntcore.PrimePowerId]:
-    """The requested prime powers, ascending; with `omega`, only those with
-    omega(q - 1) == omega."""
+def _q_list(args, parser) -> list[ntcore.PrimePowerId]:
+    """The requested prime powers, ascending."""
     if args.q:
         try:
-            ids = [ntcore.prime_power_decompose(q) for q in sorted(set(args.q))]
+            return [ntcore.prime_power_decompose(q) for q in sorted(set(args.q))]
         except NotAPrimePowerError as e:
             parser.error(str(e))
-        return [pp for pp in ids if omega is None or ntcore.profile(pp.q - 1).omega == omega]
     if args.max is None:
         parser.error("provide --q or a --min/--max range")
-    return ntcore.enumerate_prime_powers(*_range(args, parser, 2), omega)
+    return ntcore.enumerate_prime_powers(*_range(args, parser, 2))
 
 
 def _refuse(args, parser, mode: str, *options: str) -> None:
@@ -206,7 +203,7 @@ def _refuse(args, parser, mode: str, *options: str) -> None:
 
 def run_screen(args, parser) -> tuple[dict, int]:
     if args.survey is not None:
-        _refuse(args, parser, "--survey", "q", "min", "max", "omega", "needs_check_only", "jobs")
+        _refuse(args, parser, "--survey", "q", "min", "max", "needs_check_only", "jobs")
         if not 1 <= args.survey <= screening.MAX_SURVEY_OMEGA:
             parser.error(f"--survey takes 1..{screening.MAX_SURVEY_OMEGA}")
         t0 = time.perf_counter()
@@ -220,7 +217,7 @@ def run_screen(args, parser) -> tuple[dict, int]:
         return {"records": [rec], "totals": totals}, 0
 
     if args.needs_check_only:
-        _refuse(args, parser, "--needs-check-only", "q", "omega")
+        _refuse(args, parser, "--needs-check-only", "q")
         if args.max is None:
             parser.error("--needs-check-only requires --max")
         _, verdicts = screening.sweep(*_range(args, parser, 3))
@@ -235,13 +232,28 @@ def run_screen(args, parser) -> tuple[dict, int]:
         }
         return {"records": records, "totals": totals}, 0
 
-    qs = _q_list(args, parser, args.omega)
+    qs = _q_list(args, parser)
     records = _map_jobs(_screen_record, qs, args.jobs)
     records.sort(key=lambda r: r["q"])
     totals = {"records": len(records)}
     for st in (screening.ELEMENT_PROVED, screening.PAIR_PROVED, screening.NEEDS_CHECK):
         totals[st] = sum(1 for r in records if r["status"] == st)
     return {"records": records, "totals": totals}, 0
+
+
+def _read_expect(path: str, parser) -> list[int]:
+    """The --expect file's non-member list, sorted; exit 2 unless the file
+    holds a JSON list of ints."""
+    try:
+        with open(path) as fh:
+            expected = json.load(fh)
+    except OSError as e:
+        parser.error(f"--expect: cannot read {path}: {e.strerror}")
+    except ValueError as e:  # not JSON, or not text
+        parser.error(f"--expect: {path} is not JSON: {e}")
+    if not isinstance(expected, list) or not all(type(q) is int for q in expected):
+        parser.error(f"--expect: {path} must hold a JSON list of ints")
+    return sorted(expected)
 
 
 def run_verify(args, parser) -> tuple[dict, int]:
@@ -252,6 +264,7 @@ def run_verify(args, parser) -> tuple[dict, int]:
     top = max(args.q) if args.q else args.max
     if top is not None and top > field.LOG_TABLE_CAP:
         parser.error(f"verify builds a log table of the field; q <= {field.LOG_TABLE_CAP} only")
+    expected = _read_expect(args.expect, parser) if args.expect is not None else None
     qs = _q_list(args, parser)
     records = _map_jobs(_verify_record, [(algo, pp) for pp in qs], args.jobs)
     records.sort(key=lambda r: r["q"])
@@ -259,9 +272,7 @@ def run_verify(args, parser) -> tuple[dict, int]:
     totals = {"records": len(records), "members": len(records) - len(non_members), "non_members": non_members}
     report = {"records": records, "totals": totals}
     code = 0
-    if args.expect:
-        with open(args.expect) as fh:
-            expected = sorted(json.load(fh))
+    if expected is not None:
         scanned = {pp.q for pp in qs}
         expected_here = [q for q in expected if q in scanned]
         report["expect"] = {"file": args.expect, "expected": expected_here, "match": expected_here == non_members}
@@ -336,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("screen", help="bound-based screening")
     common(sp)
-    sp.add_argument("--omega", type=int, help="restrict to q with this omega(q-1)")
     sp.add_argument("--survey", type=int, metavar="OMEGA", help="emit one worst-case survey row")
     sp.add_argument(
         "--needs-check-only",
@@ -348,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="exhaustive membership verification")
     common(sp)
     sp.add_argument("--set", required=True, choices=("T", "S", "element", "pair"), help="which membership set")
-    sp.add_argument("--algo", choices=("logs", "ie", "both", "lift", "brute"))
+    sp.add_argument("--algo", choices=("logs", "both", "lift"))
     sp.add_argument("--expect", help="JSON file with the expected non-member q list")
     sp.set_defaults(func=run_verify)
 

@@ -25,11 +25,11 @@ built from:
 gamma, gamma**x is e-free iff gcd(x, Rad(e)) = 1, i.e. iff the sieve over
 the primes of e leaves x standing.
 
-Every screening run starts by listing field orders.  `iter_prime_powers`
-is the one windowed sieve that lists prime powers q as `PrimePowerId`s,
-optionally only those with a given omega(q - 1); `enumerate_prime_powers`
-returns that list, or, for a given omega where such q are sparse, builds it
-from the factorisation of q - 1 instead.
+Every screening run starts by listing field orders as `PrimePowerId`s.
+`iter_prime_powers` is the windowed sieve that lists the prime powers of a
+range, and `enumerate_prime_powers` returns that list.  `omega_prime_powers`
+lists those with a given omega(q - 1), the candidates of one survey row, by
+building q - 1 from its factorisation.
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ __all__ = [
     "is_prime",
     "is_prime_power",
     "iter_prime_powers",
+    "omega_prime_powers",
     "primes_up_to",
     "primorial",
     "prime_power_decompose",
@@ -346,31 +347,6 @@ def _higher_powers(lo: int, hi: int) -> dict[int, tuple[int, int]]:
     return out
 
 
-def _window_omega(a: int, b: int, base: np.ndarray) -> np.ndarray:
-    """omega(n) for every n in [a, b), a >= 1.  `base` must hold all primes
-    <= sqrt(b - 1)."""
-    n = b - a
-    count = np.zeros(n, dtype=np.int8)
-    work = np.arange(a, b, dtype=np.int64)
-    for p in map(int, base):
-        if p * p >= b:
-            break
-        start = (-a) % p
-        idx = np.arange(start, n, p)
-        if idx.size == 0:
-            continue
-        count[idx] += 1
-        sub = work[idx] // p
-        while True:
-            mask = sub % p == 0
-            if not mask.any():
-                break
-            sub[mask] //= p
-        work[idx] = sub
-    count[work > 1] += 1
-    return count
-
-
 def _window_prime_mask(a: int, b: int, base: np.ndarray) -> np.ndarray:
     mask = np.ones(b - a, dtype=bool)
     if a <= 1:
@@ -384,16 +360,13 @@ def _window_prime_mask(a: int, b: int, base: np.ndarray) -> np.ndarray:
     return mask
 
 
-def iter_prime_powers(lo: int, hi: int, omega: int | None = None):
+def iter_prime_powers(lo: int, hi: int):
     """Yield the `PrimePowerId` of every prime power q with lo <= q <= hi,
-    in ascending order of q; if `omega` is given, only those with
-    omega(q - 1) == omega.
+    in ascending order of q.
 
     One pass of windowed numpy sieves: each window of [lo, hi] marks its
-    primes and its higher powers p**r (r >= 2), and, only when `omega` is
-    given, keeps those whose q - 1 has omega distinct primes by sieving
-    omega over the window's q - 1.  Nothing is factored one q at a time, so
-    this stays workable up to hi around 10**8.
+    primes and its higher powers p**r (r >= 2).  Nothing is factored one q
+    at a time, so this stays workable up to hi around 10**8.
     """
     lo = max(lo, 2)
     if hi < lo:
@@ -404,52 +377,32 @@ def iter_prime_powers(lo: int, hi: int, omega: int | None = None):
         b = min(a + _WINDOW, hi + 1)
         mask = _window_prime_mask(a, b, base)
         mask[[q - a for q in higher if a <= q < b]] = True
-        if omega is not None:
-            mask &= _window_omega(a - 1, b - 1, base) == omega  # omega(q - 1) for q in [a, b)
         for q in (np.nonzero(mask)[0] + a).tolist():
             p, r = higher.get(q, (q, 1))
             yield PrimePowerId(q=q, p=p, r=r)
 
 
-# At omega = 5 over [3, 10**7] (2-core Xeon, Python 3.11), the search of
-# `_omega_prime_powers` spends 4.4-4.8 us on each q - 1 it builds (most of
-# it Miller-Rabin on q), and `iter_prime_powers` sieving omega 0.26-0.30 us
-# on each number of [lo, hi].  So the search runs only while it builds at
-# most one q - 1 per _SEARCH_RATIO numbers of the range, where it costs well
-# under the sieve; a search given up at that budget (1.0-1.2 us per q - 1,
-# with no Miller-Rabin) has cost about 3% of the sieve that replaces it.
-_SEARCH_RATIO = 128
+def enumerate_prime_powers(lo: int, hi: int) -> list[PrimePowerId]:
+    """All prime powers q in the closed range [lo, hi], ascending."""
+    return list(iter_prime_powers(lo, hi))
 
 
-def enumerate_prime_powers(lo: int, hi: int, omega: int | None = None) -> list[PrimePowerId]:
-    """All prime powers q in the closed range [lo, hi], ascending; if `omega`
-    is given, only those with omega(q - 1) == omega.
-
-    Without `omega` this is the list of `iter_prime_powers`, whose sieve
-    then computes no omega.  With it, the candidates are first built from
-    the factorisation of q - 1 (`_omega_prime_powers`), whose work follows
-    the number of q - 1 with omega distinct primes rather than the length
-    of the range.  Where those are dense, or the range is narrow beside hi,
-    that search gives up and `iter_prime_powers` sieves omega instead.
-    """
-    if omega is not None:
-        found = _omega_prime_powers(lo, hi, omega, (hi - lo + 1) // _SEARCH_RATIO)
-        if found is not None:
-            return found
-    return list(iter_prime_powers(lo, hi, omega))
-
-
-def _omega_prime_powers(lo: int, hi: int, omega: int, budget: float) -> list[PrimePowerId] | None:
-    """The prime powers q in [lo, hi] with omega(q - 1) == omega, or None if
-    that needs more than `budget` odd primes or values of q - 1.
+def omega_prime_powers(lo: int, hi: int, omega: int) -> list[PrimePowerId]:
+    """The prime powers q in [lo, hi] with omega(q - 1) == omega, ascending.
 
     An odd q has 2 | q - 1, so a depth-first search over ascending odd primes
     builds every even n <= hi - 1 with exactly omega distinct prime factors
-    (`_odd_prime_power_multiples`); n + 1 is kept when it is prime, or an
-    odd p**r (r >= 2) of `_higher_powers`.  The powers of 2 are tested one
-    by one.  The largest prime of n is at most (hi - 1) // primorial(omega - 1),
-    so that bounds the prime list (omega = 1 needs none).  Every n <= hi - 1
-    counts against the budget, not only those in the range.
+    (`_odd_prime_power_multiples`), and n + 1 is kept, as soon as n is
+    built, when it is prime or an odd p**r (r >= 2) of `_higher_powers`.
+    The powers of 2 are tested one by one.  The largest prime of n is at
+    most (hi - 1) // primorial(omega - 1), which bounds the prime list
+    (omega = 1 needs none).
+
+    So the cost follows hi, not the width of [lo, hi]: every n <= hi - 1
+    with omega primes is built, and the prime list grows with hi.  That
+    suits the survey, which asks only for windows of its row, with hi at
+    most the row's q_max; a narrow window far beyond that is better served
+    by filtering `iter_prime_powers`.
     """
     lo = max(lo, 2)
     # n >= primorial(omega) >= 2**omega for every n = q - 1 with omega primes
@@ -464,31 +417,20 @@ def _omega_prime_powers(lo: int, hi: int, omega: int, budget: float) -> list[Pri
     if omega == 0:
         return out
     # omega = 1 places no odd prime
-    limit = top // primorial(omega - 1) if omega > 1 else 0
-    if limit > budget:
-        return None
-    odd = primes_up_to(limit).tolist()[1:]
-
-    def built():
-        n = 2
-        while n * 3 ** (omega - 1) <= top:
-            yield from _odd_prime_power_multiples(n, odd, 0, omega - 1, top)
-            n *= 2
-
-    ns = []
-    for count, n in enumerate(built(), 1):
-        if count > budget:
-            return None
-        if n >= lo - 1:
-            ns.append(n)
+    odd = primes_up_to(top // primorial(omega - 1) if omega > 1 else 0).tolist()[1:]
     higher = _higher_powers(lo, hi)
-    for n in ns:
-        q = n + 1
-        if q in higher:
-            p, r = higher[q]
-            out.append(PrimePowerId(q=q, p=p, r=r))
-        elif is_prime(q):
-            out.append(PrimePowerId(q=q, p=q, r=1))
+    n = 2
+    while n * 3 ** (omega - 1) <= top:
+        for m in _odd_prime_power_multiples(n, odd, 0, omega - 1, top):
+            q = m + 1
+            if q < lo:
+                continue
+            if q in higher:
+                p, r = higher[q]
+                out.append(PrimePowerId(q=q, p=p, r=r))
+            elif is_prime(q):
+                out.append(PrimePowerId(q=q, p=q, r=1))
+        n *= 2
     out.sort(key=lambda pp: pp.q)
     return out
 

@@ -68,9 +68,9 @@ from .errors import BoundNotApplicableError
 from . import field as fd
 from .ntcore import (
     density_terms,
-    enumerate_prime_powers,
     first_primes,
     is_prime,
+    omega_prime_powers,
     primorial,
     profile,
     sieve_terms,
@@ -528,8 +528,7 @@ def _survey_row(omega: int, lo: int, hi: int | float) -> SurveyRow:
     only in [lo, hi] (the row's q_min, q_max and chosen_s stay its own).
 
     The candidates are the prime powers q with omega(q - 1) == omega from
-    `enumerate_prime_powers`, which builds them from the factorisation of
-    q - 1 where they are sparse (the rows omega >= 6) and sieves otherwise;
+    `omega_prime_powers`, which builds them from the factorisation of q - 1;
     each is re-tested with the element stage at its own exact densities."""
     if omega < 1:
         raise ValueError("the survey covers omega >= 1")
@@ -542,7 +541,7 @@ def _survey_row(omega: int, lo: int, hi: int | float) -> SurveyRow:
         )
     q_min = primorial(omega) + 1
     failing_p, failing_pp = [], []
-    candidates = enumerate_prime_powers(max(q_min, lo), min(q_max, hi), omega)
+    candidates = omega_prime_powers(max(q_min, lo), min(q_max, hi), omega)
     for pp in candidates:
         if not any(rep.holds for rep in _element_stage(pp.q)):
             (failing_p if pp.r == 1 else failing_pp).append(pp.q)

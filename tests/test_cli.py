@@ -57,25 +57,6 @@ def test_screen_witness_serialization(tmp_path):
     assert set(cfg) == {"k", "s", "sieving_primes", "delta2", "delta3", "delta4"}
 
 
-def test_screen_omega_filter(tmp_path, monkeypatch):
-    calls = []
-    enumerate_prime_powers = ntcore.enumerate_prime_powers
-
-    def spy(lo, hi, omega=None):
-        calls.append((lo, hi, omega))
-        return enumerate_prime_powers(lo, hi, omega)
-
-    monkeypatch.setattr(ntcore, "enumerate_prime_powers", spy)
-    _, rep = run(["screen", "--min", "3", "--max", "40", "--omega", "1", "--jobs", "1"], tmp_path)
-    assert [r["q"] for r in rep["records"]] == [3, 4, 5, 8, 9, 17, 32]
-    assert all(r["omega"] == 1 for r in rep["records"])
-    # a range is enumerated by omega directly, not filtered afterwards
-    assert calls == [(3, 40, 1)]
-    # an explicit list is filtered by omega(q - 1)
-    _, rep = run(["screen", "--q", "17", "7", "3", "13", "5", "--omega", "1", "--jobs", "1"], tmp_path)
-    assert [r["q"] for r in rep["records"]] == [3, 5, 17]
-
-
 def test_screen_records_reuse_the_enumerated_prime_powers(tmp_path, monkeypatch):
     """A range's records take p and r from the enumeration; an explicit list
     decomposes each distinct q once, when it is validated."""
@@ -175,6 +156,27 @@ def test_verify_expect_mismatch_exit_code(tmp_path):
     assert rep["expect"]["match"] is False
 
 
+@pytest.mark.parametrize(
+    "content",
+    ["not json", '["13", 17]', '[2, "x"]', '{"13": 1}', "[true]", "13", None],
+    ids=["not-json", "string-q", "string-entry", "object", "bool", "scalar", "missing"],
+)
+def test_verify_expect_is_validated_before_any_check(content, tmp_path, monkeypatch):
+    """A bad --expect file exits 2 (invalid input, not a mismatch) before
+    any q is verified."""
+    calls = []
+    for name in ("check_element_membership_logs", "check_element_membership_cover", "check_pair_membership_lift"):
+        monkeypatch.setattr(verify, name, lambda q, name=name: calls.append(name))
+    path = tmp_path / "expect.json"
+    if content is not None:
+        path.write_text(content)
+    for argv in (["--set", "T", "--algo", "both"], ["--set", "S"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", *argv, "--q", "13", "17", "--expect", str(path), "--out", str(tmp_path / "x.json")])
+        assert exc.value.code == 2
+    assert calls == []
+
+
 def test_verify_explicit_q_list(tmp_path):
     code, rep = run(["verify", "--set", "T", "--q", "17", "13", "17", "--jobs", "1"], tmp_path)
     assert code == 0
@@ -188,11 +190,7 @@ def test_verify_pair_defaults_to_lift(tmp_path):
     lift = rep["records"][0]
     assert lift["algorithm"] == "lift"
     assert [1, 1] in lift["failures"]
-    _, rep = run(["verify", "--set", "pair", "--q", "7", "--algo", "brute", "--jobs", "1"], tmp_path)
-    brute = rep["records"][0]
-    assert brute["algorithm"] == "brute"
-    assert brute["failures"] == lift["failures"]
-    assert set(brute["stats"]) == {"orbits", "witness_scans"}
+    assert lift["failures"] == [list(f) for f in verify.check_pair_membership(7).failures]
 
 
 @pytest.mark.parametrize(
@@ -228,8 +226,7 @@ def test_checkers_and_counters_are_looked_up_at_call_time(tmp_path, monkeypatch)
     calls = []
 
     for name in ("check_element_membership_logs", "check_element_membership_cover",
-                 "check_pair_membership_lift", "check_pair_membership",
-                 "count_pairs_free", "count_single_free"):
+                 "check_pair_membership_lift", "count_pairs_free", "count_single_free"):
         def spy(arg, original=getattr(verify, name), name=name):
             calls.append(name)
             return original(arg)
@@ -237,14 +234,13 @@ def test_checkers_and_counters_are_looked_up_at_call_time(tmp_path, monkeypatch)
         monkeypatch.setattr(verify, name, spy)
     run(["verify", "--set", "T", "--q", "7", "--algo", "both", "--jobs", "1"], tmp_path)
     run(["verify", "--set", "S", "--q", "7", "--jobs", "1"], tmp_path)
-    run(["verify", "--set", "S", "--q", "7", "--algo", "brute", "--jobs", "1"], tmp_path)
     run(["oracle", "N", "--q", "7"], tmp_path)
     run(["oracle", "M", "--q", "7"], tmp_path)
     assert calls == [
         "check_element_membership_logs", "check_element_membership_cover",
         # the lift runs the element check through the module as well
         "check_pair_membership_lift", "check_element_membership_logs",
-        "check_pair_membership", "count_pairs_free", "count_single_free",
+        "count_pairs_free", "count_single_free",
     ]
 
 
@@ -320,6 +316,11 @@ def test_oracle_cases(tmp_path):
         # modes that run in one process take no --jobs
         ["oracle", "M", "--q", "11", "--jobs", "7"],
         ["screen", "--survey", "1", "--jobs", "7"],
+        # no such option: brute and ie run only as oracles (ie inside
+        # --algo both), and a range report is filtered on its omega field
+        ["verify", "--set", "S", "--q", "7", "--algo", "brute"],
+        ["verify", "--set", "T", "--q", "7", "--algo", "ie"],
+        ["screen", "--min", "3", "--max", "40", "--omega", "1"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, tmp_path):

@@ -1,7 +1,8 @@
 """Exact arithmetic layer, cross-checked against sympy."""
 
+import random
 from fractions import Fraction
-from math import gcd, inf, isqrt, prod
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -192,41 +193,37 @@ def _naive_prime_powers(lo, hi):
 
 
 @pytest.mark.parametrize("lo,hi", [(2, 300), (100, 1500), (121, 128), (2040, 2050)])
-def test_enumerate_prime_powers(lo, hi):
+def test_enumerate_prime_powers(monkeypatch, lo, hi):
+    """A plain range is the sieve's prime powers, found without factoring
+    any q or q - 1."""
+
+    def no_factorize(n):
+        raise AssertionError("the plain range factored a number")
+
+    monkeypatch.setattr(nt, "factorize", no_factorize)
     got = nt.enumerate_prime_powers(lo, hi)
     assert [pp.q for pp in got] == _naive_prime_powers(lo, hi)
     for pp in got:
         assert pp.p ** pp.r == pp.q and sympy.isprime(pp.p)
 
 
-@pytest.mark.parametrize(
-    "lo,hi",
-    [
-        (2, 300_000),
-        (-5, 1000),
-        (50, 40),
-        (65537, 65537),
-        ((1 << 21) - 5000, (1 << 21) + 5000),
-    ],
-)
-def test_enumerate_without_omega_skips_the_omega_sieve(monkeypatch, lo, hi):
-    """The plain range is the sieve's prime powers, found without omega(q - 1)
-    of any prime or higher power."""
-    # omega(q - 1) <= 7 for every q below 2**21 + 5000
-    want = sorted((pp for om in range(9) for pp in nt.iter_prime_powers(lo, hi, om)), key=lambda pp: pp.q)
-
-    def no_omega(*args):
-        raise AssertionError("the plain range computed omega")
-
-    monkeypatch.setattr(nt, "_window_omega", no_omega)
-    monkeypatch.setattr(nt, "factorize", no_omega)
-    assert nt.enumerate_prime_powers(lo, hi) == want
-
-
 def test_enumerate_with_omega_filter():
-    got = [pp.q for pp in nt.enumerate_prime_powers(3, 2000, omega=3)]
+    got = [pp.q for pp in nt.omega_prime_powers(3, 2000, 3)]
     naive = [q for q in _naive_prime_powers(3, 2000) if len(sympy.factorint(q - 1)) == 3]
     assert got == naive
+
+
+def _check_omega_windows(lo, hi):
+    """`omega_prime_powers` for omega = 0..8 on [lo, hi] against the plain
+    range filtered by omega(q - 1), and against sympy while hi <= 66,000."""
+    plain = nt.enumerate_prime_powers(lo, hi)
+    if hi <= 66_000:
+        assert plain == [nt.PrimePowerId(q, *sympy.factorint(q).popitem()) for q in _naive_prime_powers(lo, hi)]
+    for omega in range(9):
+        want = [pp for pp in plain if len(nt.factorize(pp.q - 1)) == omega]
+        if hi <= 66_000:
+            assert want == [pp for pp in plain if len(sympy.factorint(pp.q - 1)) == omega], omega
+        assert nt.omega_prime_powers(lo, hi, omega) == want, omega
 
 
 @pytest.mark.parametrize(
@@ -246,65 +243,28 @@ def test_enumerate_with_omega_filter():
     ],
 )
 def test_enumerate_with_omega_equals_the_sieve(lo, hi):
-    """The omega path, and its search run without a budget, which builds
-    q - 1 from its factorisation; the sieve of `iter_prime_powers` is the
-    reference, itself checked against sympy on the windows up to 66,000."""
-    naive = None
-    if hi <= 66_000:
-        naive = [nt.PrimePowerId(q, *sympy.factorint(q).popitem()) for q in _naive_prime_powers(lo, hi)]
-    for omega in range(9):
-        want = list(nt.iter_prime_powers(lo, hi, omega))
-        if naive is not None:
-            assert want == [pp for pp in naive if len(sympy.factorint(pp.q - 1)) == omega], omega
-        assert nt.enumerate_prime_powers(lo, hi, omega) == want, omega
-        assert nt._omega_prime_powers(lo, hi, omega, inf) == want, omega
+    """The factorisation search equals the sieve's prime powers filtered by
+    omega(q - 1), on edge windows."""
+    _check_omega_windows(lo, hi)
 
 
-@pytest.mark.parametrize(
-    "lo,hi,omega,searched",
-    [
-        (2, 10**6, 6, True),  # 2,235 even q - 1 <= 10**6 with 6 primes
-        (2, 10**6, 5, False),  # 38,025 of them, over the budget of 7,812
-        (2, 10**6, 4, False),  # a prime list to 33,333, over the budget
-        # narrow beside hi: the search would need primes up to hi / 2
-        (10**8, 10**8 + 1000, 2, False),
-        (10**10, 10**10 + 100, 2, False),
-        (10**10, 10**10 + 100, 3, False),
-    ],
-)
-def test_enumerate_with_omega_searches_only_where_sparse(monkeypatch, lo, hi, omega, searched):
-    """The search runs where q - 1 with omega primes are sparse in [lo, hi];
-    where they are dense, or the range is narrow beside hi, the sieve runs and
-    no prime list grows past what the sieve needs (sqrt(hi)) or the search's
-    budget."""
-    sieves, limits = [], []
-    iter_prime_powers, primes_up_to = nt.iter_prime_powers, nt.primes_up_to
+def _random_windows(seed, count):
+    """`count` windows with hi and the width log-uniform, hi up to 2 * 10**6."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        hi = int(10 ** rng.uniform(1, 6.3))
+        yield hi - int(10 ** rng.uniform(0, 4.5)), hi
 
-    def iter_spy(a, b, omega=None):
-        sieves.append((a, b, omega))
-        return iter_prime_powers(a, b, omega)
 
-    def primes_spy(n):
-        limits.append(n)
-        return primes_up_to(n)
-
-    monkeypatch.setattr(nt, "iter_prime_powers", iter_spy)
-    monkeypatch.setattr(nt, "primes_up_to", primes_spy)
-    got = nt.enumerate_prime_powers(lo, hi, omega)
-    assert sieves == ([] if searched else [(lo, hi, omega)])
-    if not searched:
-        assert max(limits) <= max(isqrt(hi) + 1, (hi - lo + 1) // nt._SEARCH_RATIO)
-    if hi - lo <= 1000:
-        want = [q for q in range(lo, hi + 1) if nt.is_prime_power(q) and len(nt.factorize(q - 1)) == omega]
-    else:
-        want = [pp.q for pp in iter_prime_powers(lo, hi, omega)]
-    assert [pp.q for pp in got] == want
+@pytest.mark.parametrize("lo,hi", list(_random_windows(2024, 10)))
+def test_omega_prime_powers_equals_the_filter_on_random_windows(lo, hi):
+    _check_omega_windows(lo, hi)
 
 
 def test_enumerate_omega_one_to_2_40():
     # q - 1 a prime power: Fermat primes, 9, and 2**r with 2**r - 1 a
     # Mersenne prime; sieving that range would not finish
-    got = [pp.q for pp in nt.enumerate_prime_powers(3, 2**40, omega=1)]
+    got = [pp.q for pp in nt.omega_prime_powers(3, 2**40, 1)]
     assert got == [3, 4, 5, 8, 9, 17, 32, 128, 257, 8192, 65537, 131072, 524288, 2147483648]
     assert all(len(sympy.factorint(q)) == len(sympy.factorint(q - 1)) == 1 for q in got)
 
@@ -315,9 +275,6 @@ def test_iter_prime_powers_order_and_omega():
     assert qs == sorted(qs) == _naive_prime_powers(2, 1000)
     for pp in rows:
         assert pp.p**pp.r == pp.q
-    for om in range(9):
-        for pp in nt.iter_prime_powers(2, 1000, om):
-            assert om == len(sympy.factorint(pp.q - 1))
 
 
 def test_iter_prime_powers_across_window_boundary():

@@ -168,7 +168,7 @@ def test_interval_failure_on_omega_five_cured_by_sieving():
     assert sc.pair_sieve_bound(50311, 2).holds
     # every earlier omega = 5 candidate either passes the plain interval or
     # stays unrescued, so 50311 really is the first of its kind
-    for pp in nt.enumerate_prime_powers(2311, 50310, omega=5):
+    for pp in nt.omega_prime_powers(2311, 50310, 5):
         if not sc.pair_interval(pp.q).holds:
             assert not sc.pair_sieve_bound(pp.q, 2).holds, pp.q
 
@@ -427,7 +427,7 @@ def test_survey_row_candidate_counts_frozen():
     # an empty window gives each row's own q_min and q_max without a re-test
     rows, _ = sc.sweep(3, 2)
     assert all(row.candidates == 0 for row in rows)
-    counts = [len(nt.enumerate_prime_powers(row.q_min, row.q_max, row.omega)) for row in rows]
+    counts = [len(nt.omega_prime_powers(row.q_min, row.q_max, row.omega)) for row in rows]
     assert counts == [6, 75, 692, 3391, 7722, 3968, 681, 49]
 
 
@@ -454,7 +454,7 @@ def test_survey_failing_exactly_matches_element_screen():
     for om in (1, 2, 3, 4):
         row = sc.survey(om)
         failing = set(row.failing_list)
-        for pp in nt.enumerate_prime_powers(row.q_min, row.q_max, omega=om):
+        for pp in nt.omega_prime_powers(row.q_min, row.q_max, om):
             status = sc.screen(pp.q).status
             if pp.q in failing:
                 assert status != "element_proved", pp.q
@@ -488,6 +488,21 @@ def test_sweep_small_window():
     # no element_proved verdict can appear: these q already failed the
     # element stages inside the survey
     assert "element_proved" not in by_status
+
+
+def test_sweep_lists_candidates_without_the_range_sieve(monkeypatch):
+    """Each survey row builds its candidates by `omega_prime_powers` alone;
+    no row lists a range of prime powers and filters it."""
+
+    def no_range(*args):
+        raise AssertionError("a survey row listed a plain range")
+
+    for mod in (nt, sc):
+        for name in ("iter_prime_powers", "enumerate_prime_powers"):
+            monkeypatch.setattr(mod, name, no_range, raising=False)
+    rows, verdicts = sc.sweep(3, 10**6)
+    assert [row.omega for row in rows] == list(range(1, sc.MAX_SURVEY_OMEGA + 1))
+    assert sum(row.candidates for row in rows) > 0 and verdicts
 
 
 @pytest.fixture(scope="module")
