@@ -12,7 +12,8 @@ Each field fixes one generator ``gamma`` of the multiplicative group:
   the first monic polynomial of degree r, in lexicographic order on the
   coefficient tuple read from x**(r-1) down to the constant term, whose root x
   has multiplicative order q - 1.  (That order forces f irreducible, so a
-  single order test does both jobs.)
+  single order test does both jobs: x**(q-1) = 1 by ``power``, then
+  ``is_primitive``.  The same two tests pick the least primitive root.)
 
 Discrete logs are always taken to base gamma.  ``log_table`` materializes the
 full exp/log arrays (numpy, capped at 2**26 entries); ``discrete_log`` is
@@ -117,48 +118,29 @@ def _poly_mul_mod(a: list[int], b: list[int], f: list[int], p: int) -> list[int]
             t[k] = 0
             for i in range(r):
                 t[k - r + i] = (t[k - r + i] - d * f[i]) % p
-    t = t[:r]
-    return t
-
-
-def _x_has_full_order(f: list[int], p: int, q: int, prime_divs: tuple[int, ...]) -> bool:
-    def poly_pow_x(n: int) -> list[int]:
-        base = [0, 1] if len(f) > 2 else [(-f[0]) % p]
-        acc = [1]
-        while n:
-            if n & 1:
-                acc = _poly_mul_mod(acc, base, f, p)
-            base = _poly_mul_mod(base, base, f, p)
-            n >>= 1
-        return acc
-
-    one = [1] + [0] * (len(f) - 2)
-    if poly_pow_x(q - 1) != one:
-        return False
-    return all(poly_pow_x((q - 1) // l) != one for l in prime_divs)
+    return t[:r]
 
 
 @lru_cache(maxsize=256)
 def build_field(q: int) -> FieldSpec:
-    """Construct F_q (raises NotAPrimePowerError for bad q)."""
+    """Construct F_q (raises NotAPrimePowerError for bad q): the first
+    candidate, in the canonical order of the module docstring, whose gamma
+    has order q - 1 by `power` and `is_primitive`."""
     ppid = prime_power_decompose(q)
     p, r = ppid.p, ppid.r
     prof = profile(q - 1)
     if r == 1:
-        g = 1
-        while True:
-            if g % p and all(pow(g, (q - 1) // l, p) != 1 for l in prof.primes):
-                break
-            g += 1
-        return FieldSpec(id=ppid, modulus=None, gamma=g % p, q_minus_1=prof)
-    for top in itertools.product(range(p), repeat=r):
+        candidates = (FieldSpec(ppid, None, g, prof) for g in range(1, p))
+    else:
         # top = (c_{r-1}, ..., c_0); constant term 0 would make x a zero divisor
-        if top[-1] == 0:
-            continue
-        f = [top[r - 1 - i] for i in range(r)] + [1]
-        if _x_has_full_order(f, p, q, prof.primes):
-            return FieldSpec(id=ppid, modulus=tuple(f), gamma=p, q_minus_1=prof)
-    raise AssertionError(f"no primitive polynomial found for q={q}")  # unreachable
+        candidates = (
+            FieldSpec(ppid, (*reversed(top), 1), p, prof)
+            for top in itertools.product(range(p), repeat=r)
+            if top[-1] != 0
+        )
+    # gamma**(q-1) = 1 first: modulo a reducible f, x can pass every
+    # prime-divisor test of is_primitive without having order q - 1
+    return next(F for F in candidates if power(F, F.gamma, q - 1) == 1 and is_primitive(F, F.gamma))
 
 
 # --------------------------------------------------------------------------
@@ -214,17 +196,20 @@ def mul(F: FieldSpec, a: int, b: int) -> int:
 
 
 def power(F: FieldSpec, a: int, n: int) -> int:
-    if F.r == 1:
-        return pow(a, n, F.p) if n >= 0 else pow(inv(F, a), -n, F.p)
+    """a**n; a negative n raises inv(a) to -n.  For r >= 2, a is unpacked
+    once, squared and multiplied as a coefficient list, and packed once."""
     if n < 0:
-        return power(F, inv(F, a), -n)
-    acc = 1
+        a, n = inv(F, a), -n
+    if F.r == 1:
+        return pow(a, n, F.p)
+    f, p = list(F.modulus), F.p
+    base, acc = list(to_coeffs(F, a)), [1]
     while n:
         if n & 1:
-            acc = mul(F, acc, a)
-        a = mul(F, a, a)
+            acc = _poly_mul_mod(acc, base, f, p)
+        base = _poly_mul_mod(base, base, f, p)
         n >>= 1
-    return acc
+    return from_coeffs(F, acc)
 
 
 def inv(F: FieldSpec, a: int) -> int:
@@ -261,9 +246,7 @@ def is_primitive(F: FieldSpec, a: int) -> bool:
     """a generates the multiplicative group, i.e. a is (q-1)-free; 0 never
     does.  Raises ValueError unless a lies in [0, q)."""
     check_nonzero(F.q, a=a or 1)
-    if a == 0:
-        return False
-    return all(power(F, a, (F.q - 1) // l) != 1 for l in F.q_minus_1.primes)
+    return a != 0 and is_e_free(F, a, F.q - 1)
 
 
 def primitive_elements(F: FieldSpec) -> list[int]:
@@ -283,7 +266,6 @@ class LogTable:
     log[q] = -1.  The sentinel at q makes log[exp + 1] the add-one log
     table of a prime field: exp = p - 1 lands on it."""
 
-    q: int
     exp: np.ndarray
     log: np.ndarray
 
@@ -319,16 +301,12 @@ def _exp_array_ext(F: FieldSpec) -> np.ndarray:
         return exp
     # jump in blocks: multiplication by gamma**m is linear on digit vectors
     gm = power(F, F.gamma, m)
-    M = np.empty((r, r), dtype=np.int64)
-    for i in range(r):
-        M[:, i] = to_coeffs(F, mul(F, gm, from_coeffs(F, [int(k == i) for k in range(r)])))
+    M = np.array([to_coeffs(F, mul(F, gm, p**i)) for i in range(r)], dtype=np.int64)  # row i: gm * x**i
     pw = p ** np.arange(r, dtype=np.int64)
-    digits = np.empty((m, r), dtype=np.int64)
-    for j in range(m):
-        digits[j] = to_coeffs(F, int(exp[j]))
+    digits = exp[:m, None] // pw % p
     for a in range(m, n, m):
         b = min(a + m, n)
-        digits = digits[: b - a] @ M.T % p
+        digits = digits[: b - a] @ M % p
         exp[a:b] = digits @ pw
     return exp
 
@@ -342,7 +320,7 @@ def log_table(F: FieldSpec) -> LogTable:
     for lo in range(0, F.q - 1, TABLE_SLICE):
         hi = min(lo + TABLE_SLICE, F.q - 1)
         log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)
-    return LogTable(q=F.q, exp=exp, log=log)
+    return LogTable(exp=exp, log=log)
 
 
 def _bsgs(F: FieldSpec, h: int, base: int, order: int) -> int:

@@ -101,12 +101,9 @@ def first_primes(k: int) -> list[int]:
     """The first k primes."""
     if k <= 0:
         return []
-    # p_k < k (ln k + ln ln k) for k >= 6; pad generously for small k
-    bound = 15 if k < 6 else int(k * (np.log(k) + np.log(np.log(k)))) + 10
-    ps = primes_up_to(bound)
-    while len(ps) < k:
+    bound = 16
+    while len(ps := primes_up_to(bound)) < k:
         bound *= 2
-        ps = primes_up_to(bound)
     return [int(p) for p in ps[:k]]
 
 

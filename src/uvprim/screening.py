@@ -514,22 +514,16 @@ def generic_q_max(omega: int, s: int | None = None) -> int:
     return lo
 
 
-def survey(omega: int) -> SurveyRow:
+def survey(omega: int, lo: int = 2, hi: int | float = inf) -> SurveyRow:
     """For one omega, the exact finite list of q that the element criteria
     cannot settle: pick the s whose worst-case model has the smallest q_max,
-    enumerate the prime powers q <= q_max with omega(q - 1) == omega, and
+    list the prime powers q <= q_max with omega(q - 1) == omega, and
     re-test each with the element stage of `screen` at its own exact
-    densities."""
-    return _survey_row(omega, 0, inf)
+    densities.
 
-
-def _survey_row(omega: int, lo: int, hi: int | float) -> SurveyRow:
-    """The survey row for omega, with candidates enumerated and re-tested
-    only in [lo, hi] (the row's q_min, q_max and chosen_s stay its own).
-
-    The candidates are the prime powers q with omega(q - 1) == omega from
-    `omega_prime_powers`, which builds them from the factorisation of q - 1;
-    each is re-tested with the element stage at its own exact densities."""
+    The candidates come from `omega_prime_powers`, which builds them from
+    the factorisation of q - 1, and only those in [lo, hi] are listed and
+    re-tested; the row's q_min, q_max and chosen_s stay its own."""
     if omega < 1:
         raise ValueError("the survey covers omega >= 1")
     if omega == 1:
@@ -564,10 +558,14 @@ def sweep(min_q: int = 2, max_q: int | None = None) -> tuple[list[SurveyRow], li
     everything; the tests verify that claim separately) restricted to the
     window [min_q, max_q], and a merged, ascending list of verdicts for
     every element-unproven q, each pushed through the pair stage of
-    `screen`.  Rows enumerate only the window."""
+    `screen`.  Rows enumerate only the window.  q = 2, the one prime power
+    with omega(q - 1) = 0 and so in no row, fails both stages and is listed
+    first when the window holds it."""
     hi = inf if max_q is None else max_q
-    rows = [_survey_row(om, min_q, hi) for om in range(1, MAX_SURVEY_OMEGA + 1)]
-    verdicts = [_classify(q, _STAGES[1:]) for q in sorted(x for row in rows for x in row.failing_list)]
+    rows = [survey(om, min_q, hi) for om in range(1, MAX_SURVEY_OMEGA + 1)]
+    qs = [2] if min_q <= 2 <= hi else []
+    qs += sorted(x for row in rows for x in row.failing_list)
+    verdicts = [_classify(q, _STAGES[1:]) for q in qs]
     return rows, verdicts
 
 

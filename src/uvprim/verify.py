@@ -309,6 +309,13 @@ class MembershipResult:
     stats: dict
 
 
+def _result(t: _UVTables, q: int, set: str, bad, algorithm: str, stats: dict) -> MembershipResult:
+    """The one constructor of every membership result: `bad` lists the
+    failing (log u, log v), already in report order."""
+    failures = tuple((int(t.exp[ju]), int(t.exp[jv])) for ju, jv in bad)
+    return MembershipResult(q=q, set=set, member=not failures, failures=failures, algorithm=algorithm, stats=stats)
+
+
 _CHUNK = 192
 
 
@@ -360,12 +367,7 @@ def _element_membership(
                 bad.append((k, (k + jw) % t.n))
                 if 2 * jw % t.n:  # jw = 0 and jw = n/2 are their own mirrors
                     bad.append(((k + jw) % t.R, ((k + jw) % t.R - jw) % t.n))
-    bad.sort()
-    failures = tuple((int(t.exp[k]), int(t.exp[jv])) for k, jv in bad)
-    return MembershipResult(
-        q=F.q, set="element", member=not failures, failures=failures,
-        algorithm=algorithm, stats=stats,
-    )
+    return _result(t, F.q, "element", sorted(bad), algorithm, stats)
 
 
 def check_element_membership_logs(q: int) -> MembershipResult:
@@ -388,11 +390,7 @@ def check_pair_membership(q: int) -> MembershipResult:
             stats["orbits"] += 1
             if _pair_witness(t, ju, jv - ju, stats) is None:
                 bad.append((ju, jv))
-    failures = tuple((int(t.exp[a]), int(t.exp[b])) for a, b in bad)
-    return MembershipResult(
-        q=q, set="pair", member=not failures, failures=failures,
-        algorithm="brute", stats=stats,
-    )
+    return _result(t, q, "pair", bad, "brute", stats)
 
 
 def check_pair_membership_lift(q: int) -> MembershipResult:
@@ -424,11 +422,7 @@ def check_pair_membership_lift(q: int) -> MembershipResult:
     bad = sorted(
         (ju, jv) for k, jw in failing for ju in range(k, t.n, t.R) if ju <= (jv := (ju + jw) % t.n)
     )
-    failures = tuple((int(t.exp[a]), int(t.exp[b])) for a, b in bad)
-    return MembershipResult(
-        q=q, set="pair", member=not failures, failures=failures,
-        algorithm="lift", stats=stats,
-    )
+    return _result(t, q, "pair", bad, "lift", stats)
 
 
 # --------------------------------------------------------------------------

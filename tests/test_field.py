@@ -1,16 +1,20 @@
 """Field construction, packed-int arithmetic, and discrete logs.
 
-The Pohlig-Hellman log is checked against the dense table on a spread of
-prime fields and extensions; arithmetic is checked against its defining
-identities rather than a second implementation.
+The canonical (modulus, gamma) of every field up to 1000 is checked against
+an oracle that shares no package code.  The Pohlig-Hellman log is checked
+against the dense table on a spread of prime fields and extensions;
+arithmetic is checked against its defining identities rather than a second
+implementation.
 """
 
+import itertools
 import random
 import tracemalloc
 from math import gcd
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -48,6 +52,45 @@ def test_canonical_extension_moduli():
     F4 = fd.build_field(4)
     assert F4.modulus == (1, 1, 1)
     assert F4.gamma == 2
+
+
+def _x_order(f: list[int], p: int, bound: int) -> int | None:
+    """The multiplicative order of x modulo the monic f (little-endian) over
+    F_p, by stepping v -> x v with a shift and one reduction; None if v does
+    not come back to 1 within `bound` steps."""
+    r = len(f) - 1
+    one = [1] + [0] * (r - 1)
+    v = one
+    for k in range(1, bound + 1):
+        top = v[-1]
+        v = [(c - top * fc) % p for c, fc in zip([0, *v[:-1]], f)]
+        if v == one:
+            return k
+    return None
+
+
+def _canonical_oracle(p: int, r: int) -> tuple[tuple[int, ...] | None, int]:
+    """(modulus, gamma) of the module docstring's canonical F_(p^r), found
+    without the package: the least primitive root for r = 1, else the first
+    monic f, read from x**(r-1) down to the constant term in lexicographic
+    order, whose x has order p**r - 1 (gamma is x, packed as p)."""
+    if r == 1:
+        return None, sympy.primitive_root(p)
+    n = p**r - 1
+    for top in itertools.product(range(p), repeat=r):
+        f = [*reversed(top), 1]
+        if _x_order(f, p, n) == n:
+            return tuple(f), p
+    raise AssertionError((p, r))
+
+
+def test_canonical_fields_match_an_independent_oracle():
+    for q in range(2, 1001):
+        fac = sympy.factorint(q)
+        if len(fac) == 1:
+            ((p, r),) = fac.items()
+            F = fd.build_field(q)
+            assert (F.modulus, F.gamma) == _canonical_oracle(p, r), q
 
 
 def test_build_field_rejects_non_prime_powers():
@@ -95,6 +138,10 @@ def test_inverse_and_power(F, data):
     assert fd.power(F, a, F.q - 1) == 1  # Lagrange
     assert fd.power(F, a, -1) == fd.inv(F, a)
     assert fd.power(F, a, 0) == 1
+    k, acc = data.draw(st.integers(0, 2 * F.q)), 1
+    for _ in range(k):
+        acc = fd.mul(F, acc, a)
+    assert fd.power(F, a, k) == acc
 
 
 def test_inv_of_zero_raises():

@@ -26,6 +26,9 @@ def test_primes_up_to_matches_sympy():
 def test_first_primes_and_primorial():
     assert nt.first_primes(0) == []
     assert nt.first_primes(8) == [2, 3, 5, 7, 11, 13, 17, 19]
+    # auto_threshold asks for up to 300 primes; the bound doubles from 16
+    for k in (1, 6, 7, 300):
+        assert nt.first_primes(k) == [sympy.prime(i) for i in range(1, k + 1)]
     assert nt.primorial(0) == 1
     assert nt.primorial(8) == 9_699_690
     assert nt.primorial(17) == sympy.primorial(17)

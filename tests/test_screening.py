@@ -532,6 +532,17 @@ def test_sweep_window_is_the_surveys_restricted_to_it(lo, hi, rows_to_104597):
         assert (v.status, v.witness) == (ref.status, ref.witness), v.q
 
 
+@pytest.mark.parametrize("lo,hi", [(2, 2), (2, 300), (100, 5000)])
+def test_sweep_lists_every_q_screen_cannot_element_prove(lo, hi):
+    """The sweep's verdicts are exactly screen()'s for the prime powers in
+    [lo, hi] that it does not element-prove, q = 2 among them: omega(1) = 0
+    puts 2 in no survey row, and it fails both stages."""
+    _, verdicts = sc.sweep(lo, hi)
+    refs = (sc.screen(pp.q) for pp in nt.enumerate_prime_powers(lo, hi))
+    expected = [(r.q, r.status, r.witness) for r in refs if r.status != "element_proved"]
+    assert [(v.q, v.status, v.witness) for v in verdicts] == expected
+
+
 def test_sweep_witnesses_frozen(full_sweep):
     """What the needs-check sweep prints for each verdict: q, status and the
     witness (theorem, certified bound, config deltas), hashed.  Frozen from
