@@ -18,100 +18,3 @@ reports.
 """
 
 __version__ = "0.1.0"
-
-from .errors import (
-    BoundNotApplicableError,
-    InvalidDivisorError,
-    LogTableTooLargeError,
-    NotAPrimePowerError,
-)
-from .ntcore import (
-    ArithmeticProfile,
-    DeltaValue,
-    PrimePowerId,
-    delta,
-    enumerate_prime_powers,
-    factorize,
-    is_prime,
-    is_prime_power,
-    profile,
-)
-from .field import (
-    FieldSpec,
-    build_field,
-    discrete_log,
-    is_e_free,
-    is_primitive,
-    log_table,
-    primitive_elements,
-)
-from .screening import (
-    NEEDS_CHECK,
-    ELEMENT_PROVED,
-    PAIR_PROVED,
-    BoundReport,
-    ScreeningVerdict,
-    SieveConfig,
-    SurveyRow,
-    auto_threshold,
-    best_config,
-    screen,
-    survey,
-    sweep,
-)
-from .verify import (
-    MembershipResult,
-    PairCountQuery,
-    SingleCountQuery,
-    check_element_membership_cover,
-    check_element_membership_logs,
-    check_pair_membership,
-    count_pairs_free,
-    count_single_free,
-    special_case_witnesses,
-)
-
-__all__ = [
-    "ArithmeticProfile",
-    "BoundNotApplicableError",
-    "BoundReport",
-    "DeltaValue",
-    "ELEMENT_PROVED",
-    "FieldSpec",
-    "InvalidDivisorError",
-    "LogTableTooLargeError",
-    "MembershipResult",
-    "NEEDS_CHECK",
-    "NotAPrimePowerError",
-    "PAIR_PROVED",
-    "PairCountQuery",
-    "PrimePowerId",
-    "ScreeningVerdict",
-    "SieveConfig",
-    "SingleCountQuery",
-    "SurveyRow",
-    "auto_threshold",
-    "best_config",
-    "build_field",
-    "check_element_membership_cover",
-    "check_element_membership_logs",
-    "check_pair_membership",
-    "count_pairs_free",
-    "count_single_free",
-    "delta",
-    "discrete_log",
-    "enumerate_prime_powers",
-    "factorize",
-    "is_e_free",
-    "is_prime",
-    "is_prime_power",
-    "is_primitive",
-    "log_table",
-    "primitive_elements",
-    "profile",
-    "screen",
-    "special_case_witnesses",
-    "survey",
-    "sweep",
-    "__version__",
-]

@@ -135,7 +135,7 @@ def _screen_record(pp: ntcore.PrimePowerId) -> dict:
 _CHECKERS = {"logs": "check_element_membership_logs", "lift": "check_pair_membership_lift"}
 # the algorithms of each --set, the default first; "both" cross-checks logs
 # against the inclusion-exclusion checker (stats key "ie")
-_ALGOS = dict.fromkeys(("T", "element"), ("logs", "both")) | dict.fromkeys(("S", "pair"), ("lift",))
+_ALGOS = {"T": ("logs", "both"), "S": ("lift",)}
 
 
 def _verify_record(job: tuple[str, ntcore.PrimePowerId]) -> dict:
@@ -174,9 +174,12 @@ def _map_jobs(fn, items, jobs: int | None):
 # --------------------------------------------------------------------------
 # subcommand drivers
 
-def _range(args, parser, default_min: int) -> tuple[int, int]:
-    """--min (default `default_min`) to --max, which must not be empty."""
-    lo = args.min if args.min is not None else default_min
+def _range(args, parser) -> tuple[int, int]:
+    """--min (default 2) to --max, which must be given; the range must not
+    be empty."""
+    if args.max is None:
+        parser.error("a range needs --max (--min defaults to 2)")
+    lo = args.min if args.min is not None else 2
     if lo > args.max:
         parser.error(f"empty range [{lo}, {args.max}]")
     return lo, args.max
@@ -189,9 +192,7 @@ def _q_list(args, parser) -> list[ntcore.PrimePowerId]:
             return [ntcore.prime_power_decompose(q) for q in sorted(set(args.q))]
         except NotAPrimePowerError as e:
             parser.error(str(e))
-    if args.max is None:
-        parser.error("provide --q or a --min/--max range")
-    return ntcore.enumerate_prime_powers(*_range(args, parser, 2))
+    return ntcore.enumerate_prime_powers(*_range(args, parser))
 
 
 def _refuse(args, parser, mode: str, *options: str) -> None:
@@ -218,9 +219,7 @@ def run_screen(args, parser) -> tuple[dict, int]:
 
     if args.needs_check_only:
         _refuse(args, parser, "--needs-check-only", "q")
-        if args.max is None:
-            parser.error("--needs-check-only requires --max")
-        _, verdicts = screening.sweep(*_range(args, parser, 3))
+        _, verdicts = screening.sweep(*_range(args, parser))
         records = [_verdict_record(ntcore.prime_power_decompose(v.q), v, None) for v in verdicts]
         totals = {
             "records": len(records),
@@ -339,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, with_range=True):
         if with_range:  # the modes that run one job per q
             sp.add_argument("--q", type=int, nargs="+", help="explicit prime powers (overrides the range)")
-            sp.add_argument("--min", type=int, help="range start (inclusive)")
+            sp.add_argument("--min", type=int, help="range start (inclusive, default 2)")
             sp.add_argument("--max", type=int, help="range end (inclusive)")
             sp.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
         sp.add_argument("--format", choices=("json", "csv"), default="json")
@@ -357,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="exhaustive membership verification")
     common(sp)
-    sp.add_argument("--set", required=True, choices=("T", "S", "element", "pair"), help="which membership set")
+    sp.add_argument("--set", required=True, choices=("T", "S"), help="which membership set")
     sp.add_argument("--algo", choices=("logs", "both", "lift"))
     sp.add_argument("--expect", help="JSON file with the expected non-member q list")
     sp.set_defaults(func=run_verify)

@@ -26,9 +26,9 @@ built -- exp and log here, 4 bytes each; the add-one log table L1 (4 bytes)
 and the primitive mask (1 byte) in ``verify`` -- plus 8 bytes per primitive
 exponent (``verify``'s ``prim_m``) and 2 Rad(q - 1) bits (its
 ``nonunits_R``).  That is at most 17.25 bytes per element for odd q and 21.25
-for q = 2**k; 14.5 at q = 31,651,621 and 18.6 at the cap q = 2**26 (1.25 GB).
-The tables are filled in slices of ``TABLE_SLICE`` entries, so no build
-holds an n-sized temporary.
+for q = 2**k; 14.5 at q = 31,651,621 (438 MiB) and 18.6 at the cap q = 2**26
+(1.25 GB).  The tables are filled in slices of ``TABLE_SLICE`` entries, so
+no build holds an n-sized temporary.
 
 Only one field's tables stay cached: ``log_table`` and ``verify``'s tables
 each keep the last field asked for, since no command goes back to a field
@@ -68,7 +68,6 @@ __all__ = [
     "neg",
     "power",
     "primitive_elements",
-    "sub",
     "to_coeffs",
 ]
 
@@ -182,10 +181,6 @@ def neg(F: FieldSpec, a: int) -> int:
     if F.r == 1:
         return -a % F.p
     return from_coeffs(F, (-x for x in to_coeffs(F, a)))
-
-
-def sub(F: FieldSpec, a: int, b: int) -> int:
-    return add(F, a, neg(F, b))
 
 
 def mul(F: FieldSpec, a: int, b: int) -> int:

@@ -579,23 +579,23 @@ def auto_threshold(kind: str = "pair", horizon: int = 300) -> int:
     kind "pair" uses the pair interval (positivity tau^2 q > theta^2 W^6);
     kind "prime-pair" uses the classic prime bound (tau^2 (p-1)^4 > 25 theta^2
     W^8 p^3).  Exact integer arithmetic throughout; verified to hold at every
-    omega from the returned value up to `horizon`.
+    omega from the returned value up to `horizon`; ValueError if `horizon`
+    itself fails.
     """
     terms = {"pair": _pair_interval_terms, "prime-pair": _prime_pair_interval_terms}.get(kind)
     if terms is None:
         raise ValueError(f"unknown kind {kind!r}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
 
     def passes(omega: int) -> bool:
         q = primorial(omega) + 1
         return _gt_sqrt(*terms(q, first_primes(omega))[:2], q)
 
-    ok = [passes(om) for om in range(1, horizon + 1)]
-    # find the start of the final all-True run
+    # walk back from the horizon to the start of the final all-passing run
     threshold = horizon + 1
-    for om in range(horizon, 0, -1):
-        if not ok[om - 1]:
-            break
-        threshold = om
-    if threshold > horizon:  # pragma: no cover
-        raise AssertionError("no passing omega within the horizon")
+    while threshold > 1 and passes(threshold - 1):
+        threshold -= 1
+    if threshold > horizon:
+        raise ValueError(f"omega = {horizon} fails, so no passing run starts within the horizon")
     return threshold

@@ -230,8 +230,8 @@ def count_pairs_free(query: PairCountQuery) -> int:
     F = fd.build_field(query.q)
     t = _uv_tables(F)
     m1, m2, m3, m4 = _free_masks(t, (query.e1, query.e2, query.e3, query.e4))
-    ju = fd.discrete_log(F, query.u)
-    jw = (fd.discrete_log(F, query.v) - ju) % t.n
+    ju = int(t.log[query.u])
+    jw = (int(t.log[query.v]) - ju) % t.n
     xs, ys = _exponents(t, m1), _exponents(t, m2)
     return sum(int(np.count_nonzero(hits)) for hits in _pair_hits(t, ju, jw, xs, ys, m3, m4))
 
@@ -241,8 +241,8 @@ def count_single_free(query: SingleCountQuery) -> int:
     F = fd.build_field(query.q)
     t = _uv_tables(F)
     m1, m2 = _free_masks(t, (query.e1, query.e2))
-    ju = fd.discrete_log(F, query.u)
-    jw = (fd.discrete_log(F, query.v) - ju) % t.n
+    ju = int(t.log[query.u])
+    jw = (int(t.log[query.v]) - ju) % t.n
     exponents = _exponents(t, m1)
     count = 0
     for lo in range(0, exponents.size, fd.TABLE_SLICE):
@@ -463,7 +463,8 @@ def coverage_term(F: fd.FieldSpec, w: int, a: int) -> int | None:
     r = fd.add(F, a, fd.mul(F, w, fd.inv(F, a)))
     if r == 0:
         return None
-    return _pattern(_uv_tables(F), fd.discrete_log(F, r))
+    t = _uv_tables(F)
+    return _pattern(t, int(t.log[r]))
 
 
 def _offer(family: dict[int, int], pattern: int) -> tuple[int, list]:

@@ -6,7 +6,7 @@ from importlib.resources import files
 
 import pytest
 
-from uvprim import cli, field, ntcore, verify
+from uvprim import cli, field, ntcore, screening, verify
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -91,11 +91,11 @@ def test_needs_check_only_sweep(tmp_path):
     code, rep = run(["screen", "--max", "200", "--needs-check-only"], tmp_path)
     assert code == 0
     assert rep["totals"] == {
-        "records": 57,
-        "primes": 45,
+        "records": 58,
+        "primes": 46,
         "prime_powers": 12,
         "pair_proved": 22,
-        "needs_check": 35,
+        "needs_check": 36,
         "omega_ge_7": 0,
     }
     assert all(r["elapsed_ms"] is None for r in rep["records"])
@@ -109,11 +109,19 @@ def test_needs_check_only_accepts_and_ignores_jobs(tmp_path):
     assert rep["totals"]["records"] == 57
 
 
+@pytest.mark.parametrize("top", [2, 200])
+def test_needs_check_only_starts_where_a_range_starts(top, tmp_path):
+    # --min defaults to 2 in every mode, so the sweep lists q = 2 too
+    _, rep = run(["screen", "--needs-check-only", "--max", str(top)], tmp_path)
+    _, verdicts = screening.sweep(2, top)
+    assert [(r["q"], r["status"]) for r in rep["records"]] == [(v.q, v.status) for v in verdicts]
+
+
 # ------------------------------------------------------------------ verify
 
 def test_verify_element_range_both_algorithms(tmp_path):
     code, rep = run(
-        ["verify", "--set", "element", "--max", "50", "--algo", "both", "--jobs", "1"],
+        ["verify", "--set", "T", "--max", "50", "--algo", "both", "--jobs", "1"],
         tmp_path,
     )
     assert code == 0
@@ -186,7 +194,7 @@ def test_verify_explicit_q_list(tmp_path):
 
 
 def test_verify_pair_defaults_to_lift(tmp_path):
-    _, rep = run(["verify", "--set", "pair", "--q", "7", "--jobs", "1"], tmp_path)
+    _, rep = run(["verify", "--set", "S", "--q", "7", "--jobs", "1"], tmp_path)
     lift = rep["records"][0]
     assert lift["algorithm"] == "lift"
     assert [1, 1] in lift["failures"]
@@ -279,7 +287,7 @@ def test_oracle_cases(tmp_path):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--set", "pair", "--q", "7", "--algo", "logs"],
+        ["verify", "--set", "S", "--q", "7", "--algo", "logs"],
         ["oracle", "N", "--q", "10007"],
         ["screen", "--q", "6"],
         ["screen", "--min", "50", "--max", "40"],
@@ -321,6 +329,9 @@ def test_oracle_cases(tmp_path):
         ["verify", "--set", "S", "--q", "7", "--algo", "brute"],
         ["verify", "--set", "T", "--q", "7", "--algo", "ie"],
         ["screen", "--min", "3", "--max", "40", "--omega", "1"],
+        # each set has one name
+        ["verify", "--set", "element", "--q", "7"],
+        ["verify", "--set", "pair", "--q", "7"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, tmp_path):

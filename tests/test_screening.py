@@ -562,7 +562,15 @@ def test_sweep_witnesses_frozen(full_sweep):
 def test_auto_threshold_frozen():
     assert sc.auto_threshold("pair") == 47
     assert sc.auto_threshold("prime-pair") == 151
-    # stable under a longer horizon
+    # stable from the first horizon that holds it
+    assert sc.auto_threshold("pair", horizon=47) == 47
     assert sc.auto_threshold("pair", horizon=80) == 47
     with pytest.raises(ValueError):
         sc.auto_threshold("pairs")
+
+
+@pytest.mark.parametrize("horizon", [0, 46])
+def test_auto_threshold_rejects_a_horizon_without_a_passing_run(horizon):
+    # 0 holds no omega; at 46 the final passing run (from 47) lies beyond it
+    with pytest.raises(ValueError):
+        sc.auto_threshold("pair", horizon=horizon)
