@@ -186,8 +186,9 @@ def _range(args, parser) -> tuple[int, int]:
 
 
 def _q_list(args, parser) -> list[ntcore.PrimePowerId]:
-    """The requested prime powers, ascending."""
+    """The requested prime powers, ascending: --q, or the range."""
     if args.q:
+        _refuse(args, parser, "--q", "min", "max")
         try:
             return [ntcore.prime_power_decompose(q) for q in sorted(set(args.q))]
         except NotAPrimePowerError as e:
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, with_range=True):
         if with_range:  # the modes that run one job per q
-            sp.add_argument("--q", type=int, nargs="+", help="explicit prime powers (overrides the range)")
+            sp.add_argument("--q", type=int, nargs="+", help="explicit prime powers, in place of a range")
             sp.add_argument("--min", type=int, help="range start (inclusive, default 2)")
             sp.add_argument("--max", type=int, help="range end (inclusive)")
             sp.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="exhaustive membership verification")
     common(sp)
     sp.add_argument("--set", required=True, choices=("T", "S"), help="which membership set")
-    sp.add_argument("--algo", choices=("logs", "both", "lift"))
+    sp.add_argument("--algo", choices=[a for algos in _ALGOS.values() for a in algos])
     sp.add_argument("--expect", help="JSON file with the expected non-member q list")
     sp.set_defaults(func=run_verify)
 

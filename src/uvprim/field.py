@@ -42,7 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -132,11 +132,10 @@ def build_field(q: int) -> FieldSpec:
         candidates = (FieldSpec(ppid, None, g, prof) for g in range(1, p))
     else:
         # top = (c_{r-1}, ..., c_0); constant term 0 would make x a zero divisor
-        candidates = (
-            FieldSpec(ppid, (*reversed(top), 1), p, prof)
-            for top in itertools.product(range(p), repeat=r)
-            if top[-1] != 0
-        )
+        moduli = ((*reversed(top), 1) for top in itertools.product(range(p), repeat=r) if top[-1] != 0)
+        # f = g(x^d) with d > 1 (d divides every exponent of f) puts x^d in
+        # F_{p^(r/d)}, so the order of x divides d (p^(r/d) - 1) < q - 1
+        candidates = (FieldSpec(ppid, f, p, prof) for f in moduli if gcd(*(i for i, c in enumerate(f) if c)) == 1)
     # gamma**(q-1) = 1 first: modulo a reducible f, x can pass every
     # prime-divisor test of is_primitive without having order q - 1
     return next(F for F in candidates if power(F, F.gamma, q - 1) == 1 and is_primitive(F, F.gamma))

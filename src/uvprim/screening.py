@@ -47,8 +47,9 @@ odd q, 1 for even q):
   whose positivity is exactly the workhorse criterion
       sqrt(q) > 2C [W^2 - (W/2)(1 - 1/sqrt(q))].
 
-`best_config` keeps, over the sieving configs s, the report with the largest
-margin; that one objective serves all three sieves.  There is one stage
+One evaluator, `_sieve`, weighs the sieving configs s: each per-s bound
+calls it for one s, and `best_config` for all s to keep the report with the
+largest margin (one objective serves all three sieves).  There is one stage
 order: `screen` runs the element stage (W^4 criterion; the interval bound
 when omega = 1, else the best element sieve), then the pair stage (pair
 interval, best symmetric sieve, best asymmetric sieve), and stops at the
@@ -127,9 +128,10 @@ def _gt_sqrt(alpha: int, beta: int, q: int) -> bool:
 @dataclass(frozen=True)
 class SieveConfig:
     """A factorization Rad(q-1) = k * P, P the product of the s sieving
-    primes.  With `slack` = sum(P/p), delta_j = 1 - j * sum(1/p) is
-    `delta_num(j)`/P: the bounds use that integer numerator, and the
-    `Fraction`s `delta2`, `delta3`, `delta4` are derived on access."""
+    primes (the s largest primes of q-1).  With `slack` = sum(P/p),
+    delta_j = 1 - j * sum(1/p) is `delta_num(j)`/P: the bounds use that
+    integer numerator, and the `Fraction`s `delta2`, `delta3`, `delta4` are
+    derived on access."""
 
     q: int
     k: int
@@ -152,12 +154,6 @@ class SieveConfig:
     @property
     def delta4(self) -> Fraction:
         return Fraction(self.delta_num(4), self.product)
-
-    @property
-    def k_primes(self) -> tuple[int, ...]:
-        """The primes of q - 1 left unsieved, i.e. the primes of k."""
-        primes = profile(self.q - 1).primes
-        return primes[: len(primes) - self.s]
 
 
 @dataclass(frozen=True)
@@ -219,13 +215,19 @@ class SurveyRow:
 # --------------------------------------------------------------------------
 # configs
 
+def _split(primes: tuple[int, ...] | list[int], s: int):
+    """(kept, sieving, P, slack) when the s largest of `primes` are sieved:
+    `kept` are the primes of k and delta_j = (P - j*slack)/P."""
+    if not 0 <= s <= len(primes):
+        raise BoundNotApplicableError(f"s={s} out of range for omega={len(primes)}")
+    kept, sieving = primes[: len(primes) - s], primes[len(primes) - s :]
+    return kept, sieving, *sieve_terms(sieving)
+
+
 def sieve_config(q: int, s: int) -> SieveConfig:
     """Sieve the s largest primes of q-1; stats at the cofactor k."""
     prof = profile(q - 1)
-    if not 0 <= s <= prof.omega:
-        raise BoundNotApplicableError(f"s={s} out of range for omega={prof.omega}")
-    sieving = prof.primes[prof.omega - s :]
-    P, slack = sieve_terms(sieving)
+    _, sieving, P, slack = _split(prof.primes, s)
     return SieveConfig(q=q, k=prof.radical // P, sieving_primes=sieving, s=s, product=P, slack=slack)
 
 
@@ -285,13 +287,13 @@ def _pair_sieve_asym_terms(q: int, s: int, kept: tuple[int, ...], P: int, d3: in
 
 def pair_sieve_bound(q: int, s: int) -> BoundReport:
     """Sieved pair bound; needs q > 2 and delta_4 > 0."""
-    return _sieve_report("pair", q, s)
+    return _sieve("pair", q, s)
 
 
 def pair_sieve_asym_bound(q: int, s: int) -> BoundReport:
     """Asymmetric pair sieve; needs q > 2 and delta_3 > 0.  Often stronger
     than the symmetric sieve because it tolerates more sieving primes."""
-    return _sieve_report("pair-asym", q, s)
+    return _sieve("pair-asym", q, s)
 
 
 def pair_w6(q: int) -> BoundReport:
@@ -340,7 +342,7 @@ def element_sieve_criterion(q: int, s: int) -> BoundReport:
     Needs q > 3 and delta_2 > 0.  The margin terms are (q - CW, CW(2W - 1));
     lower_bound certifies theta^2 {(q - CW) - (2CW^2 - CW) sqrt(q)}, a lower
     bound for the count."""
-    return _sieve_report("element", q, s)
+    return _sieve("element", q, s)
 
 
 def _element_sieve_margin(q: int, s: int, P: int, d2: int, w: int) -> tuple[int, int]:
@@ -380,51 +382,47 @@ _SIEVES = {
 }
 
 
-def _sieve_report(objective: str, q: int, s: int) -> BoundReport:
-    """The report of one sieve at one config s, or BoundNotApplicableError."""
+def _sieve(objective: str, q: int, s: int | None = None) -> BoundReport:
+    """The report of one sieve at config s or, for s=None, the one of
+    largest margin over s = 0 .. omega(q-1)-1 (ties keep the smaller s);
+    only that report and its config are built.  BoundNotApplicableError if
+    q is too small, s out of range or the first delta_j <= 0."""
     theorem, j, q_least, terms, scale = _SIEVES[objective]
     if q < q_least:
         raise BoundNotApplicableError(f"the {theorem} bound needs q > {q_least - 1}")
-    cfg = sieve_config(q, s)
-    d = cfg.delta_num(j)
-    if d <= 0:
-        raise BoundNotApplicableError(f"delta_{j} = {Fraction(d, cfg.product)} <= 0")
-    kept = cfg.k_primes
-    return _report(theorem, q, *terms(q, s, kept, cfg.product, d), scale(kept) if scale else (1, 1), config=cfg)
+    prof = profile(q - 1)
+    best = None
+    for s in (range(max(prof.omega, 1)) if s is None else (s,)):
+        kept, sieving, P, slack = _split(prof.primes, s)
+        d = P - j * slack
+        if d <= 0:
+            break  # each further s sieves one more prime, so delta_j only falls
+        A, B, D = terms(q, s, kept, P, d)
+        # A/D - B/D sqrt(q) beats A0/D0 - B0/D0 sqrt(q)
+        #   <=>  (A D0 - A0 D) > (B D0 - B0 D) sqrt(q)
+        if best is None or _gt_sqrt(A * best[2] - best[0] * D, B * best[2] - best[1] * D, q):
+            best, winner = (A, B, D), (s, kept, sieving, P, slack)
+    if best is None:
+        raise BoundNotApplicableError(f"delta_{j} = {Fraction(d, P)} <= 0")
+    s, kept, sieving, P, slack = winner
+    cfg = SieveConfig(q=q, k=prof.radical // P, sieving_primes=sieving, s=s, product=P, slack=slack)
+    return _report(theorem, q, *best, scale(kept) if scale else (1, 1), config=cfg)
 
 
 def best_config(q: int, objective: str) -> BoundReport | None:
     """The sieved report with the largest margin alpha - beta*sqrt(q) for one
-    of the objectives "element", "pair" and "pair-asym".
+    of the objectives "element", "pair" and "pair-asym", weighed by `_sieve`.
 
     For "element" the margin is (q - CW) - CW(2W - 1) sqrt(q), so the best
     config is the one with the smallest criterion RHS
     2C[W^2 - (W/2)(1 - 1/sqrt(q))]; for the pair sieves it is the exact lower
     bound up to its positive scale.  The best report holds iff some config
-    holds.
-
-    Scans s = 0 .. omega(q-1)-1 over applicable configs (positive delta);
-    exact integer comparisons; ties keep the smaller s.  Returns None when
-    no config is applicable.
+    holds.  Returns None when no config is applicable.
     """
-    _, j, q_least, terms, _ = _SIEVES[objective]
-    if q < q_least:
+    try:
+        return _sieve(objective, q)
+    except BoundNotApplicableError:
         return None
-    primes = profile(q - 1).primes
-    omega = len(primes)
-    best_s = best = None
-    for s in range(max(omega, 1)):
-        # the terms of sieve_config(q, s), without building it
-        P, slack = sieve_terms(primes[omega - s :])
-        d = P - j * slack
-        if d <= 0:
-            break  # each further s sieves one more prime, so delta_j only falls
-        A, B, D = terms(q, s, primes[: omega - s], P, d)
-        # A/D - B/D sqrt(q) beats A0/D0 - B0/D0 sqrt(q)
-        #   <=>  (A D0 - A0 D) > (B D0 - B0 D) sqrt(q)
-        if best is None or _gt_sqrt(A * best[2] - best[0] * D, B * best[2] - best[1] * D, q):
-            best_s, best = s, (A, B, D)
-    return None if best is None else _sieve_report(objective, q, best_s)
 
 
 # --------------------------------------------------------------------------
@@ -436,7 +434,7 @@ def _element_stage(q: int):
     yield element_w4(q)
     if omega == 1:
         yield element_interval(q)
-    if q > 3 and omega >= 2:
+    if omega >= 2:
         rep = best_config(q, "element")
         if rep is not None:
             yield rep
@@ -493,7 +491,7 @@ def _worst_sieve(omega: int, s: int) -> tuple[int, int]:
     """(P, d2) with delta_2 = d2/P when the s sieving primes are the largest
     of the first omega primes: the worst case over all q with
     omega(q-1) = omega."""
-    P, slack = sieve_terms(first_primes(omega)[omega - s :])
+    _, _, P, slack = _split(first_primes(omega), s)
     return P, P - 2 * slack
 
 

@@ -332,6 +332,11 @@ def test_oracle_cases(tmp_path):
         # each set has one name
         ["verify", "--set", "element", "--q", "7"],
         ["verify", "--set", "pair", "--q", "7"],
+        # --q replaces the range
+        ["screen", "--q", "13", "--min", "3"],
+        ["screen", "--q", "13", "--max", "100"],
+        ["verify", "--set", "T", "--q", "13", "--min", "3"],
+        ["verify", "--set", "S", "--q", "13", "--max", "100"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, tmp_path):

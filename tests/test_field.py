@@ -7,10 +7,11 @@ arithmetic is checked against its defining identities rather than a second
 implementation.
 """
 
+import hashlib
 import itertools
 import random
 import tracemalloc
-from math import gcd
+from math import gcd, isqrt
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 
 import helpers
 from uvprim import field as fd
+from uvprim import ntcore as nt
 from uvprim.errors import (
     InvalidDivisorError,
     LogTableTooLargeError,
@@ -91,6 +93,33 @@ def test_canonical_fields_match_an_independent_oracle():
             ((p, r),) = fac.items()
             F = fd.build_field(q)
             assert (F.modulus, F.gamma) == _canonical_oracle(p, r), q
+
+
+def test_canonical_fields_to_20000_frozen():
+    """(modulus, gamma) of every field up to 20000, hashed; frozen while
+    build_field still order-tested the moduli g(x^d) with d > 1."""
+    digest = hashlib.sha256()
+    for pp in nt.enumerate_prime_powers(2, 20_000):
+        F = fd.build_field(pp.q)
+        digest.update(repr((pp.q, F.modulus, F.gamma)).encode())
+    assert digest.hexdigest() == "1b2d85e53fb91ebdb603edabbe0dc7209801b695164892ffe7d14368bd613b01"
+
+
+@pytest.mark.parametrize("q,modulus", [(1009**2, (11, 1, 1)), (1429**2, (33, 1, 1))])
+def test_build_field_skips_every_x_squared_plus_c(q, modulus, monkeypatch):
+    """At r = 2 no modulus x^2 + c is order-tested: x^2 = -c lies in F_p, so
+    the order of x divides 2(p - 1).  The first hit is unchanged."""
+    tested = []
+    power = fd.power
+
+    def spy(F, a, n):
+        tested.append(F.modulus)
+        return power(F, a, n)
+
+    monkeypatch.setattr(fd, "power", spy)
+    F = fd.build_field.__wrapped__(q)  # past the cache
+    assert (F.modulus, F.gamma) == (modulus, isqrt(q))
+    assert tested and all(f[1] != 0 for f in tested)
 
 
 def test_build_field_rejects_non_prime_powers():

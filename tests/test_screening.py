@@ -286,6 +286,55 @@ def test_integer_margins_equal_the_fraction_formulas():
 
 # ----------------------------------------------------------- config search
 
+SIEVE_BOUNDS = {
+    "element": sc.element_sieve_criterion,
+    "pair": sc.pair_sieve_bound,
+    "pair-asym": sc.pair_sieve_asym_bound,
+}
+
+
+def test_best_config_is_the_per_s_bound_at_its_choice():
+    """For every prime power q <= 20000 and each objective, best_config's
+    report is the per-s bound's at the s it chose: the same theorem, terms,
+    scale, config, verdict and certified bound."""
+    fields = lambda r: (r.theorem, r.terms, r.scale, r.config, r.holds, r.lower_bound)
+    for q in (pp.q for pp in nt.enumerate_prime_powers(2, 20_000)):
+        for objective, make in SIEVE_BOUNDS.items():
+            rep = sc.best_config(q, objective)
+            if rep is None:
+                with pytest.raises(BoundNotApplicableError):
+                    make(q, 0)
+                continue
+            assert fields(rep) == fields(make(q, rep.config.s)), (q, objective)
+
+
+def _verdicts_digest(verdicts) -> str:
+    digest = hashlib.sha256()
+    for v in verdicts:
+        reports = [cli._witness_dict(r) for r in v.all_reports]
+        line = json.dumps([v.q, v.status, cli._witness_dict(v.witness), reports], sort_keys=True)
+        digest.update(line.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_screen_and_sweep_weigh_each_config_once(monkeypatch):
+    """With sieve_config and the per-s bounds made to raise, screen over
+    [2, 20000] and sweep(3, 10**6) still give the same verdicts, every
+    report included (hashed; frozen while best_config still re-evaluated
+    its winner through them): best_config builds its report from its own
+    scan."""
+
+    def evaluated_again(*args):
+        raise AssertionError("a sieve config was evaluated a second time")
+
+    for name in ("sieve_config", *(make.__name__ for make in SIEVE_BOUNDS.values())):
+        monkeypatch.setattr(sc, name, evaluated_again)
+    screened = [sc.screen(pp.q) for pp in nt.enumerate_prime_powers(2, 20_000)]
+    assert _verdicts_digest(screened) == "238bb3e30ed3ca4b45105620fc7708c613d60e5d01e64a35e235b5156ba60d12"
+    _, verdicts = sc.sweep(3, 10**6)
+    assert _verdicts_digest(verdicts) == "ccc2930b29a8c2be5542a106357399fa1efc75a1565ba9cb3c1e1dae9dd318bf"
+
+
 def test_best_config_holds_iff_some_config_holds():
     # the best element config holds exactly when some applicable s holds,
     # which is what lets the survey re-test with the element stage; the
@@ -397,6 +446,13 @@ def test_generic_q_max_rejects_dead_slack():
     # sieving {3, 5} in the worst-case omega = 3 model: 2*(1/3 + 1/5) > 1
     with pytest.raises(BoundNotApplicableError):
         sc.generic_q_max(3, 2)
+
+
+@pytest.mark.parametrize("s", [-1, 4])
+def test_generic_q_max_rejects_s_out_of_range(s):
+    # the worst-case model splits the first omega primes as sieve_config does
+    with pytest.raises(BoundNotApplicableError, match="out of range"):
+        sc.generic_q_max(3, s)
 
 
 # -------------------------------------------------------------- the survey
