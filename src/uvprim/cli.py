@@ -14,10 +14,12 @@ Every screen and verify record carries omega(q - 1); filter a range report
 on that field to keep the q of one omega.
 
 Reports are deterministic: records sorted ascending by q, identical inputs
-give identical bytes apart from the elapsed-time fields.  Exact rationals are
-serialized as "num/den" strings with a 12-significant-digit decimal
-convenience field alongside.  Exit codes: 0 success (and --expect match),
-1 --expect mismatch, 2 invalid input.
+give identical bytes apart from the elapsed-time fields.  A JSON report is
+written byte for byte as json.dumps(report, indent=2, sort_keys=True) would
+write it.  Exact rationals are serialized as "num/den" strings with a
+12-significant-digit decimal convenience field alongside, rounded half-even
+whatever the caller's decimal context.  Exit codes: 0 success (and --expect
+match), 1 --expect mismatch, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import decimal
 import io
 import json
+import math
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from . import __version__
@@ -46,10 +49,13 @@ def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+# its own context, so that the caller's rounding, traps and exponent case
+# leave the report as it is
+_DECIMAL = decimal.Context(prec=12, rounding=decimal.ROUND_HALF_EVEN, capitals=1)
+
+
 def _frac_decimal(x: Fraction) -> str:
-    with localcontext() as ctx:
-        ctx.prec = 12
-        return str(Decimal(x.numerator) / Decimal(x.denominator))
+    return _DECIMAL.to_sci_string(_DECIMAL.divide(decimal.Decimal(x.numerator), decimal.Decimal(x.denominator)))
 
 
 def _config_dict(cfg: screening.SieveConfig | None) -> dict | None:
@@ -80,9 +86,48 @@ def _witness_dict(rep: screening.BoundReport | None) -> dict | None:
     return out
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+_encode_scalar = json.JSONEncoder().encode
+
+
+def _indented(obj, ind: str = "\n") -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, with each
+    container joined in one step (json falls back to its pure-Python encoder
+    for any indent).  Strings, exact ints, None and finite floats are
+    written as json writes them; JSONEncoder().encode, which sets up a C
+    encoder on every call, writes the rare rest.  `ind` is the newline and
+    indentation of the enclosing level."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if type(obj) is float and math.isfinite(obj):
+        return float.__repr__(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = ind + "  "
+        items = []
+        for k, v in sorted(obj.items()):
+            if not isinstance(k, str):
+                if not isinstance(k, (int, float)) and k is not None:
+                    raise TypeError(f"keys must be str, int, float, bool or None, not {type(k).__name__}")
+                k = _encode_scalar(k)
+            items.append(_encode_str(k) + ": " + _indented(v, inner))
+        return "{" + inner + ("," + inner).join(items) + ind + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = ind + "  "
+        return "[" + inner + ("," + inner).join([_indented(v, inner) for v in obj]) + ind + "]"
+    return _encode_scalar(obj)
+
+
 def _emit(report: dict, fmt: str, out: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        text = _indented(report) + "\n"
     else:
         records = report["records"]
         cols = sorted({k for r in records for k in r})

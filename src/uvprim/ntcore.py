@@ -167,32 +167,44 @@ def _brent_rho(n: int) -> int:
         seed += 1
 
 
+@lru_cache(maxsize=1)
+def _trial_primes() -> tuple[int, ...]:
+    """The primes below 2**16, as Python ints, for trial division."""
+    return tuple(primes_up_to(1 << 16).tolist())
+
+
 @lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p1, e1), (p2, e2), ...), p1 < p2 < ...
 
-    Trial division by small primes, then Miller-Rabin plus Brent rho for any
-    large cofactor.
+    Trial division by the primes below 2**16.  As soon as p*p exceeds what is
+    left, the cofactor is 1 or a prime and is returned as it is; only a
+    cofactor left after every small prime goes to Miller-Rabin and Brent rho.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}")
-    out: dict[int, int] = {}
-    for p in map(int, primes_up_to(1 << 16)):
+    out: list[tuple[int, int]] = []
+    for p in _trial_primes():
         if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        stack = [n]
-        while stack:
-            m = stack.pop()
-            if is_prime(m):
-                out[m] = out.get(m, 0) + 1
-                continue
-            d = _brent_rho(m)
-            stack += [d, m // d]
-    return tuple(sorted(out.items()))
+            if n > 1:
+                out.append((n, 1))
+            return tuple(out)
+        if n % p == 0:
+            e = 0
+            while n % p == 0:
+                n //= p
+                e += 1
+            out.append((p, e))
+    large: dict[int, int] = {}
+    stack = [n] if n > 1 else []
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            large[m] = large.get(m, 0) + 1
+            continue
+        d = _brent_rho(m)
+        stack += [d, m // d]
+    return tuple(out) + tuple(sorted(large.items()))
 
 
 # --------------------------------------------------------------------------

@@ -384,28 +384,37 @@ _SIEVES = {
 
 def _sieve(objective: str, q: int, s: int | None = None) -> BoundReport:
     """The report of one sieve at config s or, for s=None, the one of
-    largest margin over s = 0 .. omega(q-1)-1 (ties keep the smaller s);
-    only that report and its config are built.  BoundNotApplicableError if
-    q is too small, s out of range or the first delta_j <= 0."""
+    largest margin over s = 0 .. omega(q-1)-1 (ties keep the smaller s),
+    carrying P and slack from each s to the next; only that report and its
+    config are built.  BoundNotApplicableError if q is too small, s out of
+    range or the first delta_j <= 0."""
     theorem, j, q_least, terms, scale = _SIEVES[objective]
     if q < q_least:
         raise BoundNotApplicableError(f"the {theorem} bound needs q > {q_least - 1}")
     prof = profile(q - 1)
+    primes, omega = prof.primes, prof.omega
+    if s is None:
+        first, stop, P, slack = 0, max(omega, 1), 1, 0
+    else:
+        first, stop, P, slack = s, s + 1, *_split(primes, s)[2:]
     best = None
-    for s in (range(max(prof.omega, 1)) if s is None else (s,)):
-        kept, sieving, P, slack = _split(prof.primes, s)
+    for s in range(first, stop):
+        if s > first:  # sieve one more prime p: P' = P*p, slack' = p*slack + P
+            p = primes[omega - s]
+            P, slack = P * p, p * slack + P
         d = P - j * slack
         if d <= 0:
             break  # each further s sieves one more prime, so delta_j only falls
+        kept = primes[: omega - s]
         A, B, D = terms(q, s, kept, P, d)
         # A/D - B/D sqrt(q) beats A0/D0 - B0/D0 sqrt(q)
         #   <=>  (A D0 - A0 D) > (B D0 - B0 D) sqrt(q)
         if best is None or _gt_sqrt(A * best[2] - best[0] * D, B * best[2] - best[1] * D, q):
-            best, winner = (A, B, D), (s, kept, sieving, P, slack)
+            best, winner = (A, B, D), (s, kept, P, slack)
     if best is None:
         raise BoundNotApplicableError(f"delta_{j} = {Fraction(d, P)} <= 0")
-    s, kept, sieving, P, slack = winner
-    cfg = SieveConfig(q=q, k=prof.radical // P, sieving_primes=sieving, s=s, product=P, slack=slack)
+    s, kept, P, slack = winner
+    cfg = SieveConfig(q=q, k=prof.radical // P, sieving_primes=primes[len(kept) :], s=s, product=P, slack=slack)
     return _report(theorem, q, *best, scale(kept) if scale else (1, 1), config=cfg)
 
 

@@ -1,7 +1,10 @@
 """End-to-end runs of the command-line front-end through ``cli.main``."""
 
 import csv
+import decimal
+import enum
 import json
+from fractions import Fraction
 from importlib.resources import files
 
 import pytest
@@ -353,6 +356,68 @@ def test_stdout_json(capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep["command"] == ["oracle", "M", "--q", "11"]
     assert rep["records"][0]["count"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["screen", "--min", "2", "--max", "3000", "--jobs", "1"],
+        ["screen", "--needs-check-only", "--max", str(10**6)],
+        ["screen", "--survey", "3"],
+        ["verify", "--set", "T", "--algo", "both", "--max", "200", "--jobs", "1"],
+        ["verify", "--set", "S", "--max", "64", "--jobs", "1"],
+        ["oracle", "cases", "--q", "31"],
+        ["oracle", "M", "--q", "101"],
+    ],
+)
+def test_json_reports_are_written_as_json_dumps_writes_them(argv, capsys):
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 10**30
+
+
+def test_indented_writer_edge_cases():
+    report = {
+        "empty": [{}, [], (), {"x": {}, "y": []}],
+        "nested": ((1, (2, ())), [(), [[]]]),
+        "text": ["", "plain", "\u00fc\u20ac\U0001f600", "\x00\t\n\r\x1f\x7f\"\\/\u2028"],
+        "scalars": [True, False, None, 0, -1, 10**100, -(2**70), _Level.HIGH],
+        "floats": [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 0.1, 1e300, 5e-324, 1 / 3],
+        "int keys": {10: "ten", 2: "two", -1: "minus one", _Level.LOW: "low"},
+        "float keys": {2.5: 0, -1.0: 1, float("inf"): 2, float("nan"): 3},
+        "bool keys": {True: 1, False: 0},
+        "none key": {None: [None]},
+        "deep": {"a": {"b": {"c": [{"d": ()}]}}},
+    }
+    assert cli._indented(report) == json.dumps(report, indent=2, sort_keys=True)
+    for scalar in (None, True, 7, float("nan"), "\u00e9", _Level.LOW, [], {}):
+        assert cli._indented(scalar) == json.dumps(scalar, indent=2, sort_keys=True)
+    for bad in ({(1, 2): 0}, {"a": 1, 2: "b"}, [Fraction(1, 2)], {"x": {1, 2}}):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            cli._indented(bad)
+
+
+def test_reports_ignore_the_ambient_decimal_context(capsys):
+    """bound_decimal is rounded half-even to 12 digits and written with a
+    capital E, whatever rounding, traps and exponent case the caller's
+    decimal context holds."""
+    argv = ["screen", "--q", "23", "1009", str(2**61 - 1), "--jobs", "1"]
+    assert cli.main(argv) == 0
+    plain = capsys.readouterr().out
+    assert "E+" in plain
+    hostile = decimal.Context(prec=3, rounding=decimal.ROUND_DOWN, traps=[decimal.Inexact, decimal.Rounded], capitals=0)
+    with decimal.localcontext(hostile):
+        assert cli._frac_decimal(Fraction(2, 3)) == "0.666666666667"
+        assert cli.main(argv) == 0
+    records = lambda out: strip_elapsed(json.loads(out)["records"])
+    assert records(capsys.readouterr().out) == records(plain)
 
 
 def test_csv_output(tmp_path):

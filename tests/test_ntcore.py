@@ -85,6 +85,35 @@ def test_factorize_large_semiprime():
         nt.factorize(0)
 
 
+# around the last trial prime 65521 = 2**16 - 15
+_NEAR_TRIAL_END = (65497, 65519, 65521, 65537, 65539)
+
+
+@pytest.mark.parametrize(
+    "n",
+    [1, 2, 4, 65521**2, 65521 * 65537, 65537**2, 2**61 - 1, (2**31 - 1) ** 2, 15 * 65537 * (2**61 - 1)]
+    + [p * p for p in _NEAR_TRIAL_END]
+    + [p * r for i, p in enumerate(_NEAR_TRIAL_END) for r in _NEAR_TRIAL_END[i + 1 :]],
+)
+def test_factorize_at_the_end_of_trial_division(n):
+    fac = nt.factorize(n)
+    assert dict(fac) == sympy.factorint(n)
+    assert list(fac) == sorted(fac)
+
+
+@pytest.mark.parametrize("n", [65521 * 65519 * 2, 65519**2, 65521**2 * 7, 2**40 * 3**20, nt.primorial(12), 65521])
+def test_factorize_skips_miller_rabin_below_2_16(n, monkeypatch):
+    """A cofactor left when p*p passes it is prime; Miller-Rabin runs only
+    for what is left after every trial prime."""
+
+    def no_is_prime(m):
+        raise AssertionError(f"is_prime({m}) called")
+
+    nt.factorize.cache_clear()
+    monkeypatch.setattr(nt, "is_prime", no_is_prime)
+    assert dict(nt.factorize(n)) == sympy.factorint(n)
+
+
 # ------------------------------------------------------------------- profiles
 
 def test_profile_frozen_values():
