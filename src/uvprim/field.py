@@ -15,26 +15,34 @@ Each field fixes one generator ``gamma`` of the multiplicative group:
   single order test does both jobs: x**(q-1) = 1 by ``power``, then
   ``is_primitive``.  The same two tests pick the least primitive root.)
 
-Discrete logs are always taken to base gamma.  ``log_table`` materializes the
-full exp/log arrays (numpy, capped at 2**26 entries); ``discrete_log`` is
-independent of the table and works by Pohlig-Hellman with baby-step
-giant-step, which the tests cross-check against the tables.
+Discrete logs are always taken to base gamma.  ``exp_table`` materializes
+the exp array and ``log_table`` the log array over it (numpy, capped at
+2**26 entries); ``discrete_log`` is independent of the tables and works by
+Pohlig-Hellman with baby-step giant-step, which the tests cross-check
+against the tables.
 
 Every per-element table is int32: below the cap every exponent and every
-packed element fits.  A field's tables take 13 bytes per element once
-built -- exp and log here, 4 bytes each; the add-one log table L1 (4 bytes)
-and the primitive mask (1 byte) in ``verify`` -- plus 8 bytes per primitive
-exponent (``verify``'s ``prim_m``) and 2 Rad(q - 1) bits (its
-``nonunits_R``).  That is at most 17.25 bytes per element for odd q and 21.25
-for q = 2**k; 14.5 at q = 31,651,621 (438 MiB) and 18.6 at the cap q = 2**26
-(1.25 GB).  The tables are filled in slices of ``TABLE_SLICE`` entries, so
-no build holds an n-sized temporary.
+packed element fits.  The exact count ``verify.count_single_free`` reads
+the exp array alone: 4 bytes per element here, plus in ``verify`` a byte
+mask over the elements (the nonzero e2-free ones) and a byte mask over the
+exponents per distinct divisor argument, the primitive one among them.
+That is 6 bytes per element for M(q, u, v) and at most 8 with divisor
+arguments (6.3 measured at q = 31,651,621, slice temporaries included).
+The membership checks and the other counts read all of a field's tables,
+13 bytes per element once built -- exp and log here, 4 bytes each; the
+add-one log table L1 (4 bytes) and the primitive mask (1 byte) in
+``verify`` -- plus 8 bytes per primitive exponent (``verify``'s
+``prim_m``) and 2 Rad(q - 1) bits (its ``nonunits_R``).  That is at most
+17.25 bytes per element for odd q and 21.25 for q = 2**k; 14.5 at
+q = 31,651,621 (438 MiB) and 18.6 at the cap q = 2**26 (1.25 GB).  The
+tables are filled in slices of ``TABLE_SLICE`` entries, so no build holds
+an n-sized temporary.
 
-Only one field's tables stay cached: ``log_table`` and ``verify``'s tables
-each keep the last field asked for, since no command goes back to a field
-it has left.  ``lru_cache`` drops the old entry only after building the new
-one, so a switch between fields holds at most two fields' tables: about
-2.5 GB at the cap.
+Only one field's tables stay cached: ``exp_table``, ``log_table`` and
+``verify``'s tables each keep the last field asked for, since no command
+goes back to a field it has left.  ``lru_cache`` drops the old entry only
+after building the new one, so a switch between fields holds at most two
+fields' tables: about 2.5 GB at the cap.
 """
 
 from __future__ import annotations
@@ -58,6 +66,7 @@ __all__ = [
     "build_field",
     "check_nonzero",
     "discrete_log",
+    "exp_table",
     "from_coeffs",
     "inv",
     "is_e_free",
@@ -170,10 +179,26 @@ def from_coeffs(F: FieldSpec, coeffs) -> int:
     return a
 
 
-def add(F: FieldSpec, a: int, b: int) -> int:
+def add(F: FieldSpec, a, b):
+    """a + b for packed elements a, b: ints, or numpy int arrays added
+    elementwise.  For r >= 2 the base-p digits add mod p with no carries,
+    which in characteristic 2 is XOR.  For odd p that is the integer sum
+    less p**(i+1) for each digit i whose digits sum to p or more; with
+    a_i = a // p**i, that digit sum is a_i + b_i - p (a_(i+1) + b_(i+1)).
+    (Floor division by a scalar is several times faster in numpy than %.)"""
+    p = F.p
     if F.r == 1:
-        return (a + b) % F.p
-    return from_coeffs(F, (x + y for x, y in zip(to_coeffs(F, a), to_coeffs(F, b))))
+        return (a + b) % p
+    if p == 2:
+        return a ^ b
+    s = ab = a + b
+    pw = p
+    for _ in range(F.r):
+        a, b = a // p, b // p
+        t = a + b
+        s = s - (ab >= p * t + p) * pw
+        ab, pw = t, pw * p
+    return s
 
 
 def neg(F: FieldSpec, a: int) -> int:
@@ -247,7 +272,7 @@ def primitive_elements(F: FieldSpec) -> list[int]:
     """All phi(q-1) primitive elements, as gamma**m for ascending m coprime
     to q - 1.  This ordering pairs inverses head-to-tail: element k from the
     front is the inverse of element k from the back."""
-    return log_table(F).exp[coprime_mask(F.q - 1, F.q_minus_1.primes)].tolist()
+    return exp_table(F)[coprime_mask(F.q - 1, F.q_minus_1.primes)].tolist()
 
 
 # --------------------------------------------------------------------------
@@ -306,10 +331,18 @@ def _exp_array_ext(F: FieldSpec) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def log_table(F: FieldSpec) -> LogTable:
+def exp_table(F: FieldSpec) -> np.ndarray:
+    """The int32 array exp[j] = gamma**j, 0 <= j < q - 1.  Raises
+    LogTableTooLargeError, before anything is allocated, above the cap."""
     if F.q > LOG_TABLE_CAP:
         raise LogTableTooLargeError(f"q={F.q} exceeds the log-table cap {LOG_TABLE_CAP}")
-    exp = _exp_array_prime(F) if F.r == 1 else _exp_array_ext(F)
+    return _exp_array_prime(F) if F.r == 1 else _exp_array_ext(F)
+
+
+@lru_cache(maxsize=1)
+def log_table(F: FieldSpec) -> LogTable:
+    """The log array over `exp_table`'s array, which it holds itself."""
+    exp = exp_table(F)
     log = np.full(F.q + 1, -1, dtype=np.int32)
     for lo in range(0, F.q - 1, TABLE_SLICE):
         hi = min(lo + TABLE_SLICE, F.q - 1)
@@ -319,6 +352,8 @@ def log_table(F: FieldSpec) -> LogTable:
 
 def _bsgs(F: FieldSpec, h: int, base: int, order: int) -> int:
     # log of h to `base`, where base has the given (small) order
+    if h == 1:
+        return 0
     m = isqrt(order - 1) + 1
     baby = {}
     x = 1

@@ -44,10 +44,17 @@ immutable states by `coverage_start` / `coverage_term` / `coverage_merge`.
 `_sum_log` is the one read of L1: log(u a + v b) = log u + x + L1[(jw + y -
 x) mod n] for a = gamma^x, b = gamma^y, with b = a^-1 at y = -x.  The pair
 problem's second sum needs no second read, since v a^-1 + u b^-1 =
-(u a + v b) / (a b).  The checkers, the exact counts
-(`count_pairs_free`, `count_single_free` and the *_grid variants, which the
-interval bounds get sandwich-tested against) and the special-case witness
-search all go through it.
+(u a + v b) / (a b).  The checkers, the pair count `count_pairs_free`,
+the *_grid counts (which the interval bounds get sandwich-tested against)
+and the special-case witness search all go through it.
+
+`count_single_free` does not.  It reads each sum once, in one pass over
+the e1-free exponents, so the log table (a scatter over all q - 1
+entries) and L1 (a gather over all of them) would cost more than the count
+they serve.  It reads the exp array alone: u a and v a^-1 are entries of
+it, their sum is a field addition, and a byte mask over the elements says
+whether the sum is nonzero and e2-free.  The grid-versus-count tests thus
+compare two independent derivations, field addition against L1.
 """
 
 from __future__ import annotations
@@ -125,15 +132,18 @@ def _uv_tables(F: fd.FieldSpec) -> _UVTables:
     return _UVTables(n, R, prof.primes, T.exp, T.log, L1, prim, np.flatnonzero(prim), nonunits | nonunits << R)
 
 
-def _free_masks(t: _UVTables, es) -> list[np.ndarray]:
+def _free_masks(n: int, prim: np.ndarray, es) -> list[np.ndarray]:
     """For each e in `es` (None means q - 1): mask[x] = True iff gamma**x is
-    e-free, i.e. gcd(x, Rad(e)) = 1; for None that is the table's own
-    read-only `prim`.  Raises InvalidDivisorError unless every e divides
+    e-free, i.e. gcd(x, Rad(e)) = 1; for None that is `prim` itself.  Equal
+    e share one mask.  Raises InvalidDivisorError unless every e divides
     n = q - 1."""
+    masks: dict[int | None, np.ndarray] = {}
     for e in es:
-        if e is not None and (e < 1 or t.n % e):
-            raise InvalidDivisorError(f"e={e} does not divide q-1={t.n}")
-    return [t.prim if e is None else coprime_mask(t.n, profile(e).primes) for e in es]
+        if e is not None and (e < 1 or n % e):
+            raise InvalidDivisorError(f"e={e} does not divide q-1={n}")
+        if e not in masks:
+            masks[e] = prim if e is None else coprime_mask(n, profile(e).primes)
+    return [masks[e] for e in es]
 
 
 def _exponents(t: _UVTables, mask: np.ndarray) -> np.ndarray:
@@ -229,7 +239,7 @@ def count_pairs_free(query: PairCountQuery) -> int:
     fd.check_nonzero(query.q, u=query.u, v=query.v)
     F = fd.build_field(query.q)
     t = _uv_tables(F)
-    m1, m2, m3, m4 = _free_masks(t, (query.e1, query.e2, query.e3, query.e4))
+    m1, m2, m3, m4 = _free_masks(t.n, t.prim, (query.e1, query.e2, query.e3, query.e4))
     ju = int(t.log[query.u])
     jw = (int(t.log[query.v]) - ju) % t.n
     xs, ys = _exponents(t, m1), _exponents(t, m2)
@@ -237,18 +247,24 @@ def count_pairs_free(query: PairCountQuery) -> int:
 
 
 def count_single_free(query: SingleCountQuery) -> int:
+    """The count of `SingleCountQuery`, by field addition on the exp array
+    alone: with a = gamma**x, u a = exp[x + log u] and v a^-1 = exp[log v -
+    x], and their sum is looked up in a byte mask over the elements."""
     fd.check_nonzero(query.q, u=query.u, v=query.v)
     F = fd.build_field(query.q)
-    t = _uv_tables(F)
-    m1, m2 = _free_masks(t, (query.e1, query.e2))
-    ju = int(t.log[query.u])
-    jw = (int(t.log[query.v]) - ju) % t.n
-    exponents = _exponents(t, m1)
+    exp = fd.exp_table(F)  # first: a field over the cap is refused before any allocation
+    n = exp.size
+    m1, m2 = _free_masks(n, coprime_mask(n, F.q_minus_1.primes), (query.e1, query.e2))
+    ju, jv = fd.discrete_log(F, query.u), fd.discrete_log(F, query.v)
+    # target[s] iff s is a nonzero e2-free element; target[0] stays False
+    target = np.zeros(F.q, dtype=bool)
+    for lo in range(0, n, fd.TABLE_SLICE):
+        target[exp[lo : lo + fd.TABLE_SLICE][m2[lo : lo + fd.TABLE_SLICE]]] = True
     count = 0
-    for lo in range(0, exponents.size, fd.TABLE_SLICE):
-        xs = exponents[lo : lo + fd.TABLE_SLICE]
-        log2, ok = _sum_log(t, ju, jw, xs, -xs)
-        count += int(np.count_nonzero(ok & m2[log2]))
+    for lo in range(0, n, fd.TABLE_SLICE):
+        xs = np.flatnonzero(m1[lo : lo + fd.TABLE_SLICE]) + lo
+        s = fd.add(F, exp.take(xs + ju, mode="wrap"), exp.take(jv - xs, mode="wrap"))
+        count += int(np.count_nonzero(target[s]))
     return count
 
 
@@ -258,7 +274,7 @@ def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> n
     per difference jw."""
     t = _uv_tables(fd.build_field(q))
     n = t.n
-    m1, m2 = _free_masks(t, (e1, e2))
+    m1, m2 = _free_masks(n, t.prim, (e1, e2))
     xs = _exponents(t, m1)
     m2t = np.tile(m2, 2).astype(np.int64)
     grid = np.empty((n, n), dtype=np.int64)
@@ -276,7 +292,7 @@ def pair_count_grid(q: int, es: tuple[int | None, int | None, int | None, int | 
     v = gamma**jv.  O(n^4) index work; meant for small q."""
     t = _uv_tables(fd.build_field(q))
     n = t.n
-    m1, m2, m3, m4 = _free_masks(t, es)
+    m1, m2, m3, m4 = _free_masks(n, t.prim, es)
     xs = _exponents(t, m1)[:, None]
     ys = _exponents(t, m2)[None, :]
     grid = np.empty((n, n), dtype=np.int64)

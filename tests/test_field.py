@@ -159,6 +159,25 @@ def test_field_axioms(F, data):
     assert fd.add(F, a, fd.neg(F, a)) == 0
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 25, 27, 81, 125, 2311, 3**7, 2**12, 5**5, 7**4])
+def test_add_is_digitwise_on_ints_and_arrays(q):
+    """On every pair of elements (a sample of 4,096 pairs above q = 128),
+    the int sum is the sum of the coefficient tuples mod p, and one call on
+    the int32 arrays gives those sums elementwise."""
+    F = fd.build_field(q)
+    if q <= 128:
+        a, b = (x.ravel() for x in np.meshgrid(np.arange(q), np.arange(q)))
+    else:
+        a, b = np.random.default_rng(q).integers(0, q, (2, 4096))
+    a, b = a.astype(np.int32), b.astype(np.int32)
+    want = [
+        fd.from_coeffs(F, [x + y for x, y in zip(fd.to_coeffs(F, int(ai)), fd.to_coeffs(F, int(bi)))])
+        for ai, bi in zip(a, b)
+    ]
+    assert [fd.add(F, int(ai), int(bi)) for ai, bi in zip(a, b)] == want
+    assert fd.add(F, a, b).tolist() == want
+
+
 @given(fields, st.data())
 def test_inverse_and_power(F, data):
     a = data.draw(st.integers(1, F.q - 1))
@@ -207,6 +226,15 @@ def test_primitive_elements_pair_inverses_head_to_tail(q):
     assert len(prim) == F.q_minus_1.phi
     for k in range(len(prim)):
         assert fd.inv(F, prim[k]) == prim[-1 - k]
+
+
+def test_primitive_elements_read_no_log_table(monkeypatch):
+    def refuse(F):
+        raise AssertionError("primitive_elements built a log table")
+
+    monkeypatch.setattr(fd, "log_table", refuse)
+    F = fd.build_field(81)
+    assert fd.primitive_elements(F) == [int(a) for m, a in enumerate(fd.exp_table(F)) if gcd(m, 80) == 1]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 8, 9, 31, 64, 211, 961])
@@ -289,6 +317,13 @@ def test_tables_are_int32_and_match_the_int64_build(q):
     assert t.log[q] == -1
 
 
+@pytest.mark.parametrize("q", [2, 31, 3**4, 2311])
+def test_log_table_holds_the_exp_table(q):
+    # one exp array per field, built once
+    F = fd.build_field(q)
+    assert fd.log_table(F).exp is fd.exp_table(F)
+
+
 def test_log_table_shape():
     F = fd.build_field(9)
     t = fd.log_table(F)
@@ -304,6 +339,8 @@ def test_log_table_cap():
     try:
         with pytest.raises(LogTableTooLargeError):
             fd.log_table(F)
+        with pytest.raises(LogTableTooLargeError):
+            fd.exp_table(F)
         # refused before any table is allocated (one would take 256 MiB)
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from fractions import Fraction
 from math import gcd
@@ -26,7 +27,7 @@ import tuple_coverage as tc
 from uvprim import field as fd
 from uvprim import ntcore as nt
 from uvprim import verify as vf
-from uvprim.errors import InvalidDivisorError, NotAPrimePowerError
+from uvprim.errors import InvalidDivisorError, LogTableTooLargeError, NotAPrimePowerError
 
 
 # ----------------------------------------------------------- spot predicates
@@ -121,7 +122,7 @@ def test_uv_tables_masks_match_gcd(q):
     assert np.array_equal(t.prim, prim)
     assert np.array_equal(t.prim_m, np.flatnonzero(prim))
     assert t.nonunits_R == sum(1 << k for k in range(2 * t.R) if gcd(k, t.R) > 1)
-    assert vf._free_masks(t, (None,))[0] is t.prim
+    assert vf._free_masks(t.n, t.prim, (None,))[0] is t.prim
     assert not t.prim.flags.writeable
     with pytest.raises(ValueError):
         t.prim[0] = True
@@ -138,7 +139,7 @@ def test_add_one_table_is_int32_and_matches_the_int64_build(q):
 def _single_queries(q):
     """(u, v) = (1, 1) and random (u, v), with divisor arguments on some."""
     n = q - 1
-    divisors = [e for e in range(1, n) if n % e == 0]
+    divisors = [e for e in range(1, n) if n % e == 0] or [1]
     rng = random.Random(q)
     queries = [vf.SingleCountQuery(q, 1, 1)]
     for _ in range(4):
@@ -157,8 +158,9 @@ def test_sliced_fills_and_counts_match_unsliced(q, monkeypatch):
     queries = _single_queries(q)
     expected = [vf.count_single_free(query) for query in queries]
     monkeypatch.setattr(fd, "TABLE_SLICE", 64)
-    fd.log_table.cache_clear()
-    vf._uv_tables.cache_clear()
+    caches = (fd.exp_table, fd.log_table, vf._uv_tables)
+    for cache in caches:
+        cache.cache_clear()
     try:
         T, t = fd.log_table(F), vf._uv_tables(F)
         assert np.array_equal(T.exp, exp)
@@ -166,8 +168,54 @@ def test_sliced_fills_and_counts_match_unsliced(q, monkeypatch):
         assert np.array_equal(t.L1, L1)
         assert [vf.count_single_free(query) for query in queries] == expected
     finally:
-        fd.log_table.cache_clear()
-        vf._uv_tables.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
+
+
+# count_single_free over _single_queries(q), pinned from the add-one log
+# table path the count took before it read the exp array alone
+_PINNED_SINGLE_COUNTS = {
+    2: [0, 0, 0, 0, 0, 0, 0, 0, 0],
+    3: [0, 0, 2, 0, 2, 0, 2, 0, 0],
+    4: [0, 1, 2, 1, 2, 1, 2, 1, 2],
+    8: [6, 4, 6, 5, 6, 4, 6, 3, 6],
+    9: [0, 0, 2, 2, 2, 2, 2, 2, 6],
+    16: [8, 4, 5, 5, 9, 5, 9, 2, 11],
+    25: [0, 4, 4, 4, 12, 4, 6, 4, 4],
+    27: [6, 5, 11, 6, 24, 5, 6, 5, 26],
+    81: [16, 12, 12, 14, 32, 10, 32, 12, 28],
+    2311: [88, 103, 388, 101, 463, 105, 986, 103, 531],
+    3**7: [546, 546, 2184, 546, 2184, 545, 2184, 544, 1090],
+    2**12: [768, 729, 988, 735, 1440, 716, 1238, 751, 1680],
+    5**5: [760, 616, 1242, 638, 776, 618, 1400, 634, 642],
+    7**4: [208, 174, 788, 188, 388, 172, 504, 170, 264],
+}
+
+
+@pytest.mark.parametrize("q", sorted(_PINNED_SINGLE_COUNTS))
+def test_single_count_reads_no_log_table(q, monkeypatch):
+    """The count takes its logs by Pohlig-Hellman and its sums by field
+    addition, so it runs with the log table and the add-one table out of
+    reach, and gives the counts the add-one table gave."""
+
+    def refuse(F):
+        raise AssertionError("count_single_free built a log table")
+
+    monkeypatch.setattr(fd, "log_table", refuse)
+    monkeypatch.setattr(vf, "_uv_tables", refuse)
+    assert [vf.count_single_free(query) for query in _single_queries(q)] == _PINNED_SINGLE_COUNTS[q]
+
+
+def test_single_count_refuses_a_field_over_the_cap():
+    """As `fd.log_table` does: refused before any table is allocated (the
+    exp array would take 256 MiB, each byte mask 64 MiB)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(LogTableTooLargeError):
+            vf.count_single_free(vf.SingleCountQuery(67_108_879, 1, 1))  # the first prime above 2**26
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 _TABLE_GROWTH = """
@@ -180,20 +228,25 @@ def peak_kib():
     with open("/proc/self/status") as fh:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
-fields = [field.build_field(int(q)) for q in sys.argv[1:]]
+def count(F):
+    verify.count_single_free(verify.SingleCountQuery(F.q, 1, 1))
+
+build = {"tables": verify._uv_tables, "count": count}[sys.argv[1]]
+fields = [field.build_field(int(q)) for q in sys.argv[2:]]
 before = peak_kib()
 for F in fields:
-    verify._uv_tables(F)
+    build(F)
 print((peak_kib() - before) * 1024 / max(F.q for F in fields))
 """
 
 
-def _table_growth(*qs: int) -> float:
+def _table_growth(*qs: int, build: str = "tables") -> float:
     """The peak RSS growth per element, in bytes, of a fresh interpreter
-    that builds the tables of the fields `qs` in turn."""
+    that builds the tables of the fields `qs` in turn (or, with build =
+    "count", counts M(q, 1, 1) in each)."""
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", _TABLE_GROWTH, *map(str, qs)],
+        [sys.executable, "-c", _TABLE_GROWTH, build, *map(str, qs)],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True,
         text=True,
@@ -223,14 +276,23 @@ def test_field_switches_hold_at_most_two_fields():
     assert _table_growth(4_194_301, 4_194_329, 4_194_353, 4_194_371) <= 40
 
 
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_single_count_peak_is_bounded_per_element():
+    """Counting M(q, 1, 1) at q = 4,194,301 lifts the peak RSS by at most 10
+    bytes per element: the exp array (4), the primitive mask and the target
+    mask (1 each), and slice temporaries.  This measures 7.8; the count
+    through the log table and the add-one table measured 21.6."""
+    assert _table_growth(4_194_301, build="count") <= 10
+
+
 def test_tables_of_a_left_field_are_freed():
     F1, F2 = fd.build_field(31), fd.build_field(37)
     t1 = vf._uv_tables(F1)
-    refs = [weakref.ref(t1.L1), weakref.ref(t1.exp), weakref.ref(fd.log_table(F1))]
+    refs = [weakref.ref(t1.L1), weakref.ref(t1.exp), weakref.ref(fd.log_table(F1)), weakref.ref(fd.exp_table(F1))]
     del t1
     vf._uv_tables(F2)
     gc.collect()
-    assert [ref() for ref in refs] == [None] * 3
+    assert [ref() for ref in refs] == [None] * 4
 
 
 @pytest.mark.parametrize("q", [2, 31, 3**4])
