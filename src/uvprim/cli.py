@@ -325,7 +325,8 @@ def run_verify(args, parser) -> tuple[dict, int]:
     return report, code
 
 
-_ORACLE_GUARDS = {"N": 10**4, "M": 10**6, "cases": 10**4}
+# N and cases search by brute force; M reads only the field's exp array
+_ORACLE_GUARDS = {"N": 10**4, "M": field.LOG_TABLE_CAP, "cases": 10**4}
 # kind -> (number of --e divisors, query type, name of the exact counter)
 _COUNTS = {
     "N": (4, verify.PairCountQuery, "count_pairs_free"),
@@ -340,7 +341,7 @@ def run_oracle(args, parser) -> tuple[dict, int]:
     except NotAPrimePowerError as e:
         parser.error(str(e))
     if q > _ORACLE_GUARDS[args.kind]:
-        parser.error(f"oracle {args.kind} is brute-force; q <= {_ORACLE_GUARDS[args.kind]} only")
+        parser.error(f"oracle {args.kind} takes q <= {_ORACLE_GUARDS[args.kind]} only")
     if args.kind == "cases":
         _refuse(args, parser, "oracle cases", "u", "v", "e")
         t0 = time.perf_counter()

@@ -19,7 +19,11 @@ Discrete logs are always taken to base gamma.  ``exp_table`` materializes
 the exp array and ``log_table`` the log array over it (numpy, capped at
 2**26 entries); ``discrete_log`` is independent of the tables and works by
 Pohlig-Hellman with baby-step giant-step, which the tests cross-check
-against the tables.
+against the tables.  The exp array grows by doubling from exp[0] = 1: the
+block exp[a : a + m] is the block before it times gamma**m, with m = a
+until m reaches a fixed block size.  For r >= 2 that product is an r x r
+matrix over F_p acting on base-p digit vectors, so no element is built
+by a scalar loop.
 
 Every per-element table is int32: below the cap every exponent and every
 packed element fits.  The exact count ``verify.count_single_free`` reads
@@ -290,43 +294,41 @@ class LogTable:
 
 
 def _exp_array_prime(F: FieldSpec) -> np.ndarray:
-    q, g, n = F.q, F.gamma, F.q - 1
+    q, n = F.q, F.q - 1
     exp = np.empty(n, dtype=np.int32)
-    m = min(n, _EXP_BLOCK)
-    x = 1
-    for j in range(m):
-        exp[j] = x
-        x = x * g % q
-    if n > m:
-        gm = pow(g, m, q)
-        buf = np.empty(m, dtype=np.int64)  # products reach q**2 > 2**31
-        for a in range(m, n, m):
-            b = min(a + m, n)
-            prod = buf[: b - a]
-            np.multiply(exp[a - m : b - m], gm, out=prod, dtype=np.int64)
-            np.mod(prod, q, out=exp[a:b])
+    exp[0] = 1
+    buf = np.empty(min(n, _EXP_BLOCK), dtype=np.int64)  # products reach q**2 > 2**31
+    a = 1
+    while a < n:
+        # exp[a : a + m] = exp[a - m : a] * gamma**m, doubling up to the block
+        m = min(a, _EXP_BLOCK)
+        if a == m:
+            gm = pow(F.gamma, m, q)
+        b = min(a + m, n)
+        prod = buf[: b - a]
+        np.multiply(exp[a - m : b - m], gm, out=prod, dtype=np.int64)
+        np.mod(prod, q, out=exp[a:b])
+        a = b
     return exp
 
 
 def _exp_array_ext(F: FieldSpec) -> np.ndarray:
     p, r, n = F.p, F.r, F.q - 1
     exp = np.empty(n, dtype=np.int32)
-    m = min(n, _EXP_BLOCK_EXT)
-    x = 1
-    for j in range(m):
-        exp[j] = x
-        x = mul(F, x, F.gamma)
-    if n <= m:
-        return exp
-    # jump in blocks: multiplication by gamma**m is linear on digit vectors
-    gm = power(F, F.gamma, m)
-    M = np.array([to_coeffs(F, mul(F, gm, p**i)) for i in range(r)], dtype=np.int64)  # row i: gm * x**i
+    exp[0] = 1
     pw = p ** np.arange(r, dtype=np.int64)
-    digits = exp[:m, None] // pw % p
-    for a in range(m, n, m):
+    a = 1
+    while a < n:
+        # as for prime fields; multiplication by gamma**m is linear on digit vectors
+        m = min(a, _EXP_BLOCK_EXT)
+        if a == m:
+            gm = power(F, F.gamma, m)
+            M = np.array([to_coeffs(F, mul(F, gm, p**i)) for i in range(r)], dtype=np.int64)  # row i: gm * x**i
+            digits = exp[:a, None] // pw % p
         b = min(a + m, n)
         digits = digits[: b - a] @ M % p
         exp[a:b] = digits @ pw
+        a = b
     return exp
 
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import NamedTuple
 
@@ -173,7 +173,6 @@ def _trial_primes() -> tuple[int, ...]:
     return tuple(primes_up_to(1 << 16).tolist())
 
 
-@lru_cache(maxsize=1 << 16)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n >= 1 as ((p1, e1), (p2, e2), ...), p1 < p2 < ...
 
@@ -217,14 +216,11 @@ class ArithmeticProfile:
 
     m: int
     factors: tuple[tuple[int, int], ...]
+    primes: tuple[int, ...]  # the distinct primes of m, ascending
     omega: int
     radical: int
     w: int
     phi: int
-
-    @cached_property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
 
     @property
     def theta(self) -> Fraction:
@@ -240,13 +236,14 @@ class ArithmeticProfile:
 def profile(m: int) -> ArithmeticProfile:
     """Compute the ArithmeticProfile of m >= 1."""
     fac = factorize(m)
-    primes = [p for p, _ in fac]
+    primes = tuple(p for p, _ in fac)
     phi = m
     for p in primes:
         phi = phi // p * (p - 1)
     return ArithmeticProfile(
         m=m,
         factors=fac,
+        primes=primes,
         omega=len(fac),
         radical=prod(primes),
         w=1 << len(fac),

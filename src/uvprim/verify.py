@@ -25,9 +25,12 @@ Four checkers, two per set:
   log u mod R, one nonzero w at a time, with the classes still uncovered
   held as one R-bit int (each w contributes at most R failing classes),
   and w^-1 mirrored from w (a witness a for (u, v) is one, a^-1, for (v, u));
-* `check_element_membership_cover` -- same decision, but w whose uncovered
-  count the signed coverage family brings to zero in one accept-or-discard
-  pass skip the direct pass;
+* `check_element_membership_cover` (`ie`) -- the same failure list, but
+  each w first gets one accept-or-discard pass of the signed coverage
+  family (`_rung_settles`), and only the w it cannot bring to zero
+  uncovered get the direct pass; it is not an independent second checker,
+  but `--algo both` fails if the pass ever settles a w the direct pass
+  finds uncovered;
 * `check_pair_membership_lift` -- the pair problem decided from the
   element failures: an element witness a lifts to the pair witness
   (a, a^-1), so only the classes (log u mod R, log w) that fail the element
@@ -38,8 +41,9 @@ Four checkers, two per set:
 
 The signed coverage family is one engine, pattern -> net coefficient
 with uncovered = R + sum of coefficient * popcount, grown by `_offer` and
-`_commit`: in place for one w by `check_w`, one offer at a time on
-immutable states by `coverage_start` / `coverage_term` / `coverage_merge`.
+`_commit`: in place for one w by `_rung_settles`, one offer at a time on
+immutable states by the public `coverage_start` / `coverage_term` /
+`coverage_merge`.
 
 `_sum_log` is the one read of L1: log(u a + v b) = log u + x + L1[(jw + y -
 x) mod n] for a = gamma^x, b = gamma^y, with b = a^-1 at y = -x.  The pair
@@ -79,7 +83,6 @@ __all__ = [
     "check_element_membership_logs",
     "check_pair_membership",
     "check_pair_membership_lift",
-    "check_w",
     "count_pairs_free",
     "count_single_free",
     "coverage_merge",
@@ -540,61 +543,44 @@ def coverage_merge(
     return CoverageState(R=state.R, family=family, uncovered=state.uncovered + delta)
 
 
-def check_w(F: fd.FieldSpec, w: int, nc: int, factor: Fraction, stats: dict | None = None) -> bool:
-    """One accept/reject pass for one w: True iff the accepted covered sets
-    reach every residue class before the primitive-element list runs out.
-
-    The first `nc` nonzero r values are always accepted; later ones only if
-    they shrink the uncovered count to at most `factor` of its value.
-    False only means *these* parameters gave up -- at nc = phi(q-1),
-    factor = 1 everything is accepted and the answer is definitive.
-
-    The family is the one `coverage_merge` keeps, updated in place, so the
-    uncovered counts agree exactly; `stats["terms_peak"]` records its
-    largest sum of |coefficients|.
-    """
-    if w == 0:
-        raise ZeroDivisionError("w must be non-zero")
-    fd.check_nonzero(F.q, w=w)
-    t = _uv_tables(F)
-    jw = int(t.log[w])
-    factor = Fraction(factor)
-    num, den = factor.numerator, factor.denominator
+def _rung_settles(t: _UVTables, jw: int, stats: dict) -> bool:
+    """One accept-or-discard pass for w = gamma**jw: True iff the accepted
+    covered sets reach every class mod R before the primitive exponents run
+    out.  The first 10 offers are always taken; a later one only if it
+    leaves at most 3/4 of the uncovered count.  False only means the pass
+    gave up.  The family is the one `coverage_merge` keeps, updated in
+    place; `stats["terms_peak"]` records its largest sum of |coefficients|
+    and `stats["stage_passes"][0]` counts the w the pass settles."""
     family: dict[int, int] = {}
     uncovered = t.R
     terms = 0  # the family's sum of |coefficients|
-    c = 0
+    offered = 0
     for _, log_rs in _log_r_chunks(t, jw):
         for log_r in map(int, log_rs):
-            c += 1
+            offered += 1
             delta, children = _offer(family, _pattern(t, log_r))
-            if c > nc and not _accepts(uncovered, delta, num, den):
+            if offered > 10 and not _accepts(uncovered, delta, 3, 4):
                 continue
             uncovered += delta
             terms += _commit(family, children)
-            if stats is not None and terms > stats.get("terms_peak", 0):
+            if terms > stats["terms_peak"]:
                 stats["terms_peak"] = terms
             if uncovered == 0:
+                stats["stage_passes"][0] += 1
                 return True
     return False
 
 
 def check_element_membership_cover(q: int) -> MembershipResult:
     """Decide element-set membership via the inclusion-exclusion counter:
-    one accept/reject pass, `check_w` at nc = 10, factor = 3/4, for each w
-    the `logs` checker passes, then the direct pass decides every w it
-    leaves and lists the failures.  So what `ie` checks on its own is that
-    its signed count reaches zero only at fully covered w."""
+    `_rung_settles` for each w the `logs` checker passes, then the direct
+    pass decides every w it leaves and lists the failures.  So what `ie`
+    checks on its own is that its signed count reaches zero only at fully
+    covered w."""
     F = fd.build_field(q)
     t = _uv_tables(F)
     stats = {"stage_passes": [0], "terms_peak": 0}
-
-    def settled(jw: int) -> bool:
-        hit = check_w(F, int(t.exp[jw]), 10, Fraction(3, 4), stats)
-        stats["stage_passes"][0] += hit
-        return hit
-
-    return _element_membership(F, "ie", stats, settled)
+    return _element_membership(F, "ie", stats, lambda jw: _rung_settles(t, jw, stats))
 
 
 # --------------------------------------------------------------------------

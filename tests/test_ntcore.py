@@ -109,7 +109,6 @@ def test_factorize_skips_miller_rabin_below_2_16(n, monkeypatch):
     def no_is_prime(m):
         raise AssertionError(f"is_prime({m}) called")
 
-    nt.factorize.cache_clear()
     monkeypatch.setattr(nt, "is_prime", no_is_prime)
     assert dict(nt.factorize(n)) == sympy.factorint(n)
 

@@ -785,54 +785,43 @@ def test_coverage_signed_count_equals_union_bitmap(q, rng):
 
 
 def test_check_w_frozen():
-    assert vf.check_w(fd.build_field(23), 1, 10, Fraction(3, 4))
-    assert not vf.check_w(fd.build_field(13), 1, 10, Fraction(3, 4))
+    """The `ie` checker's one pass settles w = 1 at q = 23, not at q = 13."""
+    for q, settles in ((23, True), (13, False)):
+        stats = {"stage_passes": [0], "terms_peak": 0}
+        assert vf._rung_settles(vf._uv_tables(fd.build_field(q)), 0, stats) is settles
+        assert stats["stage_passes"] == [settles] and stats["terms_peak"] >= 1
 
 
 @pytest.mark.parametrize("q", [q for q in range(2, 129) if nt.is_prime_power(q)])
 def test_exhaustive_check_w_equals_direct_coverage(q):
-    """With every offer accepted, the signed count reaches zero exactly when
-    the direct pass covers every residue, for every w."""
+    """With every offer accepted, the public coverage family's uncovered
+    count is the number of residues the direct pass leaves uncovered, for
+    every w.  Merging stops once nothing is left uncovered."""
     F = fd.build_field(q)
     t = vf._uv_tables(F)
-    exp = fd.log_table(F).exp
-    phi = len(fd.primitive_elements(F))
+    prims = fd.primitive_elements(F)
     for jw in range(q - 1):
-        assert vf.check_w(F, int(exp[jw]), phi, Fraction(1)) == (vf._uncovered_for_w(t, jw).size == 0), (q, jw)
+        w = int(t.exp[jw])
+        state = vf.coverage_start(q)
+        for a in prims:
+            term = vf.coverage_term(F, w, a)
+            if term is not None:
+                state = vf.coverage_merge(state, term, True, Fraction(1))
+                if not state.uncovered:
+                    break
+        assert state.uncovered == vf._uncovered_for_w(t, jw).size, (q, jw)
 
 
 @pytest.mark.parametrize("q", [q for q in range(2, 65) if nt.is_prime_power(q)])
 def test_check_w_matches_the_tuple_pattern_oracle(q):
-    """For every w and each (nc, factor) below, from the `ie` checker's
-    10, 3/4 to the exhaustive phi(q - 1), 1, `check_w` on one-integer
-    patterns gives the answer and `terms_peak` of the engine that kept each
-    pattern as a tuple of per-prime bitsets."""
-    F = fd.build_field(q)
-    exp = fd.log_table(F).exp
-    cases = (
-        (10, Fraction(3, 4)), (10, Fraction(4, 5)), (12, Fraction(5, 6)),
-        (vf._uv_tables(F).prim_m.size, Fraction(1)),
-    )
+    """For every w, the `ie` checker's one pass on one-integer patterns
+    gives the answer and the stats of the engine that kept each pattern as
+    a tuple of per-prime bitsets."""
+    t = vf._uv_tables(fd.build_field(q))
     for jw in range(q - 1):
-        w = int(exp[jw])
-        for nc, factor in cases:
-            got, want = {}, {}
-            assert vf.check_w(F, w, nc, factor, got) == tc.check_w(F, w, nc, factor, want), (q, w, nc)
-            assert got == want, (q, w, nc)
-
-
-def test_check_w_stats_and_zero_w():
-    stats = {}
-    assert vf.check_w(fd.build_field(23), 1, 10, Fraction(3, 4), stats)
-    assert stats["terms_peak"] >= 1
-    with pytest.raises(ZeroDivisionError):
-        vf.check_w(fd.build_field(23), 0, 10, Fraction(3, 4))
-
-
-@pytest.mark.parametrize("w", [23, -1, 24, 10**6])
-def test_check_w_rejects_w_outside_the_field(w):
-    with pytest.raises(ValueError, match=r"\[1, 23\)"):
-        vf.check_w(fd.build_field(23), w, 10, Fraction(3, 4))
+        got, want = ({"stage_passes": [0], "terms_peak": 0} for _ in range(2))
+        assert vf._rung_settles(t, jw, got) == tc.rung_settles(t, jw, want), (q, jw)
+        assert got == want, (q, jw)
 
 
 # ------------------------------------------------------------- special cases

@@ -1,5 +1,7 @@
 """The signed coverage family with each pattern kept as a tuple of per-prime
-bitsets, as an oracle for the one-integer patterns of `uvprim.verify`.
+bitsets, as an oracle for the one-integer patterns of `uvprim.verify`:
+`rung_settles` is the `ie` checker's one accept-or-discard pass,
+`verify._rung_settles`, at its one setting.
 
 A pattern here holds, for each prime p of R = Rad(q - 1), the bitset of
 the residues l mod p that are still admissible; its size is the product of
@@ -8,10 +10,8 @@ from the package's add-one table (`verify._log_r_chunks`), so only the
 family bookkeeping is independent.
 """
 
-from fractions import Fraction
 from math import prod
 
-from uvprim import field as fd
 from uvprim import verify as vf
 
 
@@ -46,27 +46,25 @@ def commit(family, children):
             del family[bits]
 
 
-def check_w(F, w, nc, factor, stats=None):
-    """`verify.check_w` on tuple patterns, re-summing the family's
-    |coefficients| after every commit for `stats["terms_peak"]`."""
-    t = vf._uv_tables(F)
-    jw = int(fd.log_table(F).log[w])
-    factor = Fraction(factor)
+def rung_settles(t, jw, stats):
+    """`verify._rung_settles` on tuple patterns: the first 10 offers are
+    taken, later ones only if they leave at most 3/4 of the uncovered
+    count; the family's |coefficients| are re-summed after every commit
+    for `stats["terms_peak"]`."""
     family = {}
     uncovered = t.R
-    c = 0
+    offered = 0
     for _, log_rs in vf._log_r_chunks(t, jw):
         for log_r in map(int, log_rs):
-            c += 1
+            offered += 1
             delta, children = offer(family, pattern(t.primes, log_r))
-            if c > nc and (uncovered + delta) * factor.denominator > uncovered * factor.numerator:
+            if offered > 10 and 4 * (uncovered + delta) > 3 * uncovered:
                 continue
             uncovered += delta
             commit(family, children)
-            if stats is not None:
-                peak = sum(abs(coef) for coef, _ in family.values())
-                if peak > stats.get("terms_peak", 0):
-                    stats["terms_peak"] = peak
+            peak = sum(abs(coef) for coef, _ in family.values())
+            stats["terms_peak"] = max(stats["terms_peak"], peak)
             if uncovered == 0:
+                stats["stage_passes"][0] += 1
                 return True
     return False
