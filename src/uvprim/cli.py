@@ -426,6 +426,12 @@ def main(argv: list[str] | None = None) -> int:
     jobs = getattr(args, "jobs", None)  # oracle takes no --jobs
     if jobs is not None and jobs < 1:
         parser.error(f"--jobs must be at least 1, got {jobs}")
+    if args.out:
+        # refused before any q runs; an existing file stays as it is until the report is written
+        parent = os.path.dirname(os.path.abspath(args.out))
+        target = args.out if os.path.exists(args.out) else parent
+        if os.path.isdir(args.out) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+            parser.error(f"--out: cannot write {args.out}")
     report, code = args.func(args, parser)
     report["command"] = argv
     _emit(report, args.format, args.out)

@@ -284,10 +284,9 @@ def primitive_elements(F: FieldSpec) -> list[int]:
 
 @dataclass
 class LogTable:
-    """Dense base-gamma int32 exp/log arrays: exp[j] = gamma**j for
-    0 <= j < q-1, log[a] = j with exp[j] = a for nonzero a, and log[0] =
-    log[q] = -1.  The sentinel at q makes log[exp + 1] the add-one log
-    table of a prime field: exp = p - 1 lands on it."""
+    """Dense base-gamma int32 exp/log arrays, inverse to each other:
+    exp[j] = gamma**j for 0 <= j < q-1, log[a] = j with exp[j] = a for
+    nonzero a, and log[0] = -1 (0 has no log)."""
 
     exp: np.ndarray
     log: np.ndarray
@@ -345,7 +344,7 @@ def exp_table(F: FieldSpec) -> np.ndarray:
 def log_table(F: FieldSpec) -> LogTable:
     """The log array over `exp_table`'s array, which it holds itself."""
     exp = exp_table(F)
-    log = np.full(F.q + 1, -1, dtype=np.int32)
+    log = np.full(F.q, -1, dtype=np.int32)
     for lo in range(0, F.q - 1, TABLE_SLICE):
         hi = min(lo + TABLE_SLICE, F.q - 1)
         log[exp[lo:hi]] = np.arange(lo, hi, dtype=np.int32)

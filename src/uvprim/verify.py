@@ -102,7 +102,6 @@ __all__ = [
 class _UVTables(NamedTuple):
     n: int  # q - 1
     R: int  # Rad(q - 1)
-    primes: tuple[int, ...]  # the primes of R
     exp: np.ndarray  # `fd.log_table`'s arrays themselves, not copies
     log: np.ndarray
     L1: np.ndarray  # int32, L1[t] = log(1 + gamma^t), -1 where the sum vanishes
@@ -117,42 +116,30 @@ def _uv_tables(F: fd.FieldSpec) -> _UVTables:
     cached (as in `fd.log_table`): no command goes back to a field it has
     left, and a switch holds at most two fields' tables."""
     n = F.q - 1
-    prof = F.q_minus_1
-    R = prof.radical
+    R = F.q_minus_1.radical
     T = fd.log_table(F)
     L1 = np.empty(n, dtype=np.int32)
     for lo in range(0, n, fd.TABLE_SLICE):
+        # add 1 to the low base-p digit, with no carry in characteristic p:
+        # in a prime field p - 1 wraps to 0, whose log is -1
         plus_one = T.exp[lo : lo + fd.TABLE_SLICE] + 1
-        if F.r > 1:
-            # add 1 to the low base-p digit; no carries in characteristic p
-            plus_one[plus_one % F.p == 0] -= F.p
-        # in a prime field exp = p - 1 reads the sentinel log[q] = -1
+        plus_one[plus_one % F.p == 0] -= F.p
         L1[lo : lo + fd.TABLE_SLICE] = T.log[plus_one]
-    prim = coprime_mask(n, prof.primes)
+    prim = coprime_mask(n, F.q_minus_1.primes)
     prim.flags.writeable = False
     # R | n and R has the primes of n, so prim[:R] marks the units mod R
     nonunits = int.from_bytes(np.packbits(~prim[:R], bitorder="little").tobytes(), "little")
-    return _UVTables(n, R, prof.primes, T.exp, T.log, L1, prim, np.flatnonzero(prim), nonunits | nonunits << R)
+    return _UVTables(n, R, T.exp, T.log, L1, prim, np.flatnonzero(prim), nonunits | nonunits << R)
 
 
 def _free_masks(n: int, prim: np.ndarray, es) -> list[np.ndarray]:
     """For each e in `es` (None means q - 1): mask[x] = True iff gamma**x is
-    e-free, i.e. gcd(x, Rad(e)) = 1; for None that is `prim` itself.  Equal
-    e share one mask.  Raises InvalidDivisorError unless every e divides
-    n = q - 1."""
-    masks: dict[int | None, np.ndarray] = {}
+    e-free, i.e. gcd(x, Rad(e)) = 1; for None that is `prim` itself.
+    Raises InvalidDivisorError unless every e divides n = q - 1."""
     for e in es:
         if e is not None and (e < 1 or n % e):
             raise InvalidDivisorError(f"e={e} does not divide q-1={n}")
-        if e not in masks:
-            masks[e] = prim if e is None else coprime_mask(n, profile(e).primes)
-    return [masks[e] for e in es]
-
-
-def _exponents(t: _UVTables, mask: np.ndarray) -> np.ndarray:
-    """The exponents `mask` marks, ascending: the table's own `prim_m` when
-    `mask` is its `prim`."""
-    return t.prim_m if mask is t.prim else np.flatnonzero(mask)
+    return [prim if e is None else coprime_mask(n, profile(e).primes) for e in es]
 
 
 def _sum_log(t: _UVTables, ju: int, jw: int, xs, ys) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +232,7 @@ def count_pairs_free(query: PairCountQuery) -> int:
     m1, m2, m3, m4 = _free_masks(t.n, t.prim, (query.e1, query.e2, query.e3, query.e4))
     ju = int(t.log[query.u])
     jw = (int(t.log[query.v]) - ju) % t.n
-    xs, ys = _exponents(t, m1), _exponents(t, m2)
+    xs, ys = np.flatnonzero(m1), np.flatnonzero(m2)
     return sum(int(np.count_nonzero(hits)) for hits in _pair_hits(t, ju, jw, xs, ys, m3, m4))
 
 
@@ -278,7 +265,7 @@ def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> n
     t = _uv_tables(fd.build_field(q))
     n = t.n
     m1, m2 = _free_masks(n, t.prim, (e1, e2))
-    xs = _exponents(t, m1)
+    xs = np.flatnonzero(m1)
     m2t = np.tile(m2, 2).astype(np.int64)
     grid = np.empty((n, n), dtype=np.int64)
     ju_idx = np.arange(n)
@@ -296,8 +283,8 @@ def pair_count_grid(q: int, es: tuple[int | None, int | None, int | None, int | 
     t = _uv_tables(fd.build_field(q))
     n = t.n
     m1, m2, m3, m4 = _free_masks(n, t.prim, es)
-    xs = _exponents(t, m1)[:, None]
-    ys = _exponents(t, m2)[None, :]
+    xs = np.flatnonzero(m1)[:, None]
+    ys = np.flatnonzero(m2)[None, :]
     grid = np.empty((n, n), dtype=np.int64)
     for jw in range(n):
         # the logs of both sums at u = 1; each ju shifts both by ju
@@ -316,8 +303,11 @@ class MembershipResult:
     """Outcome of one exhaustive membership check.
 
     `failures` holds packed-element pairs (u, v) with no witness, sorted by
-    (log u, log v); for the pair problem only the representative with
-    log u <= log v of each symmetric orbit is listed.
+    (log u, log v).  Whether (u, v) fails depends only on its class (log u
+    mod R, log w), R = Rad(q - 1), w = u^-1 v: the element problem lists
+    the pair with log u < R of each failing class, and every (u gamma^(jR),
+    v gamma^(jR)) fails with it (q = 9 lists 4 of 16, q = 13 34 of 68); the
+    pair problem lists every failing pair with log u <= log v.
     """
 
     q: int
@@ -361,11 +351,8 @@ def _uncovered_for_w(t: _UVTables, jw: int, counters: dict | None = None) -> np.
             gaps &= t.nonunits_R >> c
             if not gaps:
                 return np.empty(0, dtype=np.intp)
-    # unpack only the bytes that hold a gap
     octets = np.frombuffer(gaps.to_bytes(-(-t.R // 8), "little"), dtype=np.uint8)
-    at = np.flatnonzero(octets)
-    rows, bits = np.nonzero(np.unpackbits(octets[at, None], axis=1, bitorder="little"))
-    return at[rows] * 8 + bits
+    return np.flatnonzero(np.unpackbits(octets, bitorder="little"))
 
 
 def _element_membership(
@@ -416,14 +403,10 @@ def check_pair_membership_lift(q: int) -> MembershipResult:
     """Decide pair-set membership from the element check's failures.
 
     An element witness a for (u, v) gives the pair witness (a, a^-1), since
-    both pair sums are then u a + v a^-1.  So (u, v) can fail the pair
-    problem only if it fails the element problem (and then so does (v, u),
-    whose element witnesses are the inverses of those of (u, v)).  Both pair
-    sums are u times a function of w = u^-1 v, so whether (u, v) fails
-    depends only on its class (k, jw) = (log u mod R, log w), the key the
-    element check lists its failures by (once per class, at log u = k < R).
-    One witness scan at log u = k decides a class; its failures are
-    expanded to every log u = k mod R and reported as
+    both pair sums are then u a + v a^-1.  So only the classes (k, jw) =
+    (log u mod R, log w) the element check lists (see `MembershipResult`)
+    can fail, and one witness scan at log u = k decides each; its failures
+    are expanded to every log u = k mod R and reported as
     `check_pair_membership` reports them.  The stats are the scan's
     counters ("orbits" counts classes scanned) and the element check's.
     """

@@ -27,9 +27,11 @@ def _workloads():
     return module
 
 
-def test_traced_pair_repetition_meets_the_worker_contract():
+def _traced_repetition(workload):
+    """One traced repetition of `workload` at seed 0, checked against the
+    frozen outputs; returns its layer metrics."""
     proc = subprocess.run(
-        [sys.executable, str(PERFBENCH / "worker.py"), "pair", "0", "1"],
+        [sys.executable, str(PERFBENCH / "worker.py"), workload, "0", "1"],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,
@@ -40,8 +42,22 @@ def test_traced_pair_repetition_meets_the_worker_contract():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["missing"] == []
     wl = _workloads()
-    qs = wl.inputs("pair", 0)
-    assert wl.check("pair", qs, result["outputs"]) == (len(qs), 0)
+    qs = wl.inputs(workload, 0)
+    assert wl.check(workload, qs, result["outputs"]) == (len(qs), 0)
+    return result["layers"]
+
+
+def test_traced_pair_repetition_meets_the_worker_contract():
+    _traced_repetition("pair")
+
+
+def test_traced_element_repetition_meets_the_worker_contract():
+    """`verify --set T --algo both` runs both element checkers, so the
+    probes read the stats of each: the direct pass's primitive count and
+    the `ie` pass's family peak."""
+    layers = _traced_repetition("element")
+    assert layers["verify.logs.primitives_consumed"] > 0
+    assert layers["verify.ie.terms_peak"] > 0
 
 
 def test_freeze_script_names_still_exist():

@@ -188,6 +188,41 @@ def test_verify_expect_is_validated_before_any_check(content, tmp_path, monkeypa
     assert calls == []
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "dir", "parent-is-file"])
+def test_unwritable_out_is_refused_before_any_check(target, tmp_path, monkeypatch):
+    """An --out that cannot be written exits 2 (invalid input, not a
+    mismatch) before any q is screened or verified."""
+    calls = []
+    for name in ("check_element_membership_logs", "check_element_membership_cover", "check_pair_membership_lift"):
+        monkeypatch.setattr(verify, name, lambda q, name=name: calls.append(name))
+    monkeypatch.setattr(screening, "screen", lambda q: calls.append("screen"))
+    (tmp_path / "file").write_text("")
+    out = {"missing-dir": tmp_path / "no" / "x.json", "dir": tmp_path, "parent-is-file": tmp_path / "file" / "x.json"}
+    for argv in (["verify", "--set", "T", "--algo", "both"], ["verify", "--set", "S"], ["screen"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, "--q", "5", "13", "--jobs", "1", "--out", str(out[target])])
+        assert exc.value.code == 2
+    assert calls == []
+
+
+def test_existing_out_is_replaced_only_by_the_report(tmp_path, monkeypatch):
+    """A run that fails leaves an existing --out file as it was; a run
+    that succeeds replaces it with the report."""
+    out = tmp_path / "x.json"
+    out.write_text("old report")
+
+    def fail(q):
+        raise RuntimeError("checker failed")
+
+    monkeypatch.setattr(verify, "check_pair_membership_lift", fail)
+    with pytest.raises(RuntimeError):
+        cli.main(["verify", "--set", "S", "--q", "13", "--jobs", "1", "--out", str(out)])
+    assert out.read_text() == "old report"
+    monkeypatch.undo()
+    assert cli.main(["verify", "--set", "S", "--q", "13", "--jobs", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["records"][0]["q"] == 13
+
+
 def test_verify_explicit_q_list(tmp_path):
     code, rep = run(["verify", "--set", "T", "--q", "17", "13", "17", "--jobs", "1"], tmp_path)
     assert code == 0

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import helpers
 from uvprim import field as fd
 from uvprim import ntcore as nt
+from uvprim import verify as vf
 from uvprim.errors import (
     InvalidDivisorError,
     LogTableTooLargeError,
@@ -311,14 +312,16 @@ def test_discrete_log_agrees_with_large_tables(q):
 
 @pytest.mark.parametrize("q", TABLE_QS)
 def test_tables_are_int32_and_match_the_int64_build(q):
+    """exp, log and `verify`'s add-one table L1 against one int64 build of
+    the field."""
     F = fd.build_field(q)
-    exp, log, _ = helpers.int64_tables(F)
-    t = fd.log_table(F)
-    assert t.exp.dtype == np.int32 and t.log.dtype == np.int32
-    assert np.array_equal(t.exp, exp)
-    assert t.log.size == q + 1
-    assert np.array_equal(t.log[:q], log)
-    assert t.log[q] == -1
+    exp, log, L1 = helpers.int64_tables(F)
+    T, t = fd.log_table(F), vf._uv_tables(F)
+    assert T.exp.dtype == T.log.dtype == t.L1.dtype == np.int32
+    assert np.array_equal(T.exp, exp)
+    assert T.log.size == q and T.log[0] == -1
+    assert np.array_equal(T.log, log)
+    assert np.array_equal(t.L1, L1)
 
 
 @pytest.mark.parametrize("q", [2, 31, 3**4, 2311])
@@ -331,7 +334,7 @@ def test_log_table_holds_the_exp_table(q):
 def test_log_table_shape():
     F = fd.build_field(9)
     t = fd.log_table(F)
-    assert t.log[0] == -1 and t.log[9] == -1
+    assert t.log.size == 9 and t.log[0] == -1
     assert list(t.exp[: 3]) == [1, 3, 7]
     # exp and log invert each other on nonzero elements
     assert np.array_equal(t.log[t.exp], np.arange(8))

@@ -12,6 +12,7 @@ family bookkeeping is independent.
 
 from math import prod
 
+from uvprim import ntcore
 from uvprim import verify as vf
 
 
@@ -51,13 +52,14 @@ def rung_settles(t, jw, stats):
     taken, later ones only if they leave at most 3/4 of the uncovered
     count; the family's |coefficients| are re-summed after every commit
     for `stats["terms_peak"]`."""
+    primes = ntcore.profile(t.R).primes
     family = {}
     uncovered = t.R
     offered = 0
     for _, log_rs in vf._log_r_chunks(t, jw):
         for log_r in map(int, log_rs):
             offered += 1
-            delta, children = offer(family, pattern(t.primes, log_r))
+            delta, children = offer(family, pattern(primes, log_r))
             if offered > 10 and 4 * (uncovered + delta) > 3 * uncovered:
                 continue
             uncovered += delta
