@@ -23,7 +23,10 @@ against the tables.  The exp array grows by doubling from exp[0] = 1: the
 block exp[a : a + m] is the block before it times gamma**m, with m = a
 until m reaches a fixed block size.  For r >= 2 that product is an r x r
 matrix over F_p acting on base-p digit vectors, so no element is built
-by a scalar loop.
+by a scalar loop.  Each block is reduced by floor division, as t - (t //
+q) * q for prime fields and t - (t // p) * p on the digits, since numpy
+divides an int64 array by a scalar several times faster than it takes
+``%``.
 
 Every per-element table is int32: below the cap every exponent and every
 packed element fits.  The exact count ``verify.count_single_free`` reads
@@ -297,6 +300,7 @@ def _exp_array_prime(F: FieldSpec) -> np.ndarray:
     exp = np.empty(n, dtype=np.int32)
     exp[0] = 1
     buf = np.empty(min(n, _EXP_BLOCK), dtype=np.int64)  # products reach q**2 > 2**31
+    quot = np.empty_like(buf)  # prod // q, then times q
     a = 1
     while a < n:
         # exp[a : a + m] = exp[a - m : a] * gamma**m, doubling up to the block
@@ -304,9 +308,11 @@ def _exp_array_prime(F: FieldSpec) -> np.ndarray:
         if a == m:
             gm = pow(F.gamma, m, q)
         b = min(a + m, n)
-        prod = buf[: b - a]
+        prod, mult = buf[: b - a], quot[: b - a]
         np.multiply(exp[a - m : b - m], gm, out=prod, dtype=np.int64)
-        np.mod(prod, q, out=exp[a:b])
+        np.floor_divide(prod, q, out=mult)
+        mult *= q
+        np.subtract(prod, mult, out=exp[a:b])  # prod mod q
         a = b
     return exp
 
@@ -325,7 +331,8 @@ def _exp_array_ext(F: FieldSpec) -> np.ndarray:
             M = np.array([to_coeffs(F, mul(F, gm, p**i)) for i in range(r)], dtype=np.int64)  # row i: gm * x**i
             digits = exp[:a, None] // pw % p
         b = min(a + m, n)
-        digits = digits[: b - a] @ M % p
+        digits = digits[: b - a] @ M
+        digits -= digits // p * p
         exp[a:b] = digits @ pw
         a = b
     return exp

@@ -292,9 +292,22 @@ def delta(j: int, primes: tuple[int, ...] | list[int]) -> DeltaValue:
 
 def coprime_mask(size: int, primes: tuple[int, ...] | list[int]) -> np.ndarray:
     """mask[x] = True iff no prime in `primes` divides x, for 0 <= x < size:
-    a sieve that strikes every multiple of each prime (0 included)."""
-    mask = np.ones(size, dtype=bool)
-    for p in primes:
+    a sieve that strikes every multiple of each prime (0 included).  The
+    smallest primes, while their product stays within 2**16, are sieved
+    over one period of that product, which is then tiled to `size`; only
+    the other primes are struck over the whole mask."""
+    primes = sorted(primes)
+    period, k = 1, 0
+    while k < len(primes) and period * primes[k] <= 1 << 16:
+        period *= primes[k]
+        k += 1
+    tile = np.ones(period, dtype=bool)
+    for p in primes[:k]:
+        tile[::p] = False
+    # np.tile, not np.resize: np.resize concatenates a tuple of size/period
+    # references to the tile, which for period 2 costs seconds and megabytes
+    mask = np.tile(tile, -(-size // period))[:size]
+    for p in primes[k:]:
         mask[::p] = False
     return mask
 

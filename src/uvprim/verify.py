@@ -57,8 +57,11 @@ the e1-free exponents, so the log table (a scatter over all q - 1
 entries) and L1 (a gather over all of them) would cost more than the count
 they serve.  It reads the exp array alone: u a and v a^-1 are entries of
 it, their sum is a field addition, and a byte mask over the elements says
-whether the sum is nonzero and e2-free.  The grid-versus-count tests thus
-compare two independent derivations, field addition against L1.
+whether the sum is nonzero and e2-free.  When u = v (the paper's (1, 1)
+among them) the pass covers only half the exponents: x and -x give the
+same sum u (a + a^-1) and are e1-free together, so each pair is summed
+once and counted twice.  The grid-versus-count tests thus compare two
+independent derivations, field addition against L1.
 """
 
 from __future__ import annotations
@@ -239,7 +242,12 @@ def count_pairs_free(query: PairCountQuery) -> int:
 def count_single_free(query: SingleCountQuery) -> int:
     """The count of `SingleCountQuery`, by field addition on the exp array
     alone: with a = gamma**x, u a = exp[x + log u] and v a^-1 = exp[log v -
-    x], and their sum is looked up in a byte mask over the elements."""
+    x], and their sum is looked up in a byte mask over the elements.
+
+    Every e1-free x in [0, q - 1) is summed when u != v.  When u = v, x and
+    -x give the same sum u (a + a^-1), and gcd(x, e1) = gcd(-x, e1), so
+    0 < x < (q - 1)/2 is summed once and counted twice, and the self-paired
+    x = 0 and, for odd q, x = (q - 1)/2 are counted once each."""
     fd.check_nonzero(query.q, u=query.u, v=query.v)
     F = fd.build_field(query.q)
     exp = fd.exp_table(F)  # first: a field over the cap is refused before any allocation
@@ -249,12 +257,24 @@ def count_single_free(query: SingleCountQuery) -> int:
     # target[s] iff s is a nonzero e2-free element; target[0] stays False
     target = np.zeros(F.q, dtype=bool)
     for lo in range(0, n, fd.TABLE_SLICE):
-        target[exp[lo : lo + fd.TABLE_SLICE][m2[lo : lo + fd.TABLE_SLICE]]] = True
-    count = 0
-    for lo in range(0, n, fd.TABLE_SLICE):
-        xs = np.flatnonzero(m1[lo : lo + fd.TABLE_SLICE]) + lo
-        s = fd.add(F, exp.take(xs + ju, mode="wrap"), exp.take(jv - xs, mode="wrap"))
-        count += int(np.count_nonzero(target[s]))
+        target[exp.take(np.flatnonzero(m2[lo : lo + fd.TABLE_SLICE]) + lo)] = True
+
+    def hits(start: int, stop: int) -> int:
+        # the x in [start, stop) with a = gamma**x e1-free and its sum in target
+        count = 0
+        for lo in range(start, stop, fd.TABLE_SLICE):
+            xs = np.flatnonzero(m1[lo : min(lo + fd.TABLE_SLICE, stop)]) + lo
+            s = fd.add(F, exp.take(xs + ju, mode="wrap"), exp.take(jv - xs, mode="wrap"))
+            count += int(np.count_nonzero(target[s]))
+        return count
+
+    if query.u != query.v:
+        return hits(0, n)
+    # u a + u a^-1 is the same sum at x and -x, and m1[x] = m1[-x]: count
+    # 0 < x < n/2 twice, and the self-paired x = 0 and x = n/2 once each
+    count = 2 * hits(1, (n + 1) // 2) + hits(0, 1)
+    if n % 2 == 0:
+        count += hits(n // 2, n // 2 + 1)
     return count
 
 

@@ -11,6 +11,7 @@ from importlib import resources
 import numpy as np
 
 from uvprim import field as fd
+from uvprim import ntcore as nt
 
 # The two frozen exceptional sets, shipped with the package so the CLI's
 # --expect flag has ready-made reference lists.
@@ -111,3 +112,23 @@ def int64_tables(F):
     low = exp % p
     L1 = log[exp - low + (low + 1) % p]
     return exp, log, L1
+
+
+def whole_range_M_free(q, u, v, e1=None, e2=None):
+    """M_{e1,e2}(q, u, v) the way `verify.count_single_free` counted it
+    before it paired x with -x: the target mask filled by boolean
+    compression, and every e1-free exponent x in [0, q - 1) summed."""
+    F = fd.build_field(q)
+    exp = fd.exp_table(F)
+    n = exp.size
+    m1, m2 = (nt.coprime_mask(n, nt.profile(n if e is None else e).primes) for e in (e1, e2))
+    ju, jv = fd.discrete_log(F, u), fd.discrete_log(F, v)
+    target = np.zeros(q, dtype=bool)
+    for lo in range(0, n, fd.TABLE_SLICE):
+        target[exp[lo : lo + fd.TABLE_SLICE][m2[lo : lo + fd.TABLE_SLICE]]] = True
+    count = 0
+    for lo in range(0, n, fd.TABLE_SLICE):
+        xs = np.flatnonzero(m1[lo : lo + fd.TABLE_SLICE]) + lo
+        s = fd.add(F, exp.take(xs + ju, mode="wrap"), exp.take(jv - xs, mode="wrap"))
+        count += int(np.count_nonzero(target[s]))
+    return count

@@ -179,6 +179,31 @@ def test_coprime_mask_matches_gcd():
             assert np.array_equal(nt.coprime_mask(n, nt.profile(d).primes), coprime[g]), (n, d)
 
 
+def _plain_coprime_sieve(size, primes):
+    mask = np.ones(size, dtype=bool)
+    for p in primes:
+        mask[::p] = False
+    return mask
+
+
+def test_tiled_coprime_mask_equals_the_plain_sieve():
+    """The tiled sieve (one period of the smallest primes, product <= 2**16,
+    repeated to `size`) equals striking every prime over the whole mask: at
+    sizes below, at and around the period, at size 1, for the empty prime
+    tuple, for a period of 2 beside a prime too large to tile, and for
+    random sizes and prime sets, given in any order."""
+    cases = [(1, ()), (1, (2, 3)), (5, ()), (7, (2, 3, 5, 7, 11, 13)), (30030, (2, 3, 5, 7, 11, 13)),
+             (30031, (2, 3, 5, 7, 11, 13)), (100_000, (2, 3, 5, 7, 11, 13, 17)), (10, (65_537,)),
+             (4_194_352, (2, 262_147)), (200_000, (65_521, 2))]
+    rng = random.Random(25)
+    pool = list(sympy.primerange(2, 300)) + [65_521, 65_537, 262_147]
+    for _ in range(200):
+        size = rng.choice([rng.randrange(1, 100), rng.randrange(1, 100_000), rng.randrange(1, 2_000_000)])
+        cases.append((size, tuple(rng.sample(pool, rng.randrange(0, 9)))))
+    for size, primes in cases:
+        assert np.array_equal(nt.coprime_mask(size, primes), _plain_coprime_sieve(size, primes)), (size, primes)
+
+
 # ---------------------------------------------------------------------- delta
 
 def test_delta_frozen():

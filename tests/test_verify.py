@@ -152,11 +152,15 @@ def _single_queries(q):
 @pytest.mark.parametrize("q", [2311, 3**7])
 def test_sliced_fills_and_counts_match_unsliced(q, monkeypatch):
     """With 64-entry slices, phi(q - 1) (480 and 1,092) spans several of
-    them, yet the log table, L1 and every count equal those of one slice."""
+    them, yet the log table, L1 and every count equal those of one slice.
+    The u = v counts, whose halved range [1, n/2) ends inside a slice,
+    equal the whole-range loop's."""
     F = fd.build_field(q)
     exp, log, L1 = helpers.int64_tables(F)
     queries = _single_queries(q)
     expected = [vf.count_single_free(query) for query in queries]
+    paired = [vf.SingleCountQuery(q, u, u, e1) for u in (2, q - 1) for e1 in (None, 1)]
+    expected_paired = [helpers.whole_range_M_free(q, c.u, c.v, c.e1) for c in paired]
     monkeypatch.setattr(fd, "TABLE_SLICE", 64)
     caches = (fd.exp_table, fd.log_table, vf._uv_tables)
     for cache in caches:
@@ -167,6 +171,7 @@ def test_sliced_fills_and_counts_match_unsliced(q, monkeypatch):
         assert np.array_equal(T.log, log)
         assert np.array_equal(t.L1, L1)
         assert [vf.count_single_free(query) for query in queries] == expected
+        assert [vf.count_single_free(query) for query in paired] == expected_paired
     finally:
         for cache in caches:
             cache.cache_clear()
@@ -315,6 +320,38 @@ def test_free_counts_with_divisor_arguments(q, data):
     v = data.draw(st.integers(1, n))
     got = vf.count_single_free(vf.SingleCountQuery(q, u, v, e1, e2))
     assert got == helpers.brute_M_free(F, u, v, e1, e2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 8, 11, 16, 19, 23, 27, 32])
+def test_single_count_at_u_equal_v_pairs_x_with_minus_x(q):
+    """At u = v the count sums 0 < x < n/2 once and doubles it, then adds
+    the self-paired x = 0 and, for even n, x = n/2.  q even gives n odd;
+    q = 3 mod 4 gives n/2 odd, so gcd(n/2, Rad(e1)) = 1 holds at e1 = 1
+    and 2.  Every u = v, every e1, and e2 drawn by a seeded RNG."""
+    F = fd.build_field(q)
+    n = q - 1
+    divisors = [e for e in range(1, n + 1) if n % e == 0]
+    rng = random.Random(q)
+    for u in range(1, q):
+        for e1 in [None, *divisors]:
+            e2 = rng.choice([None, *divisors])
+            got = vf.count_single_free(vf.SingleCountQuery(q, u, u, e1, e2))
+            assert got == helpers.brute_M_free(F, u, u, e1 or n, e2 or n), (u, e1, e2)
+
+
+@pytest.mark.parametrize("q", [100_003, 1_000_003])
+def test_single_count_equals_the_whole_range_loop(q):
+    """The count equals the loop over every e1-free x with the mask filled
+    by boolean compression, for (1, 1), two (u, u) and two (u, v) with
+    u != v, with and without divisor arguments."""
+    n = q - 1
+    divisors = [e for e in range(1, n + 1) if n % e == 0]
+    rng = random.Random(q)
+    a, b, c, d, e, f = rng.sample(range(2, q), 6)
+    for u, v in [(1, 1), (a, a), (b, b), (c, d), (e, f)]:
+        for e1, e2 in [(None, None), (1, 2), (rng.choice(divisors), rng.choice(divisors))]:
+            got = vf.count_single_free(vf.SingleCountQuery(q, u, v, e1, e2))
+            assert got == helpers.whole_range_M_free(q, u, v, e1, e2), (u, v, e1, e2)
 
 
 @pytest.mark.parametrize("q", [7, 9, 13])
