@@ -22,9 +22,13 @@ primitive one (`prim`, e = q - 1), built once per field.
 Four checkers, two per set:
 
 * `check_element_membership_logs` -- direct coverage over residues
-  log u mod R, one nonzero w at a time, with the classes still uncovered
-  held as one R-bit int (each w contributes at most R failing classes),
-  and w^-1 mirrored from w (a witness a for (u, v) is one, a^-1, for (v, u));
+  log u mod R, one w at a time, with the classes still uncovered held as
+  one R-bit int (each w contributes at most R failing classes).  Only one
+  w per class of log w mod g = gcd(2R, q - 1) gets a pass: with c =
+  gamma^(tR), a witness a for (u c, v c^-1) gives the witness c a for
+  (u, v), which leaves log u mod R alone and moves log w by 2tR.  And w^-1
+  is mirrored from w (a witness a for (u, v) is one, a^-1, for (v, u)), so
+  g/2 + 1 passes decide every w, not (q - 1)/2 + 1;
 * `check_element_membership_cover` (`ie`) -- the same failure list, but
   each w first gets one accept-or-discard pass of the signed coverage
   family (`_rung_settles`), and only the w it cannot bring to zero
@@ -34,7 +38,9 @@ Four checkers, two per set:
 * `check_pair_membership_lift` -- the pair problem decided from the
   element failures: an element witness a lifts to the pair witness
   (a, a^-1), so only the classes (log u mod R, log w) that fail the element
-  problem get a pair witness scan;
+  problem can fail, and the same c moves a pair witness (a, b) to
+  (a c^-1, b c), so one witness scan decides each class (log u mod R,
+  log w mod g);
 * `check_pair_membership` -- brute force over (u,v) orbits for the pair
   problem, vectorized over the second primitive element; the oracle of
   the lift.
@@ -69,6 +75,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import NamedTuple
 
 import numpy as np
@@ -105,6 +112,7 @@ __all__ = [
 class _UVTables(NamedTuple):
     n: int  # q - 1
     R: int  # Rad(q - 1)
+    g: int  # gcd(2R, q - 1): membership reads log w only mod g
     exp: np.ndarray  # `fd.log_table`'s arrays themselves, not copies
     log: np.ndarray
     L1: np.ndarray  # int32, L1[t] = log(1 + gamma^t), -1 where the sum vanishes
@@ -132,7 +140,7 @@ def _uv_tables(F: fd.FieldSpec) -> _UVTables:
     prim.flags.writeable = False
     # R | n and R has the primes of n, so prim[:R] marks the units mod R
     nonunits = int.from_bytes(np.packbits(~prim[:R], bitorder="little").tobytes(), "little")
-    return _UVTables(n, R, T.exp, T.log, L1, prim, np.flatnonzero(prim), nonunits | nonunits << R)
+    return _UVTables(n, R, gcd(2 * R, n), T.exp, T.log, L1, prim, np.flatnonzero(prim), nonunits | nonunits << R)
 
 
 def _free_masks(n: int, prim: np.ndarray, es) -> list[np.ndarray]:
@@ -324,10 +332,11 @@ class MembershipResult:
 
     `failures` holds packed-element pairs (u, v) with no witness, sorted by
     (log u, log v).  Whether (u, v) fails depends only on its class (log u
-    mod R, log w), R = Rad(q - 1), w = u^-1 v: the element problem lists
-    the pair with log u < R of each failing class, and every (u gamma^(jR),
-    v gamma^(jR)) fails with it (q = 9 lists 4 of 16, q = 13 34 of 68); the
-    pair problem lists every failing pair with log u <= log v.
+    mod R, log w mod g), R = Rad(q - 1), g = gcd(2R, q - 1), w = u^-1 v.
+    The element problem lists, for each log w, the pair with log u < R of
+    each failing class, and every (u gamma^(jR), v gamma^(jR)) fails with it
+    (q = 9 lists 4 of 16, q = 13 34 of 68); the pair problem lists every
+    failing pair with log u <= log v.
     """
 
     q: int
@@ -378,27 +387,39 @@ def _uncovered_for_w(t: _UVTables, jw: int, counters: dict | None = None) -> np.
 def _element_membership(
     F: fd.FieldSpec, algorithm: str, stats: dict, settled, counters: dict | None = None
 ) -> MembershipResult:
-    """The element-set decision shared by both checkers: every w = gamma**jw
-    with jw <= n/2 that `settled(jw)` cannot show fully covered gets the
-    direct coverage pass, and each residue k it leaves uncovered fails as
-    (u, v) = (gamma**k, gamma**(k + jw)) and, since a witness a for (u, v)
-    is one, a^-1, for (v, u), at w^-1 as (gamma**k', gamma**(k' - jw)) with
-    k' = (k + jw) mod R.  `counters`, if given, tallies the primitive
-    exponents and logs those passes consume."""
+    """The element-set decision shared by both checkers, one pass per class
+    of log w mod g = gcd(2R, n).  With c = gamma^(tR), a witness a for
+    (u c, v c^-1) gives the witness c a for (u, v), and log(u c) = log u
+    mod R while log w drops by 2tR; so the residues k = log u mod R left
+    uncovered at w = gamma**jw depend on jw mod g alone.  Every
+    representative jw = r <= g/2 that `settled(r)` cannot show fully covered
+    gets the direct coverage pass, and each residue k it leaves uncovered
+    fails as (u, v) = (gamma**k, gamma**(k + jw)) at every jw = r mod g and,
+    since a witness a for (u, v) is one, a^-1, for (v, u), as (gamma**k',
+    gamma**(k' + jw)) with k' = (k + r) mod R at every jw = -r mod g (R | g).
+    So the expansion costs one step per failure listed and none per jw.
+    `stats["w_values"]` counts the representatives; `counters`, if given,
+    tallies the primitive exponents and logs their passes consume."""
     t = _uv_tables(F)
+    g = t.g
+    stats["w_values"] = g // 2 + 1
     bad: list[tuple[int, int]] = []
-    for jw in range(t.n // 2 + 1):
-        if not settled(jw):
-            for k in map(int, _uncovered_for_w(t, jw, counters)):
-                bad.append((k, (k + jw) % t.n))
-                if 2 * jw % t.n:  # jw = 0 and jw = n/2 are their own mirrors
-                    bad.append(((k + jw) % t.R, ((k + jw) % t.R - jw) % t.n))
+    for r in range(g // 2 + 1):
+        if settled(r):
+            continue
+        ks = _uncovered_for_w(t, r, counters).tolist()
+        classes = [(ks, r)]
+        if 2 * r % g:  # r = 0 and r = g/2 are their own mirrors
+            classes.append(([(k + r) % t.R for k in ks], g - r))
+        for residues, start in classes:
+            bad += [(k, (k + jw) % t.n) for k in residues for jw in range(start, t.n, g)]
     return _result(t, F.q, "element", sorted(bad), algorithm, stats)
 
 
 def check_element_membership_logs(q: int) -> MembershipResult:
-    """Decide element-set membership by direct coverage (one pass per w and w^-1)."""
-    stats = {"primitives_consumed": 0, "logs_computed": 0, "w_values": (q - 1) // 2 + 1}
+    """Decide element-set membership by direct coverage, one pass per
+    class of w (see `_element_membership`)."""
+    stats = {"primitives_consumed": 0, "logs_computed": 0}
     return _element_membership(fd.build_field(q), "logs", stats, lambda jw: False, stats)
 
 
@@ -425,24 +446,28 @@ def check_pair_membership_lift(q: int) -> MembershipResult:
     An element witness a for (u, v) gives the pair witness (a, a^-1), since
     both pair sums are then u a + v a^-1.  So only the classes (k, jw) =
     (log u mod R, log w) the element check lists (see `MembershipResult`)
-    can fail, and one witness scan at log u = k decides each; its failures
-    are expanded to every log u = k mod R and reported as
+    can fail.  With c = gamma^(tR), a pair witness (a, b) for (u, v) gives
+    the witness (a c^-1, b c) for (u c, v c^-1), both pair sums unchanged,
+    so a class fails with every jw' = jw mod g: one witness scan at log u =
+    k, log w = jw mod g decides each group, and a failing group is expanded
+    to every such jw' and every log u = k mod R and reported as
     `check_pair_membership` reports them.  The stats are the scan's
-    counters ("orbits" counts classes scanned) and the element check's.
+    counters ("orbits" counts groups scanned) and the element check's.
     """
     t = _uv_tables(fd.build_field(q))
     # looked up in the module at call time, so a wrapped replacement runs
     element = check_element_membership_logs(q)
-    classes = {
-        (int(t.log[u]) % t.R, int(t.log[v] - t.log[u]) % t.n) for u, v in element.failures
+    groups = {
+        (int(t.log[u]) % t.R, int(t.log[v] - t.log[u]) % t.g) for u, v in element.failures
     }
-    stats = {"orbits": len(classes), "witness_scans": 0, **element.stats}
-    failing: list[tuple[int, int]] = []
-    for k, jw in classes:
-        if _pair_witness(t, k, jw, stats) is None:
-            failing.append((k, jw))
+    stats = {"orbits": len(groups), "witness_scans": 0, **element.stats}
+    failing = [(k, r) for k, r in groups if _pair_witness(t, k, r, stats) is None]
     bad = sorted(
-        (ju, jv) for k, jw in failing for ju in range(k, t.n, t.R) if ju <= (jv := (ju + jw) % t.n)
+        (ju, jv)
+        for k, r in failing
+        for jw in range(r, t.n, t.g)
+        for ju in range(k, t.n, t.R)
+        if ju <= (jv := (ju + jw) % t.n)
     )
     return _result(t, q, "pair", bad, "lift", stats)
 
@@ -576,10 +601,10 @@ def _rung_settles(t: _UVTables, jw: int, stats: dict) -> bool:
 
 def check_element_membership_cover(q: int) -> MembershipResult:
     """Decide element-set membership via the inclusion-exclusion counter:
-    `_rung_settles` for each w the `logs` checker passes, then the direct
-    pass decides every w it leaves and lists the failures.  So what `ie`
-    checks on its own is that its signed count reaches zero only at fully
-    covered w."""
+    `_rung_settles` for each class representative w the `logs` checker
+    passes, then the direct pass decides every one it leaves and lists the
+    failures (see `_element_membership`).  So what `ie` checks on its own is
+    that its signed count reaches zero only at fully covered w."""
     F = fd.build_field(q)
     t = _uv_tables(F)
     stats = {"stage_passes": [0], "terms_peak": 0}

@@ -12,6 +12,7 @@ import numpy as np
 
 from uvprim import field as fd
 from uvprim import ntcore as nt
+from uvprim import verify as vf
 
 # The two frozen exceptional sets, shipped with the package so the CLI's
 # --expect flag has ready-made reference lists.
@@ -132,3 +133,19 @@ def whole_range_M_free(q, u, v, e1=None, e2=None):
         s = fd.add(F, exp.take(xs + ju, mode="wrap"), exp.take(jv - xs, mode="wrap"))
         count += int(np.count_nonzero(target[s]))
     return count
+
+
+def per_w_element_failures(q):
+    """The element failures (packed (u, v), sorted by (log u, log v)) the
+    way `verify._element_membership` listed them before it passed one w per
+    class mod gcd(2R, q - 1): the direct pass at every log w = jw <= (q -
+    1)/2, and w^-1 mirrored from w (a witness a for (u, v) is one, a^-1,
+    for (v, u))."""
+    t = vf._uv_tables(fd.build_field(q))
+    bad = []
+    for jw in range(t.n // 2 + 1):
+        for k in map(int, vf._uncovered_for_w(t, jw)):
+            bad.append((k, (k + jw) % t.n))
+            if 2 * jw % t.n:  # jw = 0 and jw = n/2 are their own mirrors
+                bad.append(((k + jw) % t.R, ((k + jw) % t.R - jw) % t.n))
+    return tuple((int(t.exp[ju]), int(t.exp[jv])) for ju, jv in sorted(bad))

@@ -537,22 +537,49 @@ def test_uncovered_residues_mirror_under_inversion():
             assert vf._uncovered_for_w(t, -jw % t.n).tolist() == mirrored, (q, jw)
 
 
+def test_uncovered_residues_depend_on_log_w_mod_g():
+    """With c = gamma^(tR), a witness a for (u c, v c^-1) gives the witness
+    c a for (u, v), log(u c) = log u mod R and log w drops by 2tR: so every
+    w leaves uncovered the residues its class log w mod g = gcd(2R, q - 1)
+    leaves.  Checked for every jw on every prime power up to 1200 with
+    g < q - 1."""
+    for q in (q for q in range(2, 1201) if nt.is_prime_power(q)):
+        t = vf._uv_tables(fd.build_field(q))
+        if t.g == t.n:
+            continue
+        reps = [vf._uncovered_for_w(t, r).tolist() for r in range(t.g)]
+        for jw in range(t.g, t.n):
+            assert vf._uncovered_for_w(t, jw).tolist() == reps[jw % t.g], (q, jw)
+
+
+def test_checkers_equal_the_per_w_loop_to_1000():
+    """Both element checkers, one pass per class of log w mod g, list the
+    failures of the direct pass at every log w <= (q - 1)/2 with w^-1
+    mirrored, on every prime power up to 1000: q = 2, 4, 8 and 128 (q - 1
+    odd, g = R) among them."""
+    for q in (q for q in range(2, 1001) if nt.is_prime_power(q)):
+        want = helpers.per_w_element_failures(q)
+        for check in (vf.check_element_membership_logs, vf.check_element_membership_cover):
+            res = check(q)
+            assert (res.member, res.failures) == (not want, want), (q, res.algorithm)
+
+
 # The full stats of the three checkers, captured at a reference commit: the
 # CLI emits these dicts and perfbench/probes.py reads their keys.
 FROZEN_STATS = {
     13: (
         {"primitives_consumed": 28, "logs_computed": 26, "w_values": 7},
-        {"stage_passes": [0], "terms_peak": 3},
+        {"stage_passes": [0], "terms_peak": 3, "w_values": 7},
         {"orbits": 78, "witness_scans": 111},
     ),
     31: (
         {"primitives_consumed": 128, "logs_computed": 124, "w_values": 16},
-        {"stage_passes": [2], "terms_peak": 27},
+        {"stage_passes": [2], "terms_peak": 27, "w_values": 16},
         {"orbits": 465, "witness_scans": 571},
     ),
     61: (
         {"primitives_consumed": 496, "logs_computed": 488, "w_values": 31},
-        {"stage_passes": [2], "terms_peak": 31},
+        {"stage_passes": [2], "terms_peak": 31, "w_values": 31},
         {"orbits": 1830, "witness_scans": 1909},
     ),
 }
@@ -568,23 +595,40 @@ def test_membership_stats_frozen(q):
 
 @pytest.mark.parametrize("q", [2, 3, 13, 31, 61, 64, 121])
 def test_logs_passes_run_only_up_to_half_of_q_minus_1(q):
-    """One direct pass per log w <= (q - 1)/2, and nothing else consumed."""
+    """One direct pass per class representative log w <= g/2, g = gcd(2R,
+    q - 1) <= q - 1, and nothing else consumed."""
     t = vf._uv_tables(fd.build_field(q))
     want = {"primitives_consumed": 0, "logs_computed": 0}
-    for jw in range(t.n // 2 + 1):
+    for jw in range(t.g // 2 + 1):
         vf._uncovered_for_w(t, jw, want)
     stats = vf.check_element_membership_logs(q).stats
-    assert stats == {**want, "w_values": (q - 1) // 2 + 1}
+    assert stats == {**want, "w_values": t.g // 2 + 1}
+
+
+def test_logs_passes_at_65537_are_three(monkeypatch):
+    """q - 1 = 2^16, R = 2, g = 4: the representatives log w = 0, 1, 2."""
+    t = vf._uv_tables(fd.build_field(65537))
+    passes = []
+    real = vf._uncovered_for_w
+
+    def counted(t, jw, counters=None):
+        passes.append(jw)
+        return real(t, jw, counters)
+
+    monkeypatch.setattr(vf, "_uncovered_for_w", counted)
+    res = vf.check_element_membership_logs(65537)
+    assert (t.R, t.g, passes, res.stats["w_values"]) == (2, 4, [0, 1, 2], 3)
+    assert res.member
 
 
 # The `ie` stats and failure counts beyond q = 61, captured at a reference
 # commit, where the accept-or-discard pass settles most w and the family
 # grows to hundreds of terms.
 FROZEN_IE_STATS = {
-    121: ({"stage_passes": [40], "terms_peak": 55}, 44),
-    211: ({"stage_passes": [106], "terms_peak": 188}, 0),
-    243: ({"stage_passes": [122], "terms_peak": 130}, 0),
-    256: ({"stage_passes": [128], "terms_peak": 1521}, 0),
+    121: ({"stage_passes": [20], "terms_peak": 45, "w_values": 31}, 44),
+    211: ({"stage_passes": [106], "terms_peak": 188, "w_values": 106}, 0),
+    243: ({"stage_passes": [12], "terms_peak": 18, "w_values": 12}, 0),
+    256: ({"stage_passes": [128], "terms_peak": 1521, "w_values": 128}, 0),
 }
 
 
@@ -600,6 +644,8 @@ FROZEN_LIFT_STATS = {
     13: {"orbits": 34, "witness_scans": 52, "primitives_consumed": 28, "logs_computed": 26, "w_values": 7},
     31: {"orbits": 73, "witness_scans": 98, "primitives_consumed": 128, "logs_computed": 124, "w_values": 16},
     61: {"orbits": 142, "witness_scans": 147, "primitives_consumed": 496, "logs_computed": 488, "w_values": 31},
+    # g = 12 < q - 1 = 96: one group of the 8 failing classes, one scan
+    97: {"orbits": 1, "witness_scans": 1, "primitives_consumed": 224, "logs_computed": 222, "w_values": 7},
 }
 
 
@@ -682,6 +728,44 @@ def test_pair_failures_are_whole_classes_mod_R():
         for ju, jv in failing:
             jw = (jv - ju) % n
             assert all((k, (k + jw) % n) in failing for k in range(ju % R, n, R)), (q, ju, jv)
+
+
+def test_counts_are_invariant_under_the_R_shift():
+    """With c = gamma^R, a -> c a maps the witnesses of (u c, v c^-1) onto
+    those of (u, v), and (a, b) -> (a c^-1, b c) the pair witnesses of
+    (u, v) onto those of (u c, v c^-1): so both exact count grids satisfy
+    grid[ju + R, jv - R] = grid[ju, jv], which is what lets the element pass
+    and the lift read log w only mod g = gcd(2R, q - 1).  Checked on every
+    prime power below 65 with g < q - 1.  Every field with a pair-set
+    failure has g = q - 1, so no failure list exercises the lift's expansion
+    over log w; the next test forces one."""
+    for q in (q for q in range(2, 65) if nt.is_prime_power(q)):
+        t = vf._uv_tables(fd.build_field(q))
+        if t.g == t.n:
+            continue
+        for grid in (vf.single_count_grid(q), vf.pair_count_grid(q)):
+            assert np.array_equal(np.roll(grid, (-t.R, t.R), axis=(0, 1)), grid), q
+            assert not np.array_equal(np.roll(grid, (-1, 1), axis=(0, 1)), grid), q
+
+
+def test_pair_lift_expands_a_failing_group_to_its_whole_class(monkeypatch):
+    """With every witness scan failing, the lift lists every (u, v) with
+    log u <= log v whose class (log u mod R, log w) the element check lists:
+    each scanned group (k, log w mod g) stands for all of its log w."""
+    monkeypatch.setattr(vf, "_pair_witness", lambda *args: None)
+    for q in (97, 121, 169):
+        t = vf._uv_tables(fd.build_field(q))
+        assert t.g < t.n
+        element = {(int(t.log[u]), int(t.log[v])) for u, v in vf.check_element_membership_logs(q).failures}
+        want = tuple(
+            (int(t.exp[ju]), int(t.exp[jv]))
+            for ju in range(t.n)
+            for jv in range(ju, t.n)
+            if (ju % t.R, (ju % t.R + jv - ju) % t.n) in element
+        )
+        res = vf.check_pair_membership_lift(q)
+        assert want and res.failures == want, q
+        assert res.stats["orbits"] == len({(k, (jv - k) % t.g) for k, jv in element}), q
 
 
 def test_pair_membership_reports_orbit_representatives():
