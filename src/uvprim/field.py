@@ -26,7 +26,10 @@ matrix over F_p acting on base-p digit vectors, so no element is built
 by a scalar loop.  Each block is reduced by floor division, as t - (t //
 q) * q for prime fields and t - (t // p) * p on the digits, since numpy
 divides an int64 array by a scalar several times faster than it takes
-``%``.
+``%``.  For an odd prime q the doubling stops at half the array: as
+gamma**((q - 1)/2) = -1, the second half is exp[x + (q - 1)/2] =
+q - exp[x], one subtraction.  An extension field negates digit by
+digit, so there the doubling runs to the end.
 
 Every per-element table is int32: below the cap every exponent and every
 packed element fits.  The exact count ``verify.count_single_free`` reads
@@ -297,23 +300,26 @@ class LogTable:
 
 def _exp_array_prime(F: FieldSpec) -> np.ndarray:
     q, n = F.q, F.q - 1
+    # for odd q, gamma**(n/2) = -1: only the first half is multiplied out
+    h = n if q == 2 else n // 2
     exp = np.empty(n, dtype=np.int32)
     exp[0] = 1
-    buf = np.empty(min(n, _EXP_BLOCK), dtype=np.int64)  # products reach q**2 > 2**31
+    buf = np.empty(min(h, _EXP_BLOCK), dtype=np.int64)  # products reach q**2 > 2**31
     quot = np.empty_like(buf)  # prod // q, then times q
     a = 1
-    while a < n:
+    while a < h:
         # exp[a : a + m] = exp[a - m : a] * gamma**m, doubling up to the block
         m = min(a, _EXP_BLOCK)
         if a == m:
             gm = pow(F.gamma, m, q)
-        b = min(a + m, n)
+        b = min(a + m, h)
         prod, mult = buf[: b - a], quot[: b - a]
         np.multiply(exp[a - m : b - m], gm, out=prod, dtype=np.int64)
         np.floor_divide(prod, q, out=mult)
         mult *= q
         np.subtract(prod, mult, out=exp[a:b])  # prod mod q
         a = b
+    np.subtract(q, exp[: n - h], out=exp[h:])  # gamma**(x + n/2) = -gamma**x
     return exp
 
 

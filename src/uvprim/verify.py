@@ -63,11 +63,17 @@ the e1-free exponents, so the log table (a scatter over all q - 1
 entries) and L1 (a gather over all of them) would cost more than the count
 they serve.  It reads the exp array alone: u a and v a^-1 are entries of
 it, their sum is a field addition, and a byte mask over the elements says
-whether the sum is nonzero and e2-free.  When u = v (the paper's (1, 1)
-among them) the pass covers only half the exponents: x and -x give the
-same sum u (a + a^-1) and are e1-free together, so each pair is summed
-once and counted twice.  The grid-versus-count tests thus compare two
-independent derivations, field addition against L1.
+whether the sum is nonzero and e2-free.  For odd q, gamma^(n/2) = -1, so
+x + n/2 negates the sum at x, and the shift keeps e-freeness when 4 | n
+or e is odd.  Where it keeps both e1 and e2, the summand has period n/2:
+one period is summed and doubled.  Where it keeps e2 in a prime field,
+-s = q - s is e2-free with s, so the mask is filled from half the
+exponents and mirrored.  When u = v (the paper's (1, 1) among them) x and
+-x give the same sum u (a + a^-1) and are e1-free together, so each such
+pair within the period is summed once and counted twice.  At (1, 1) and
+q = 1 mod 4 the pass thus reads a quarter of the exponents.  The
+grid-versus-count tests compare two independent derivations, field
+addition against L1.
 """
 
 from __future__ import annotations
@@ -247,25 +253,51 @@ def count_pairs_free(query: PairCountQuery) -> int:
     return sum(int(np.count_nonzero(hits)) for hits in _pair_hits(t, ju, jw, xs, ys, m3, m4))
 
 
+def _even_shift(n: int, e: int | None) -> bool:
+    """True iff x -> x + n/2 keeps gamma**x e-free (e = None means n): n is
+    even and every prime of e divides n/2, which fails only for 2 when
+    n = 2 mod 4."""
+    return n % 2 == 0 and (n % 4 == 0 or (e or n) % 2 == 1)
+
+
 def count_single_free(query: SingleCountQuery) -> int:
     """The count of `SingleCountQuery`, by field addition on the exp array
     alone: with a = gamma**x, u a = exp[x + log u] and v a^-1 = exp[log v -
     x], and their sum is looked up in a byte mask over the elements.
 
-    Every e1-free x in [0, q - 1) is summed when u != v.  When u = v, x and
-    -x give the same sum u (a + a^-1), and gcd(x, e1) = gcd(-x, e1), so
-    0 < x < (q - 1)/2 is summed once and counted twice, and the self-paired
-    x = 0 and, for odd q, x = (q - 1)/2 are counted once each."""
+    For odd q, gamma**(n/2) = -1 with n = q - 1, so x + n/2 gives the sum at
+    x negated, and -s is e2-free with s when `_even_shift(n, e2)`.  When
+    that holds for e1 too, the summand has period P = n/2, else P = n; the
+    e1-free x in [0, P) are summed and the sum multiplied by n/P.  When
+    u = v, x and -x give the same sum u (a + a^-1), and gcd(x, e1) =
+    gcd(-x, e1), so 0 < x < P/2 is summed once and counted twice, and the
+    self-paired x = 0 and, for even P, x = P/2 are counted once each.
+
+    In a prime field -s is q - s, so when `_even_shift(n, e2)` holds the
+    mask is filled from the exponents y < n/2 alone, which hold one member
+    exp[y] of each pair {s, q - s}, and then each pair gets the OR of its
+    two ends.  An extension field negates digit by digit and is filled
+    whole."""
     fd.check_nonzero(query.q, u=query.u, v=query.v)
     F = fd.build_field(query.q)
     exp = fd.exp_table(F)  # first: a field over the cap is refused before any allocation
-    n = exp.size
+    q, n = F.q, exp.size
+    h = n // 2
     m1, m2 = _free_masks(n, coprime_mask(n, F.q_minus_1.primes), (query.e1, query.e2))
     ju, jv = fd.discrete_log(F, query.u), fd.discrete_log(F, query.v)
     # target[s] iff s is a nonzero e2-free element; target[0] stays False
-    target = np.zeros(F.q, dtype=bool)
-    for lo in range(0, n, fd.TABLE_SLICE):
-        target[exp.take(np.flatnonzero(m2[lo : lo + fd.TABLE_SLICE]) + lo)] = True
+    target = np.zeros(q, dtype=bool)
+    mirror = F.r == 1 and _even_shift(n, query.e2)
+    fill = h if mirror else n
+    for lo in range(0, fill, fd.TABLE_SLICE):
+        target[exp.take(np.flatnonzero(m2[lo : min(lo + fd.TABLE_SLICE, fill)]) + lo)] = True
+    if mirror:
+        # s in [1, n/2] against q - s in [n/2 + 1, n], one slice at a time
+        for lo in range(1, h + 1, fd.TABLE_SLICE):
+            hi = min(lo + fd.TABLE_SLICE, h + 1)
+            low, high = target[lo:hi], target[q - hi + 1 : q - lo + 1][::-1]
+            low |= high
+            high[...] = low
 
     def hits(start: int, stop: int) -> int:
         # the x in [start, stop) with a = gamma**x e1-free and its sum in target
@@ -276,14 +308,15 @@ def count_single_free(query: SingleCountQuery) -> int:
             count += int(np.count_nonzero(target[s]))
         return count
 
+    P = h if _even_shift(n, query.e1) and _even_shift(n, query.e2) else n
     if query.u != query.v:
-        return hits(0, n)
-    # u a + u a^-1 is the same sum at x and -x, and m1[x] = m1[-x]: count
-    # 0 < x < n/2 twice, and the self-paired x = 0 and x = n/2 once each
-    count = 2 * hits(1, (n + 1) // 2) + hits(0, 1)
-    if n % 2 == 0:
-        count += hits(n // 2, n // 2 + 1)
-    return count
+        count = hits(0, P)
+    else:
+        # the summand at x equals that at -x, so at P - x too
+        count = hits(0, 1) + 2 * hits(1, (P + 1) // 2)
+        if P % 2 == 0:
+            count += hits(P // 2, P // 2 + 1)
+    return count * (n // P)
 
 
 def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> np.ndarray:

@@ -32,9 +32,10 @@ from uvprim.errors import (
 FIELD_POOL = [3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 25, 27, 31, 32, 49, 64, 81, 121, 125]
 # every field the table tests build, from q = 2 to extensions past 2**20;
 # 2**12 .. 2**14 and the primes 16381, 16411 put q - 1 on either side of
-# the block sizes where the exp array stops doubling
+# the block sizes where the exp array stops doubling; the primes 32749 and
+# 32771 do the same for (q - 1)/2, where the prime-field build stops
 TABLE_QS = sorted(
-    {2, *FIELD_POOL, 961, 2039, 2311, 3**7, 2**12, 2**13, 2**14, 16381, 16411, 65537, 1025641, 3**13, 5**8, 2**20}
+    {2, *FIELD_POOL, 961, 2039, 2311, 3**7, 2**12, 2**13, 2**14, 16381, 16411, 32749, 32771, 65537, 1025641, 3**13, 5**8, 2**20}
 )
 
 fields = st.sampled_from(FIELD_POOL).map(fd.build_field)

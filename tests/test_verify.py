@@ -149,12 +149,14 @@ def _single_queries(q):
     return queries
 
 
-@pytest.mark.parametrize("q", [2311, 3**7])
+@pytest.mark.parametrize("q", [2311, 2357, 3**7])
 def test_sliced_fills_and_counts_match_unsliced(q, monkeypatch):
-    """With 64-entry slices, phi(q - 1) (480 and 1,092) spans several of
-    them, yet the log table, L1 and every count equal those of one slice.
-    The u = v counts, whose halved range [1, n/2) ends inside a slice,
-    equal the whole-range loop's."""
+    """With 64-entry slices, phi(q - 1) (480, 1,080 and 1,092) spans several
+    of them, yet the log table, L1 and every count equal those of one
+    slice.  The u = v counts, whose halved range ends inside a slice, equal
+    the whole-range loop's.  At 2,357 (n = 4 * 19 * 31) the counts at
+    e2 = None fill the mask from n/2 = 1,178 exponents and mirror it, and
+    fold to the period n/2, across slice seams."""
     F = fd.build_field(q)
     exp, log, L1 = helpers.int64_tables(F)
     queries = _single_queries(q)
@@ -339,19 +341,46 @@ def test_single_count_at_u_equal_v_pairs_x_with_minus_x(q):
             assert got == helpers.brute_M_free(F, u, u, e1 or n, e2 or n), (u, e1, e2)
 
 
-@pytest.mark.parametrize("q", [100_003, 1_000_003])
+@pytest.mark.parametrize("q", [100_003, 100_049, 1_000_003, 1_000_033])
 def test_single_count_equals_the_whole_range_loop(q):
     """The count equals the loop over every e1-free x with the mask filled
     by boolean compression, for (1, 1), two (u, u) and two (u, v) with
-    u != v, with and without divisor arguments."""
+    u != v, with and without divisor arguments.  100,049 and 1,000,033 have
+    4 | n, so (None, None) folds to the period n/2 and mirrors the mask;
+    100,003 and 1,000,003 have n = 2 mod 4, where only odd e1 and e2 fold.
+    The (e1, e2) pairs take every parity."""
     n = q - 1
     divisors = [e for e in range(1, n + 1) if n % e == 0]
+    odd = [e for e in divisors if e % 2]
     rng = random.Random(q)
     a, b, c, d, e, f = rng.sample(range(2, q), 6)
     for u, v in [(1, 1), (a, a), (b, b), (c, d), (e, f)]:
-        for e1, e2 in [(None, None), (1, 2), (rng.choice(divisors), rng.choice(divisors))]:
+        drawn = [(rng.choice(odd), rng.choice(odd)), (rng.choice(divisors), rng.choice(divisors))]
+        for e1, e2 in [(None, None), (1, 2), (2, 1), *drawn]:
             got = vf.count_single_free(vf.SingleCountQuery(q, u, v, e1, e2))
             assert got == helpers.whole_range_M_free(q, u, v, e1, e2), (u, v, e1, e2)
+
+
+def test_single_count_equals_the_whole_range_loop_to_300():
+    """Every prime power q <= 300, at (u, v) = (1, 1), (1, -1) and (2, 3),
+    with e1 and e2 each of None, 1, 2, n/2 and the odd part of n (those
+    that divide n = q - 1).  The fields of odd order fold to the period n/2
+    wherever 4 | n or e1 and e2 are odd, and the odd extension fields
+    (9, 25, 27, 49, 81, 121, 125, 169, 243, 289) are where mirroring the
+    mask by q - s would be wrong."""
+    for q in (q for q in range(2, 301) if nt.is_prime_power(q)):
+        F = fd.build_field(q)
+        n = q - 1
+        odd_part = n // (n & -n)
+        es = [None, *sorted({e for e in (1, 2, n // 2, odd_part) if e and n % e == 0})]
+        uvs = [(1, 1), (1, fd.neg(F, 1))]
+        if q > 3:
+            uvs.append((2, 3))
+        for u, v in uvs:
+            for e1 in es:
+                for e2 in es:
+                    got = vf.count_single_free(vf.SingleCountQuery(q, u, v, e1, e2))
+                    assert got == helpers.whole_range_M_free(q, u, v, e1, e2), (q, u, v, e1, e2)
 
 
 @pytest.mark.parametrize("q", [7, 9, 13])
