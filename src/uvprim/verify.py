@@ -14,7 +14,7 @@ So each primitive a (r != 0) covers the classes k = log u mod R with
 gcd(k + log r, R) = 1: a pattern, held as one R-bit int with bit k set iff
 k is covered.  With c = log r mod R it is the complement of
 `nonunits_R >> c`, the shift the direct pass ANDs in; by CRT, two patterns
-meet in their AND and a pattern's size is its popcount.
+meet in their AND.
 
 Every e-free mask comes from `ntcore.coprime_mask`; the tables hold the
 primitive one (`prim`, e = q - 1), built once per field.
@@ -45,11 +45,15 @@ Four checkers, two per set:
   problem, vectorized over the second primitive element; the oracle of
   the lift.
 
-The signed coverage family is one engine, pattern -> net coefficient
-with uncovered = R + sum of coefficient * popcount, grown by `_offer` and
-`_commit`: in place for one w by `_rung_settles`, one offer at a time on
-immutable states by the public `coverage_start` / `coverage_term` /
-`coverage_merge`.
+The signed coverage family is one engine, pattern B -> net coefficient
+c with sum c [k in B] = -[k in U] for every class k, U the union of the
+accepted patterns.  `_join` is its one update: a new pattern P adds -c at
+each nonempty meet B & P and -1 at P itself.  U is the OR of the stored
+patterns and an offer gains popcount(P & ~U), so no meet is ever counted.
+When 2 | R (every odd q), the pattern of c = log r mod R lies in the
+classes k = c + 1 mod 2: `_rung_settles` keeps one half per parity, in
+place for one w; `coverage_start` / `coverage_term` / `coverage_merge`
+join one offer at a time on immutable states.
 
 `_sum_log` is the one read of L1: log(u a + v b) = log u + x + L1[(jw + y -
 x) mod n] for a = gamma^x, b = gamma^y, with b = a^-1 at y = -x.  The pair
@@ -511,10 +515,12 @@ def check_pair_membership_lift(q: int) -> MembershipResult:
 @dataclass(frozen=True)
 class CoverageState:
     """The signed coverage family of the accepted covered sets: `family`
-    maps each pattern (an R-bit int, bit k set iff the class k mod R lies in
-    the set) to its nonzero net signed coefficient, and `uncovered` = R +
-    sum of coefficient * popcount = the classes mod R not yet covered.
-    Never changed once made: `coverage_merge` commits into a copy."""
+    maps each pattern B (an R-bit int, bit k set iff the class k mod R lies
+    in the set) to its nonzero net signed coefficient c, with sum c [k in B]
+    = -[k in U] for every k, U the union of the accepted sets; so U is the
+    OR of the keys, and `uncovered` = R - popcount(U) = R + sum c |B| is
+    the number of classes mod R not yet covered.  Never changed once made:
+    `coverage_merge` joins into a copy."""
 
     R: int
     family: dict[int, int]
@@ -547,40 +553,26 @@ def coverage_term(F: fd.FieldSpec, w: int, a: int) -> int | None:
     return _pattern(t, int(t.log[r]))
 
 
-def _offer(family: dict[int, int], pattern: int) -> tuple[int, list]:
-    """(change of the uncovered count, children) if the covered set
-    `pattern` joins the union: the set itself with coefficient -1, and its
-    intersection with every stored pattern (empty ones dropped) with the
-    stored coefficient negated."""
-    delta = -pattern.bit_count()
-    children = [(pattern, -1)]
-    for bits, coef in family.items():
-        meet = bits & pattern
-        if meet:
-            children.append((meet, -coef))
-            delta -= coef * meet.bit_count()
-    return delta, children
-
-
-def _commit(family: dict[int, int], children: list) -> int:
-    """Add the children into `family`; returns the change of the sum of
-    |coefficients|.  Patterns whose coefficients cancel drop out of every
-    later sum, which keeps the family near the number of distinct
-    patterns."""
+def _join(family: dict[int, int], pattern: int) -> int:
+    """Commit the covered set `pattern` into `family` in place: each stored
+    pattern B with coefficient c adds -c at its nonempty meet B & pattern,
+    and `pattern` itself gets -1, so that sum c [k in B] = -[k in U] still
+    holds for the grown union U.  The meets are taken from a snapshot of
+    the family before anything is added, so B = pattern meets itself once.
+    Returns the change of the sum of |coefficients|.  Patterns whose
+    coefficients cancel drop out of every later sum, which keeps the family
+    near the number of distinct patterns."""
     change = 0
-    for bits, dcoef in children:
-        old = family.get(bits, 0)
-        coef = old + dcoef
-        change += abs(coef) - abs(old)
-        if coef:
-            family[bits] = coef
-        else:
-            del family[bits]
+    for bits, dcoef in [(bits & pattern, -coef) for bits, coef in family.items()] + [(pattern, -1)]:
+        if bits:
+            old = family.get(bits, 0)
+            coef = old + dcoef
+            change += abs(coef) - abs(old)
+            if coef:
+                family[bits] = coef
+            else:
+                del family[bits]
     return change
-
-
-def _accepts(uncovered: int, delta: int, num: int, den: int) -> bool:
-    return (uncovered + delta) * den <= uncovered * num
 
 
 def coverage_merge(
@@ -588,20 +580,26 @@ def coverage_merge(
 ) -> CoverageState:
     """Offer one covered set (a `coverage_term` pattern) to the state.
 
-    The offer is committed iff `always_accept` or the new uncovered count is
-    at most `factor` times the old one (exact rational comparison): the
-    result is then a new state.  A rejected offer returns `state` itself.
-    Raises ValueError unless 0 < term < 2**R.
+    The covered classes are U, the OR of the stored patterns (each lies in
+    U, and each class of U in one of them, as sum c [k in B] = -[k in U]),
+    so the offer would cover popcount(term & ~U) more.  It is committed
+    (`_join` into a copy of the family) iff `always_accept` or the new
+    uncovered count is at most `factor` times the old one (exact rational
+    comparison): the result is then a new state.  A rejected offer returns
+    `state` itself.  Raises ValueError unless 0 < term < 2**R.
     """
     if not 0 < term < 1 << state.R:
         raise ValueError(f"a coverage term must be a nonzero {state.R}-bit pattern")
-    delta, children = _offer(state.family, term)
+    covered = 0
+    for bits in state.family:
+        covered |= bits
+    uncovered = state.uncovered - (term & ~covered).bit_count()
     factor = Fraction(factor)
-    if not always_accept and not _accepts(state.uncovered, delta, factor.numerator, factor.denominator):
+    if not always_accept and uncovered * factor.denominator > state.uncovered * factor.numerator:
         return state
     family = dict(state.family)
-    _commit(family, children)
-    return CoverageState(R=state.R, family=family, uncovered=state.uncovered + delta)
+    _join(family, term)
+    return CoverageState(R=state.R, family=family, uncovered=uncovered)
 
 
 def _rung_settles(t: _UVTables, jw: int, stats: dict) -> bool:
@@ -609,21 +607,28 @@ def _rung_settles(t: _UVTables, jw: int, stats: dict) -> bool:
     covered sets reach every class mod R before the primitive exponents run
     out.  The first 10 offers are always taken; a later one only if it
     leaves at most 3/4 of the uncovered count.  False only means the pass
-    gave up.  The family is the one `coverage_merge` keeps, updated in
-    place; `stats["terms_peak"]` records its largest sum of |coefficients|
-    and `stats["stage_passes"][0]` counts the w the pass settles."""
-    family: dict[int, int] = {}
+    gave up.  An offer P gains popcount(P & ~U), U the union accepted so
+    far, so a rejected offer never reads the family.  When 2 | R the family
+    is kept as two halves by c mod 2, which never meet, and an accepted
+    offer is joined in place into its own; `stats["terms_peak"]` records
+    the largest sum of |coefficients| over both and
+    `stats["stage_passes"][0]` counts the w the pass settles."""
+    halves: tuple[dict[int, int], ...] = ({}, {}) if t.R % 2 == 0 else ({},)
+    covered = 0  # U
     uncovered = t.R
-    terms = 0  # the family's sum of |coefficients|
+    terms = 0  # the sum of |coefficients| over both halves
     offered = 0
     for _, log_rs in _log_r_chunks(t, jw):
-        for log_r in map(int, log_rs):
+        for c in (log_rs % t.R).tolist():
             offered += 1
-            delta, children = _offer(family, _pattern(t, log_r))
-            if offered > 10 and not _accepts(uncovered, delta, 3, 4):
+            pattern = _pattern(t, c)
+            gain = (pattern & ~covered).bit_count()
+            # (uncovered - gain) * 4 <= uncovered * 3, i.e. the 3/4 rule
+            if offered > 10 and 4 * gain < uncovered:
                 continue
-            uncovered += delta
-            terms += _commit(family, children)
+            covered |= pattern
+            uncovered -= gain
+            terms += _join(halves[c % len(halves)], pattern)
             if terms > stats["terms_peak"]:
                 stats["terms_peak"] = terms
             if uncovered == 0:

@@ -658,6 +658,12 @@ FROZEN_IE_STATS = {
     211: ({"stage_passes": [106], "terms_peak": 188, "w_values": 106}, 0),
     243: ({"stage_passes": [12], "terms_peak": 18, "w_values": 12}, 0),
     256: ({"stage_passes": [128], "terms_peak": 1521, "w_values": 128}, 0),
+    331: ({"stage_passes": [166], "terms_peak": 249, "w_values": 166}, 0),
+    421: ({"stage_passes": [211], "terms_peak": 251, "w_values": 211}, 0),
+    729: ({"stage_passes": [183], "terms_peak": 390, "w_values": 183}, 0),
+    911: ({"stage_passes": [456], "terms_peak": 928, "w_values": 456}, 0),
+    967: ({"stage_passes": [484], "terms_peak": 673, "w_values": 484}, 0),
+    1024: ({"stage_passes": [512], "terms_peak": 2310, "w_values": 512}, 0),
 }
 
 
@@ -962,16 +968,49 @@ def test_exhaustive_check_w_equals_direct_coverage(q):
         assert state.uncovered == vf._uncovered_for_w(t, jw).size, (q, jw)
 
 
-@pytest.mark.parametrize("q", [q for q in range(2, 65) if nt.is_prime_power(q)])
+@pytest.mark.parametrize(
+    "q", [q for q in range(2, 65) if nt.is_prime_power(q)] + [128, 211, 243, 256, 512, 729, 911, 1024]
+)
 def test_check_w_matches_the_tuple_pattern_oracle(q):
-    """For every w, the `ie` checker's one pass on one-integer patterns
-    gives the answer and the stats of the engine that kept each pattern as
-    a tuple of per-prime bitsets."""
+    """For every w below q = 65, and beyond it for every class
+    representative log w <= g/2 the checkers pass, the `ie` checker's one
+    pass on one-integer patterns gives the answer and the stats of the
+    engine that kept each pattern as a tuple of per-prime bitsets.  The
+    larger fields grow the family to hundreds of terms, with odd R (the
+    powers of 2, one family) and even R (two halves by parity)."""
     t = vf._uv_tables(fd.build_field(q))
-    for jw in range(q - 1):
+    for jw in range(q - 1 if q < 65 else t.g // 2 + 1):
         got, want = ({"stage_passes": [0], "terms_peak": 0} for _ in range(2))
         assert vf._rung_settles(t, jw, got) == tc.rung_settles(t, jw, want), (q, jw)
         assert got == want, (q, jw)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 64), st.data())
+def test_coverage_merge_keeps_the_union_identity_on_arbitrary_terms(R, data):
+    """On arbitrary nonzero R-bit terms, not only CRT patterns: after each
+    accepted merge the stored patterns OR to the union U of the accepted
+    terms, `uncovered` is R - |U|, and sum c [k in B] = -[k in U] for every
+    class k.  A rejected offer returns the state itself."""
+    state = vf.CoverageState(R=R, family={}, uncovered=R)
+    union = 0
+    for _ in range(data.draw(st.integers(1, 10))):
+        term = data.draw(st.integers(1, (1 << R) - 1))
+        always = data.draw(st.booleans())
+        factor = data.draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(3, 4), Fraction(1)]))
+        new = vf.coverage_merge(state, term, always, factor)
+        if not always and R - (union | term).bit_count() > factor * state.uncovered:
+            assert new is state
+            continue
+        assert new is not state
+        state, union = new, union | term
+        keys = 0
+        for bits in state.family:
+            keys |= bits
+        assert keys == union
+        assert state.uncovered == R - union.bit_count()
+        for k in range(R):
+            assert sum(c for bits, c in state.family.items() if bits >> k & 1) == -(union >> k & 1), k
 
 
 # ------------------------------------------------------------- special cases
