@@ -336,12 +336,13 @@ _COUNTS = {
 
 def run_oracle(args, parser) -> tuple[dict, int]:
     q = args.q
+    # the guard first: factoring a large q with two big primes takes seconds
+    if q > _ORACLE_GUARDS[args.kind]:
+        parser.error(f"oracle {args.kind} takes q <= {_ORACLE_GUARDS[args.kind]} only")
     try:
         ntcore.prime_power_decompose(q)
     except NotAPrimePowerError as e:
         parser.error(str(e))
-    if q > _ORACLE_GUARDS[args.kind]:
-        parser.error(f"oracle {args.kind} takes q <= {_ORACLE_GUARDS[args.kind]} only")
     if args.kind == "cases":
         _refuse(args, parser, "oracle cases", "u", "v", "e")
         t0 = time.perf_counter()

@@ -30,17 +30,19 @@ Four checkers, two per set:
   is mirrored from w (a witness a for (u, v) is one, a^-1, for (v, u)), so
   g/2 + 1 passes decide every w, not (q - 1)/2 + 1;
 * `check_element_membership_cover` (`ie`) -- the same failure list, but
-  each w first gets one accept-or-discard pass of the signed coverage
-  family (`_rung_settles`), and only the w it cannot bring to zero
-  uncovered get the direct pass; it is not an independent second checker,
-  but `--algo both` fails if the pass ever settles a w the direct pass
-  finds uncovered;
-* `check_pair_membership_lift` -- the pair problem decided from the
-  element failures: an element witness a lifts to the pair witness
-  (a, a^-1), so only the classes (log u mod R, log w) that fail the element
-  problem can fail, and the same c moves a pair witness (a, b) to
-  (a c^-1, b c), so one witness scan decides each class (log u mod R,
-  log w mod g);
+  each w first gets one accept-or-discard pass (`_rung_settles`), which
+  settles it once U, the OR of the accepted patterns, covers every class
+  mod R; only the w it leaves get the direct pass.  The signed family it
+  keeps beside U feeds only `terms_peak`: the tests check its
+  inclusion-exclusion count against U, the run does not.  `--algo both`
+  fails if the two failure lists differ, which checks `_pattern` against
+  the direct pass's `nonunits_R` shift;
+* `check_pair_membership_lift` -- the pair problem decided on the failing
+  classes (log u mod R, log w mod g) of `_failing_classes`, the one class
+  pass both element checkers expand: an element witness a lifts to the
+  pair witness (a, a^-1), so only those classes can fail, and the same c
+  moves a pair witness (a, b) to (a c^-1, b c), so one witness scan
+  decides each;
 * `check_pair_membership` -- brute force over (u,v) orbits for the pair
   problem, vectorized over the second primitive element; the oracle of
   the lift.
@@ -62,22 +64,13 @@ problem's second sum needs no second read, since v a^-1 + u b^-1 =
 the *_grid counts (which the interval bounds get sandwich-tested against)
 and the special-case witness search all go through it.
 
-`count_single_free` does not.  It reads each sum once, in one pass over
-the e1-free exponents, so the log table (a scatter over all q - 1
-entries) and L1 (a gather over all of them) would cost more than the count
-they serve.  It reads the exp array alone: u a and v a^-1 are entries of
-it, their sum is a field addition, and a byte mask over the elements says
-whether the sum is nonzero and e2-free.  For odd q, gamma^(n/2) = -1, so
-x + n/2 negates the sum at x, and the shift keeps e-freeness when 4 | n
-or e is odd.  Where it keeps both e1 and e2, the summand has period n/2:
-one period is summed and doubled.  Where it keeps e2 in a prime field,
--s = q - s is e2-free with s, so the mask is filled from half the
-exponents and mirrored.  When u = v (the paper's (1, 1) among them) x and
--x give the same sum u (a + a^-1) and are e1-free together, so each such
-pair within the period is summed once and counted twice.  At (1, 1) and
-q = 1 mod 4 the pass thus reads a quarter of the exponents.  The
-grid-versus-count tests compare two independent derivations, field
-addition against L1.
+`count_single_free` does not.  It reads each sum once, so the log table
+(a scatter over all q - 1 entries) and L1 (a gather over all of them)
+would cost more than the count they serve: it adds u a and v a^-1, both
+entries of the exp array, in the field, and folds the sum on gamma^(n/2)
+= -1 and, when u = v, on x -> -x (at (1, 1) and q = 1 mod 4 it reads a
+quarter of the exponents).  The grid-versus-count tests compare two
+independent derivations, field addition against L1.
 """
 
 from __future__ import annotations
@@ -153,13 +146,19 @@ def _uv_tables(F: fd.FieldSpec) -> _UVTables:
     return _UVTables(n, R, gcd(2 * R, n), T.exp, T.log, L1, prim, np.flatnonzero(prim), nonunits | nonunits << R)
 
 
-def _free_masks(n: int, prim: np.ndarray, es) -> list[np.ndarray]:
-    """For each e in `es` (None means q - 1): mask[x] = True iff gamma**x is
-    e-free, i.e. gcd(x, Rad(e)) = 1; for None that is `prim` itself.
-    Raises InvalidDivisorError unless every e divides n = q - 1."""
+def _divisors(q: int, es: tuple) -> tuple:
+    """`es` itself, once every e in it (None means q - 1) divides q - 1;
+    every count calls it before it builds a table."""
     for e in es:
-        if e is not None and (e < 1 or n % e):
-            raise InvalidDivisorError(f"e={e} does not divide q-1={n}")
+        if e is not None and (e < 1 or (q - 1) % e):
+            raise InvalidDivisorError(f"e={e} does not divide q-1={q - 1}")
+    return es
+
+
+def _free_masks(n: int, prim: np.ndarray, es) -> list[np.ndarray]:
+    """For each e in `es` (None means q - 1, all checked by `_divisors`):
+    mask[x] = True iff gamma**x is e-free, i.e. gcd(x, Rad(e)) = 1; for
+    None that is `prim` itself."""
     return [prim if e is None else coprime_mask(n, profile(e).primes) for e in es]
 
 
@@ -248,9 +247,10 @@ class SingleCountQuery:
 
 def count_pairs_free(query: PairCountQuery) -> int:
     fd.check_nonzero(query.q, u=query.u, v=query.v)
+    es = _divisors(query.q, (query.e1, query.e2, query.e3, query.e4))
     F = fd.build_field(query.q)
     t = _uv_tables(F)
-    m1, m2, m3, m4 = _free_masks(t.n, t.prim, (query.e1, query.e2, query.e3, query.e4))
+    m1, m2, m3, m4 = _free_masks(t.n, t.prim, es)
     ju = int(t.log[query.u])
     jw = (int(t.log[query.v]) - ju) % t.n
     xs, ys = np.flatnonzero(m1), np.flatnonzero(m2)
@@ -283,11 +283,12 @@ def count_single_free(query: SingleCountQuery) -> int:
     two ends.  An extension field negates digit by digit and is filled
     whole."""
     fd.check_nonzero(query.q, u=query.u, v=query.v)
+    es = _divisors(query.q, (query.e1, query.e2))
     F = fd.build_field(query.q)
-    exp = fd.exp_table(F)  # first: a field over the cap is refused before any allocation
+    exp = fd.exp_table(F)  # the first table: a field over the cap is refused before any allocation
     q, n = F.q, exp.size
     h = n // 2
-    m1, m2 = _free_masks(n, coprime_mask(n, F.q_minus_1.primes), (query.e1, query.e2))
+    m1, m2 = _free_masks(n, coprime_mask(n, F.q_minus_1.primes), es)
     ju, jv = fd.discrete_log(F, query.u), fd.discrete_log(F, query.v)
     # target[s] iff s is a nonzero e2-free element; target[0] stays False
     target = np.zeros(q, dtype=bool)
@@ -327,9 +328,10 @@ def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> n
     """grid[ju, jv] = the count of `count_single_free` at u = gamma**ju,
     v = gamma**jv -- every (u, v) at once via one circular correlation
     per difference jw."""
+    es = _divisors(q, (e1, e2))
     t = _uv_tables(fd.build_field(q))
     n = t.n
-    m1, m2 = _free_masks(n, t.prim, (e1, e2))
+    m1, m2 = _free_masks(n, t.prim, es)
     xs = np.flatnonzero(m1)
     m2t = np.tile(m2, 2).astype(np.int64)
     grid = np.empty((n, n), dtype=np.int64)
@@ -345,6 +347,7 @@ def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> n
 def pair_count_grid(q: int, es: tuple[int | None, int | None, int | None, int | None] = (None,) * 4) -> np.ndarray:
     """grid[ju, jv] = the count of `count_pairs_free` at u = gamma**ju,
     v = gamma**jv.  O(n^4) index work; meant for small q."""
+    _divisors(q, es)
     t = _uv_tables(fd.build_field(q))
     n = t.n
     m1, m2, m3, m4 = _free_masks(n, t.prim, es)
@@ -421,43 +424,41 @@ def _uncovered_for_w(t: _UVTables, jw: int, counters: dict | None = None) -> np.
     return np.flatnonzero(np.unpackbits(octets, bitorder="little"))
 
 
-def _element_membership(
-    F: fd.FieldSpec, algorithm: str, stats: dict, settled, counters: dict | None = None
-) -> MembershipResult:
-    """The element-set decision shared by both checkers, one pass per class
-    of log w mod g = gcd(2R, n).  With c = gamma^(tR), a witness a for
-    (u c, v c^-1) gives the witness c a for (u, v), and log(u c) = log u
-    mod R while log w drops by 2tR; so the residues k = log u mod R left
-    uncovered at w = gamma**jw depend on jw mod g alone.  Every
-    representative jw = r <= g/2 that `settled(r)` cannot show fully covered
-    gets the direct coverage pass, and each residue k it leaves uncovered
-    fails as (u, v) = (gamma**k, gamma**(k + jw)) at every jw = r mod g and,
-    since a witness a for (u, v) is one, a^-1, for (v, u), as (gamma**k',
-    gamma**(k' + jw)) with k' = (k + r) mod R at every jw = -r mod g (R | g).
-    So the expansion costs one step per failure listed and none per jw.
-    `stats["w_values"]` counts the representatives; `counters`, if given,
-    tallies the primitive exponents and logs their passes consume."""
-    t = _uv_tables(F)
-    g = t.g
-    stats["w_values"] = g // 2 + 1
-    bad: list[tuple[int, int]] = []
-    for r in range(g // 2 + 1):
+def _failing_classes(t: _UVTables, settled, counters: dict | None) -> list[tuple[int, int]]:
+    """The classes (k, r) = (log u mod R, log w mod g), g = gcd(2R, n), of
+    the (u, v) with no element witness, each once.  With c = gamma^(tR), a
+    witness a for (u c, v c^-1) gives the witness c a for (u, v), which
+    keeps log u mod R and moves log w by 2tR, so only log w mod g matters.
+    Each representative r <= g/2 that `settled(r)` cannot show fully
+    covered gets the direct pass; a residue k it leaves uncovered fails as
+    (k, r) and, as a witness a for (u, v) is one, a^-1, for (v, u), as
+    ((k + r) mod R, g - r).  `counters`, if given, tallies the passes."""
+    classes: list[tuple[int, int]] = []
+    for r in range(t.g // 2 + 1):
         if settled(r):
             continue
         ks = _uncovered_for_w(t, r, counters).tolist()
-        classes = [(ks, r)]
-        if 2 * r % g:  # r = 0 and r = g/2 are their own mirrors
-            classes.append(([(k + r) % t.R for k in ks], g - r))
-        for residues, start in classes:
-            bad += [(k, (k + jw) % t.n) for k in residues for jw in range(start, t.n, g)]
-    return _result(t, F.q, "element", sorted(bad), algorithm, stats)
+        classes += [(k, r) for k in ks]
+        if 2 * r % t.g:  # r = 0 and r = g/2 are their own mirrors
+            classes += [((k + r) % t.R, t.g - r) for k in ks]
+    return classes
+
+
+def _element_membership(t: _UVTables, algorithm: str, stats: dict, settled, counters: dict | None = None) -> MembershipResult:
+    """The element-set decision shared by both checkers: each failing class
+    (k, r) of `_failing_classes` is listed as (u, v) = (gamma**k,
+    gamma**(k + jw)) at every jw = r mod g.  `stats["w_values"]` counts the
+    g/2 + 1 representatives."""
+    stats["w_values"] = t.g // 2 + 1
+    bad = sorted((k, (k + jw) % t.n) for k, r in _failing_classes(t, settled, counters) for jw in range(r, t.n, t.g))
+    return _result(t, t.n + 1, "element", bad, algorithm, stats)
 
 
 def check_element_membership_logs(q: int) -> MembershipResult:
     """Decide element-set membership by direct coverage, one pass per
-    class of w (see `_element_membership`)."""
+    class of w (see `_failing_classes`)."""
     stats = {"primitives_consumed": 0, "logs_computed": 0}
-    return _element_membership(fd.build_field(q), "logs", stats, lambda jw: False, stats)
+    return _element_membership(_uv_tables(fd.build_field(q)), "logs", stats, lambda jw: False, stats)
 
 
 def check_pair_membership(q: int) -> MembershipResult:
@@ -478,27 +479,23 @@ def check_pair_membership(q: int) -> MembershipResult:
 
 
 def check_pair_membership_lift(q: int) -> MembershipResult:
-    """Decide pair-set membership from the element check's failures.
+    """Decide pair-set membership on the element problem's failing classes.
 
-    An element witness a for (u, v) gives the pair witness (a, a^-1), since
-    both pair sums are then u a + v a^-1.  So only the classes (k, jw) =
-    (log u mod R, log w) the element check lists (see `MembershipResult`)
-    can fail.  With c = gamma^(tR), a pair witness (a, b) for (u, v) gives
-    the witness (a c^-1, b c) for (u c, v c^-1), both pair sums unchanged,
-    so a class fails with every jw' = jw mod g: one witness scan at log u =
-    k, log w = jw mod g decides each group, and a failing group is expanded
-    to every such jw' and every log u = k mod R and reported as
-    `check_pair_membership` reports them.  The stats are the scan's
-    counters ("orbits" counts groups scanned) and the element check's.
+    An element witness a for (u, v) gives the pair witness (a, a^-1), both
+    pair sums then being u a + v a^-1, so only the classes (k, r) of
+    `_failing_classes` can fail.  With c = gamma^(tR), a pair witness (a, b)
+    for (u, v) gives (a c^-1, b c) for (u c, v c^-1), both sums unchanged:
+    one witness scan at log u = k, log w = r decides a class, and a failing
+    one is expanded to every log w = r mod g and log u = k mod R and
+    reported as `check_pair_membership` reports them.  "orbits" counts the
+    classes scanned; the last three stats are those of the element pass,
+    as `check_element_membership_logs` reports them.
     """
     t = _uv_tables(fd.build_field(q))
-    # looked up in the module at call time, so a wrapped replacement runs
-    element = check_element_membership_logs(q)
-    groups = {
-        (int(t.log[u]) % t.R, int(t.log[v] - t.log[u]) % t.g) for u, v in element.failures
-    }
-    stats = {"orbits": len(groups), "witness_scans": 0, **element.stats}
-    failing = [(k, r) for k, r in groups if _pair_witness(t, k, r, stats) is None]
+    stats = {"orbits": 0, "witness_scans": 0, "primitives_consumed": 0, "logs_computed": 0, "w_values": t.g // 2 + 1}
+    classes = _failing_classes(t, lambda r: False, stats)
+    stats["orbits"] = len(classes)
+    failing = [(k, r) for k, r in classes if _pair_witness(t, k, r, stats) is None]
     bad = sorted(
         (ju, jv)
         for k, r in failing
@@ -641,12 +638,12 @@ def check_element_membership_cover(q: int) -> MembershipResult:
     """Decide element-set membership via the inclusion-exclusion counter:
     `_rung_settles` for each class representative w the `logs` checker
     passes, then the direct pass decides every one it leaves and lists the
-    failures (see `_element_membership`).  So what `ie` checks on its own is
-    that its signed count reaches zero only at fully covered w."""
-    F = fd.build_field(q)
-    t = _uv_tables(F)
+    failures (see `_failing_classes`).  The rung settles a w once the OR of
+    its accepted patterns covers every class; its signed family feeds only
+    `terms_peak`, so `ie` checks nothing on its own at run time."""
+    t = _uv_tables(fd.build_field(q))
     stats = {"stage_passes": [0], "terms_peak": 0}
-    return _element_membership(F, "ie", stats, lambda jw: _rung_settles(t, jw, stats))
+    return _element_membership(t, "ie", stats, lambda jw: _rung_settles(t, jw, stats))
 
 
 # --------------------------------------------------------------------------

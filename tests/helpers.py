@@ -149,3 +149,13 @@ def per_w_element_failures(q):
             if 2 * jw % t.n:  # jw = 0 and jw = n/2 are their own mirrors
                 bad.append(((k + jw) % t.R, ((k + jw) % t.R - jw) % t.n))
     return tuple((int(t.exp[ju]), int(t.exp[jv])) for ju, jv in sorted(bad))
+
+
+def element_failure_classes(q):
+    """The classes (log u mod R, log w mod g), g = gcd(2R, q - 1), of the
+    element failures, the way `verify.check_pair_membership_lift` found them
+    before `verify._failing_classes` handed them over: every listed (u, v)
+    mapped back through the log table."""
+    t = vf._uv_tables(fd.build_field(q))
+    failures = vf.check_element_membership_logs(q).failures
+    return {(int(t.log[u]) % t.R, int(t.log[v] - t.log[u]) % t.g) for u, v in failures}

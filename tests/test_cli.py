@@ -284,9 +284,7 @@ def test_checkers_and_counters_are_looked_up_at_call_time(tmp_path, monkeypatch)
     run(["oracle", "M", "--q", "7"], tmp_path)
     assert calls == [
         "check_element_membership_logs", "check_element_membership_cover",
-        # the lift runs the element check through the module as well
-        "check_pair_membership_lift", "check_element_membership_logs",
-        "count_pairs_free", "count_single_free",
+        "check_pair_membership_lift", "count_pairs_free", "count_single_free",
     ]
 
 
@@ -397,6 +395,32 @@ def test_oracle_M_is_guarded_by_the_table_cap(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli.main(["oracle", "M", "--q", "67108879", "--out", str(tmp_path / "x.json")])
     assert exc.value.code == 2
+
+
+# the product of the least primes above 10**13 and 10**14
+_SEMIPRIME = (10**13 + 37) * (10**14 + 31)
+
+
+@pytest.mark.parametrize("kind", ["M", "N", "cases"])
+def test_oracle_guard_comes_before_factoring(kind, tmp_path, monkeypatch, capsys):
+    """A q over the guard exits 2 without being factored (Brent rho takes
+    seconds on this semiprime); a q under it is still refused as no prime
+    power."""
+    assert _SEMIPRIME == 1000000000004010000000001147
+
+    def no_factoring(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    with monkeypatch.context() as m:
+        m.setattr(ntcore, "factorize", no_factoring)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["oracle", kind, "--q", str(_SEMIPRIME), "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert "takes q <=" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", kind, "--q", "10000", "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert "10000 is not a prime power" in capsys.readouterr().err
 
 
 # ------------------------------------------------------- output plumbing

@@ -416,7 +416,16 @@ def test_grids_with_divisor_arguments(q):
             assert sg[ju, jv] == vf.count_single_free(vf.SingleCountQuery(q, u, v, es[0], es[1])), (q, es, u, v)
 
 
-def test_grids_validate_divisors():
+def _refuse_tables(monkeypatch):
+    def no_table(F):
+        raise AssertionError(f"tables of F_{F.q} built")
+
+    monkeypatch.setattr(fd, "exp_table", no_table)
+    monkeypatch.setattr(vf, "_uv_tables", no_table)
+
+
+def test_grids_validate_divisors(monkeypatch):
+    _refuse_tables(monkeypatch)
     with pytest.raises(InvalidDivisorError):
         vf.single_count_grid(13, 5)
     with pytest.raises(InvalidDivisorError):
@@ -434,10 +443,15 @@ def test_trivial_freeness_counts_everything_nonvanishing():
         assert got == q - 1 - sc.epsilon(q, u, v)
 
 
-def test_count_queries_validate_divisors():
+def test_count_queries_validate_divisors(monkeypatch):
+    """A bad e is refused before any table is built: at q = 31,651,621 the
+    exp array alone is 127 MB, and `_uv_tables` near the cap over a GB."""
+    _refuse_tables(monkeypatch)
     with pytest.raises(InvalidDivisorError):
         vf.count_single_free(vf.SingleCountQuery(13, 1, 1, 5, None))
-    with pytest.raises(InvalidDivisorError):
+    with pytest.raises(InvalidDivisorError, match=r"e=1000000007 does not divide q-1=31651620"):
+        vf.count_single_free(vf.SingleCountQuery(31651621, 1, 1, 10**9 + 7))
+    with pytest.raises(InvalidDivisorError, match=r"e=7 does not divide q-1=12"):
         vf.count_pairs_free(vf.PairCountQuery(13, 1, 1, e3=7))
 
 
@@ -591,6 +605,16 @@ def test_checkers_equal_the_per_w_loop_to_1000():
         for check in (vf.check_element_membership_logs, vf.check_element_membership_cover):
             res = check(q)
             assert (res.member, res.failures) == (not want, want), (q, res.algorithm)
+
+
+def test_failing_classes_are_the_classes_of_the_element_failures_to_1000():
+    """The one class pass lists each failing class (log u mod R, log w mod
+    g) once, and they are the classes of the listed element failures, on
+    every prime power up to 1000."""
+    for q in (q for q in range(2, 1001) if nt.is_prime_power(q)):
+        classes = vf._failing_classes(vf._uv_tables(fd.build_field(q)), lambda r: False, None)
+        assert len(set(classes)) == len(classes), q
+        assert set(classes) == helpers.element_failure_classes(q), q
 
 
 # The full stats of the three checkers, captured at a reference commit: the
