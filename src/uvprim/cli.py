@@ -16,10 +16,15 @@ on that field to keep the q of one omega.
 Reports are deterministic: records sorted ascending by q, identical inputs
 give identical bytes apart from the elapsed-time fields.  A JSON report is
 written byte for byte as json.dumps(report, indent=2, sort_keys=True) would
-write it.  Exact rationals are serialized as "num/den" strings with a
-12-significant-digit decimal convenience field alongside, rounded half-even
-whatever the caller's decimal context.  Exit codes: 0 success (and --expect
-match), 1 --expect mismatch, 2 invalid input.
+write it.  Each record is written as soon as it is made, so a range screen
+keeps no record; the totals come last.  A new --out, or a regular file
+with one link and our owner and group, is replaced only by a complete
+report (it is streamed into a temporary file beside it); any other --out,
+and stdout, is written in place, where a run that fails may leave a
+partial report.  Exact rationals are serialized as "num/den" strings with
+a 12-significant-digit decimal convenience field alongside, rounded
+half-even whatever the caller's decimal context.  Exit codes: 0 success
+(and --expect match), 1 --expect mismatch, 2 invalid input.
 """
 
 from __future__ import annotations
@@ -28,10 +33,10 @@ import argparse
 import csv
 import dataclasses
 import decimal
-import io
 import json
 import math
 import os
+import stat
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -47,6 +52,12 @@ from .errors import NotAPrimePowerError
 
 def _frac(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+def _ratio(num: int, den: int) -> str:
+    """num/den in lowest terms, as _frac writes it (den > 0)."""
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
 
 
 # its own context, so that the caller's rounding, traps and exponent case
@@ -65,9 +76,7 @@ def _config_dict(cfg: screening.SieveConfig | None) -> dict | None:
         "k": cfg.k,
         "s": cfg.s,
         "sieving_primes": list(cfg.sieving_primes),
-        "delta2": _frac(cfg.delta2),
-        "delta3": _frac(cfg.delta3),
-        "delta4": _frac(cfg.delta4),
+        **{f"delta{j}": _ratio(cfg.delta_num(j), cfg.product) for j in (2, 3, 4)},
     }
 
 
@@ -90,7 +99,7 @@ _encode_str = json.encoder.encode_basestring_ascii
 _encode_scalar = json.JSONEncoder().encode
 
 
-def _indented(obj, ind: str = "\n") -> str:
+def _indented(obj, ind: str) -> str:
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it, with each
     container joined in one step (json falls back to its pure-Python encoder
     for any indent).  Strings, exact ints, None and finite floats are
@@ -125,30 +134,98 @@ def _indented(obj, ind: str = "\n") -> str:
     return _encode_scalar(obj)
 
 
+def _write_json(report: dict, fh) -> None:
+    """report as json.dumps(report, indent=2, sort_keys=True) writes it, one
+    value at a time in key order.  Each record of report["records"], which
+    may be a lazy iterator, is written as soon as it exists, so a value that
+    sorts after it (totals) may be counted while the records are written."""
+    lead = "{"
+    for key in sorted(report):
+        fh.write(lead + "\n  " + _encode_str(key) + ": ")
+        lead = ","
+        if key != "records":
+            fh.write(_indented(report[key], "\n  "))
+            continue
+        sep = "["
+        for rec in report[key]:
+            fh.write(sep + "\n    " + _indented(rec, "\n    "))
+            sep = ","
+        fh.write("[]" if sep == "[" else "\n  ]")
+    fh.write("\n}\n")
+
+
+def _write_csv(report: dict, fh) -> None:
+    """One row per record, under the first record's keys sorted; every
+    record must have those keys.  Nested values are written as JSON."""
+    w = csv.writer(fh, lineterminator="\n")
+    cols = None
+    for r in report["records"]:
+        if cols is None:
+            cols = sorted(r)
+            w.writerow(cols)
+        elif sorted(r) != cols:
+            raise ValueError(f"a record has the keys {sorted(r)}, not the columns {cols}")
+        w.writerow(
+            ""
+            if (v := r[c]) is None
+            else v
+            if isinstance(v, (int, float, str))
+            else json.dumps(v, sort_keys=True)
+            for c in cols
+        )
+    if cols is None:
+        w.writerow(())
+
+
+def _out_plan(out: str) -> tuple[str | None, os.stat_result | None]:
+    """Where a report for --out goes, and the stat of what is there now
+    (None if nothing).  It is moved onto the returned path, `out` or a
+    symlink's target, if that is new or a regular file with one link and
+    our owner and group.  Any other --out (a device, a FIFO, a hard-linked
+    or foreign file) gives no path and is written in place, as
+    open(out, "w") writes it."""
+    path = os.path.realpath(out)
+    try:
+        st = os.stat(out)
+    except (FileNotFoundError, NotADirectoryError):
+        return path, None
+    except OSError:  # a symlink loop, say: open(out, "w") will say so
+        return None, None
+    if (
+        stat.S_ISREG(st.st_mode)
+        and st.st_nlink == 1
+        and (st.st_uid, st.st_gid) == (os.geteuid(), os.getegid())
+        and os.path.lexists(path)
+        and os.path.samestat(st, os.stat(path))
+    ):
+        return path, st
+    return None, st
+
+
 def _emit(report: dict, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = _indented(report) + "\n"
-    else:
-        records = report["records"]
-        cols = sorted({k for r in records for k in r})
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(cols)
-        for r in records:
-            w.writerow(
-                ""
-                if (v := r.get(c)) is None
-                else v
-                if isinstance(v, (int, float, str))
-                else json.dumps(v, sort_keys=True)
-                for c in cols
-            )
-        text = buf.getvalue()
-    if out:
+    """Write the report to stdout or to `out`.  Where `out` is replaced, the
+    report is streamed into a file beside it that is moved onto it once the
+    last byte is written; an existing file's mode goes with it."""
+    write = _write_json if fmt == "json" else _write_csv
+    if not out:
+        write(report, sys.stdout)
+        return
+    path, st = _out_plan(out)
+    if path is None:
         with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+            write(report, fh)
+        return
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(4).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            if st is not None:
+                os.fchmod(fd, stat.S_IMODE(st.st_mode))
+            write(report, fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # --------------------------------------------------------------------------
@@ -156,7 +233,7 @@ def _emit(report: dict, fmt: str, out: str | None) -> None:
 
 def _q_fields(pp: ntcore.PrimePowerId) -> dict:
     """The q, p, r and omega(q - 1) fields every per-q record starts with."""
-    return {**pp._asdict(), "omega": ntcore.profile(pp.q - 1).omega}
+    return {"q": pp.q, "p": pp.p, "r": pp.r, "omega": ntcore.profile(pp.q - 1).omega}
 
 
 def _verdict_record(pp: ntcore.PrimePowerId, verdict: screening.ScreeningVerdict, elapsed_ms: float | None) -> dict:
@@ -206,14 +283,29 @@ def _verify_record(job: tuple[str, ntcore.PrimePowerId]) -> dict:
 
 
 def _map_jobs(fn, items, jobs: int | None):
+    """fn over items, yielded in order as they come (the pool stays open
+    until the last is taken)."""
     # jobs = None means all cores; the pool forks all its workers up front,
     # so never more than there are items or cores
     cores = os.cpu_count() or 1
     workers = min(jobs or cores, len(items), cores)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
-    return [fn(x) for x in items]
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    # A chunk's results come back as one list, and the pool would take every
+    # chunk of a map at once; so the items go in batches of one chunk per
+    # worker, the next batch submitted while this one is taken.  However fast
+    # the workers are, at most two batches of results wait for the reader.
+    chunk = max(1, min(1024, len(items) // (4 * workers)))
+    step = workers * chunk
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        taken = None
+        for i in range(0, len(items), step):
+            batch = ex.map(fn, items[i : i + step], chunksize=chunk)
+            if taken is not None:
+                yield from taken
+            taken = batch
+        yield from taken
 
 
 # --------------------------------------------------------------------------
@@ -278,12 +370,16 @@ def run_screen(args, parser) -> tuple[dict, int]:
         return {"records": records, "totals": totals}, 0
 
     qs = _q_list(args, parser)
-    records = _map_jobs(_screen_record, qs, args.jobs)
-    records.sort(key=lambda r: r["q"])
-    totals = {"records": len(records)}
-    for st in (screening.ELEMENT_PROVED, screening.PAIR_PROVED, screening.NEEDS_CHECK):
-        totals[st] = sum(1 for r in records if r["status"] == st)
-    return {"records": records, "totals": totals}, 0
+    totals = dict.fromkeys(("records", screening.ELEMENT_PROVED, screening.PAIR_PROVED, screening.NEEDS_CHECK), 0)
+
+    def records():
+        # counted as they are written; the writer comes to totals after them
+        for rec in _map_jobs(_screen_record, qs, args.jobs):
+            totals["records"] += 1
+            totals[rec["status"]] += 1
+            yield rec
+
+    return {"records": records(), "totals": totals}, 0
 
 
 def _read_expect(path: str, parser) -> list[int]:
@@ -311,8 +407,8 @@ def run_verify(args, parser) -> tuple[dict, int]:
         parser.error(f"verify builds a log table of the field; q <= {field.LOG_TABLE_CAP} only")
     expected = _read_expect(args.expect, parser) if args.expect is not None else None
     qs = _q_list(args, parser)
-    records = _map_jobs(_verify_record, [(algo, pp) for pp in qs], args.jobs)
-    records.sort(key=lambda r: r["q"])
+    # a list, not a stream: "expect", written before the records, needs them all
+    records = list(_map_jobs(_verify_record, [(algo, pp) for pp in qs], args.jobs))
     non_members = [r["q"] for r in records if not r["member"]]
     totals = {"records": len(records), "members": len(records) - len(non_members), "non_members": non_members}
     report = {"records": records, "totals": totals}
@@ -428,10 +524,15 @@ def main(argv: list[str] | None = None) -> int:
     if jobs is not None and jobs < 1:
         parser.error(f"--jobs must be at least 1, got {jobs}")
     if args.out:
-        # refused before any q runs; an existing file stays as it is until the report is written
-        parent = os.path.dirname(os.path.abspath(args.out))
-        target = args.out if os.path.exists(args.out) else parent
-        if os.path.isdir(args.out) or not os.path.isdir(parent) or not os.access(target, os.W_OK):
+        # refused before any q runs; a report that replaces --out is written
+        # beside it first, so that directory must be writable too
+        path, st = _out_plan(args.out)
+        if path is None:
+            writable = os.access(args.out, os.W_OK) and not os.path.isdir(args.out)
+        else:
+            parent = os.path.dirname(path)
+            writable = os.path.isdir(parent) and os.access(parent, os.W_OK) and (st is None or os.access(path, os.W_OK))
+        if not writable:
             parser.error(f"--out: cannot write {args.out}")
     report, code = args.func(args, parser)
     report["command"] = argv

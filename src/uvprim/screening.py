@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
+from math import inf, isqrt
 
 from .errors import BoundNotApplicableError
 from . import field as fd
@@ -75,7 +75,6 @@ from .ntcore import (
     primorial,
     profile,
     sieve_terms,
-    sqrt_bounds,
 )
 
 __all__ = [
@@ -176,10 +175,11 @@ class BoundReport:
     @property
     def lower_bound(self) -> Fraction:
         A, B, D = self.terms
-        lo, hi = sqrt_bounds(self.q)
-        root = hi if B >= 0 else lo  # so that B*root >= B*sqrt(q)
+        # root / 2**40 is sqrt_bounds(q)'s hi if B >= 0, else its lo, so that
+        # B*root / 2**40 >= B*sqrt(q)
+        root = isqrt(self.q << 80) + (B >= 0)
         num, den = self.scale
-        return Fraction(num * (A * root.denominator - B * root.numerator), den * D * root.denominator)
+        return Fraction(num * ((A << 40) - B * root), (den * D) << 40)
 
 
 def _report(theorem: str, q: int, A: int, B: int, D: int, scale: tuple[int, int] = (1, 1), **extra) -> BoundReport:

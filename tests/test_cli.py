@@ -3,9 +3,15 @@
 import csv
 import decimal
 import enum
+import io
 import json
+import os
+import stat
+import subprocess
+import sys
 from fractions import Fraction
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +64,23 @@ def test_screen_witness_serialization(tmp_path):
     assert float(w["bound_decimal"]) == pytest.approx(num / den, rel=1e-11)
     cfg = w["config"]
     assert set(cfg) == {"k", "s", "sieving_primes", "delta2", "delta3", "delta4"}
+
+
+def test_config_deltas_are_written_as_their_fractions():
+    """_config_dict reduces delta_num(j)/product itself; it writes what the
+    Fraction properties would, negative and reducible deltas included."""
+    configs = [
+        rep.config
+        for pp in ntcore.enumerate_prime_powers(3, 3000)
+        for rep in screening.screen(pp.q).all_reports
+        if rep.config is not None
+    ]
+    deltas = [(cfg.delta2, cfg.delta3, cfg.delta4) for cfg in configs]
+    assert any(d < 0 for ds in deltas for d in ds)
+    assert any(d.denominator < cfg.product for cfg, ds in zip(configs, deltas) for d in ds)
+    for cfg, ds in zip(configs, deltas):
+        written = cli._config_dict(cfg)
+        assert [written[f"delta{j}"] for j in (2, 3, 4)] == [cli._frac(d) for d in ds]
 
 
 def test_screen_records_reuse_the_enumerated_prime_powers(tmp_path, monkeypatch):
@@ -205,6 +228,21 @@ def test_unwritable_out_is_refused_before_any_check(target, tmp_path, monkeypatc
     assert calls == []
 
 
+def test_out_in_an_unwritable_directory_is_refused_before_any_check(tmp_path, monkeypatch):
+    """The report is written beside --out and moved onto it, so --out's
+    directory must be writable even where --out itself is."""
+    calls = []
+    monkeypatch.setattr(screening, "screen", lambda q: calls.append("screen"))
+    out = tmp_path / "x.json"
+    out.write_text("old report")
+    access = os.access
+    monkeypatch.setattr(cli.os, "access", lambda path, mode: access(path, mode) and str(path) != str(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["screen", "--q", "5", "13", "--jobs", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert calls == [] and out.read_text() == "old report"
+
+
 def test_existing_out_is_replaced_only_by_the_report(tmp_path, monkeypatch):
     """A run that fails leaves an existing --out file as it was; a run
     that succeeds replaces it with the report."""
@@ -221,6 +259,118 @@ def test_existing_out_is_replaced_only_by_the_report(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert cli.main(["verify", "--set", "S", "--q", "13", "--jobs", "1", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["records"][0]["q"] == 13
+
+
+def test_failed_range_screen_leaves_out_as_it_was(tmp_path, monkeypatch):
+    """The report is streamed into a temporary file beside --out: a screen
+    that fails at its third q leaves an existing --out as it was and no
+    other file in the directory."""
+    out = tmp_path / "x.json"
+    out.write_text("old report")
+    screen = screening.screen
+    calls = []
+
+    def fail_third(q):
+        calls.append(q)
+        if len(calls) == 3:
+            raise RuntimeError("screen failed")
+        return screen(q)
+
+    monkeypatch.setattr(screening, "screen", fail_third)
+    for fmt in ("json", "csv"):
+        calls.clear()
+        with pytest.raises(RuntimeError):
+            cli.main(["screen", "--min", "3", "--max", "1000", "--jobs", "1", "--format", fmt, "--out", str(out)])
+        assert len(calls) == 3
+        assert out.read_text() == "old report"
+        assert os.listdir(tmp_path) == ["x.json"]
+
+
+def test_new_out_gets_the_mode_of_a_plain_new_file(tmp_path):
+    """The temporary file is created private; the report moved onto --out
+    has the mode open(out, "w") would have given it."""
+    out = tmp_path / "x.json"
+    assert cli.main(["screen", "--q", "13", "--out", str(out)]) == 0
+    (tmp_path / "plain").write_text("")
+    assert out.stat().st_mode == (tmp_path / "plain").stat().st_mode
+    assert sorted(os.listdir(tmp_path)) == ["plain", "x.json"]
+
+
+def test_existing_out_keeps_its_mode(tmp_path):
+    """A private report replaced by a new one stays private."""
+    out = tmp_path / "x.json"
+    out.write_text("old report")
+    out.chmod(0o600)
+    assert cli.main(["screen", "--q", "13", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["records"][0]["q"] == 13
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert os.listdir(tmp_path) == ["x.json"]
+
+
+def test_symlinked_out_writes_its_target(tmp_path, monkeypatch):
+    """A symlink --out stays a symlink: its target is the file replaced, and
+    a run that fails leaves the target as it was."""
+    (tmp_path / "d").mkdir()
+    target = tmp_path / "d" / "x.json"
+    target.write_text("old report")
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+
+    def fail(q):
+        raise RuntimeError("screen failed")
+
+    monkeypatch.setattr(screening, "screen", fail)
+    with pytest.raises(RuntimeError):
+        cli.main(["screen", "--q", "13", "--jobs", "1", "--out", str(link)])
+    assert target.read_text() == "old report"
+    monkeypatch.undo()
+    assert cli.main(["screen", "--q", "13", "--out", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert json.loads(target.read_text())["records"][0]["q"] == 13
+    assert os.listdir(tmp_path / "d") == ["x.json"]
+
+
+def test_hard_linked_out_is_written_in_place(tmp_path):
+    """A file with another name is written in place, so both names read the
+    report."""
+    out = tmp_path / "x.json"
+    out.write_text("old report")
+    other = tmp_path / "y.json"
+    os.link(out, other)
+    assert cli.main(["screen", "--q", "13", "--out", str(out)]) == 0
+    assert json.loads(other.read_text())["records"][0]["q"] == 13
+    assert os.path.samefile(out, other)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_fifo_out_is_written_in_place(tmp_path):
+    """An --out that is not a regular file (a FIFO here, a device such as
+    /dev/null alike) is opened and written, never replaced.  The reader is
+    opened first, without blocking, and the short report fits the pipe."""
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert cli.main(["screen", "--q", "13", "--out", str(fifo)]) == 0
+        text = os.read(reader, 1 << 16).decode()
+    finally:
+        os.close(reader)
+    assert json.loads(text)["records"][0]["q"] == 13
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert os.listdir(tmp_path) == ["report.fifo"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout here")
+def test_dev_stdout_out_writes_to_a_pipe():
+    """--out /dev/stdout with stdout a pipe writes the report down the pipe."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "uvprim.cli", "screen", "--q", "13", "--out", "/dev/stdout"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["records"][0]["q"] == 13
 
 
 def test_verify_explicit_q_list(tmp_path):
@@ -443,12 +593,46 @@ def test_stdout_json(capsys):
         ["verify", "--set", "S", "--max", "64", "--jobs", "1"],
         ["oracle", "cases", "--q", "31"],
         ["oracle", "M", "--q", "101"],
+        ["screen", "--min", "24", "--max", "24"],
+        ["screen", "--min", "3", "--max", "3000", "--jobs", "2"],
+        ["screen", "--q", "17", "13", "13", "5"],
     ],
 )
 def test_json_reports_are_written_as_json_dumps_writes_them(argv, capsys):
     assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+def test_screen_records_are_each_q_once_in_order(capsys):
+    """Records go out in the order of the q list, which is ascending and
+    holds each q once; an empty range writes an empty record list."""
+    assert cli.main(["screen", "--q", "17", "13", "13", "5"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [r["q"] for r in rep["records"]] == [5, 13, 17]
+    assert rep["totals"]["records"] == 3
+    assert cli.main(["screen", "--min", "24", "--max", "24"]) == 0
+    out = capsys.readouterr().out
+    assert '"records": []' in out
+    assert json.loads(out)["totals"] == {"records": 0, "element_proved": 0, "pair_proved": 0, "needs_check": 0}
+
+
+def test_screen_records_are_written_as_they_are_made(monkeypatch):
+    """The first record is on stdout before the last q is screened."""
+    buf = io.StringIO()
+    screen = screening.screen
+    written = []
+
+    def spy(q):
+        written.append(len(buf.getvalue()))
+        return screen(q)
+
+    monkeypatch.setattr(screening, "screen", spy)
+    monkeypatch.setattr(sys, "stdout", buf)
+    assert cli.main(["screen", "--min", "3", "--max", "100", "--jobs", "1"]) == 0
+    first_record = buf.getvalue().index("\n    }") + 6  # records close at this indentation
+    assert len(written) == 34
+    assert written[0] < first_record <= written[-1]
 
 
 class _Level(enum.IntEnum):
@@ -469,14 +653,14 @@ def test_indented_writer_edge_cases():
         "none key": {None: [None]},
         "deep": {"a": {"b": {"c": [{"d": ()}]}}},
     }
-    assert cli._indented(report) == json.dumps(report, indent=2, sort_keys=True)
+    assert cli._indented(report, "\n") == json.dumps(report, indent=2, sort_keys=True)
     for scalar in (None, True, 7, float("nan"), "\u00e9", _Level.LOW, [], {}):
-        assert cli._indented(scalar) == json.dumps(scalar, indent=2, sort_keys=True)
+        assert cli._indented(scalar, "\n") == json.dumps(scalar, indent=2, sort_keys=True)
     for bad in ({(1, 2): 0}, {"a": 1, 2: "b"}, [Fraction(1, 2)], {"x": {1, 2}}):
         with pytest.raises(TypeError):
             json.dumps(bad, indent=2, sort_keys=True)
         with pytest.raises(TypeError):
-            cli._indented(bad)
+            cli._indented(bad, "\n")
 
 
 def test_reports_ignore_the_ambient_decimal_context(capsys):
@@ -510,6 +694,95 @@ def test_csv_output(tmp_path):
     assert json.loads(rows[2][wcol])["theorem"] == "pair-interval"
 
 
+def _union_csv(records) -> str:
+    """The CSV of records under the union of their keys, a missing key an
+    empty cell: how reports were written before the columns were taken
+    from the first record."""
+    cols = sorted({k for r in records for k in r})
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(cols)
+    for r in records:
+        w.writerow(
+            "" if (v := r.get(c)) is None else v if isinstance(v, (int, float, str)) else json.dumps(v, sort_keys=True)
+            for c in cols
+        )
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["screen", "--min", "3", "--max", "3000", "--jobs", "1"],
+        ["screen", "--min", "24", "--max", "24"],
+        ["screen", "--needs-check-only", "--max", str(10**6)],
+        ["screen", "--survey", "3"],
+        ["verify", "--set", "T", "--algo", "both", "--max", "200", "--jobs", "1"],
+        ["verify", "--set", "S", "--max", "64", "--jobs", "1", "--expect", str(files("uvprim.data") / "exceptional_pair.json")],
+        ["oracle", "cases", "--q", "31"],
+        ["oracle", "M", "--q", "101"],
+        ["oracle", "N", "--q", "31"],
+    ],
+)
+def test_csv_is_the_union_of_keys_csv_of_the_json_records(argv, capsys, monkeypatch):
+    """Every command's records share one key set, so the columns of the
+    first record give the CSV that the union of all keys gave."""
+    monkeypatch.setattr(cli.time, "perf_counter", lambda: 0.0)  # elapsed_ms 0.0 in both runs
+    assert cli.main(argv) == 0
+    records = json.loads(capsys.readouterr().out)["records"]
+    assert cli.main([*argv, "--format", "csv"]) == 0
+    assert capsys.readouterr().out == _union_csv(records)
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [{"q": 3, "a": 1}, {"q": 5, "b": 1}],
+        [{"q": 3, "a": 1}, {"q": 5}],
+        [{"q": 3}, {"q": 5, "a": 1}],
+    ],
+    ids=["other-key", "missing-key", "extra-key"],
+)
+def test_csv_refuses_a_record_with_other_keys(records, tmp_path):
+    out = tmp_path / "x.csv"
+    out.write_text("old report")
+    with pytest.raises(ValueError, match="not the columns"):
+        cli._emit({"records": iter(records)}, "csv", str(out))
+    assert out.read_text() == "old report"
+    assert os.listdir(tmp_path) == ["x.csv"]
+
+
+_SCREEN_PEAK = """
+import sys
+from uvprim import cli
+
+code = cli.main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(code, next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_range_screen_peak_does_not_grow_with_the_range(tmp_path):
+    """A screen of the 78,733 prime powers in [3, 10**6] keeps only the q
+    list: its peak RSS stays below 100 MiB.  This measures 42.6 MiB; with
+    every record kept until the report was written it measured 258."""
+    out = tmp_path / "screen.json"
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCREEN_PEAK, "screen", "--min", "3", "--max", str(10**6), "--jobs", "1", "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert json.loads(out.read_text())["totals"]["records"] == 78_733
+    assert peak_kib < 100 * 1024
+
+
 def test_parallel_jobs_are_deterministic(tmp_path):
     _, one = run(["screen", "--min", "3", "--max", "60", "--jobs", "1"], tmp_path, "a.json")
     _, two = run(["screen", "--min", "3", "--max", "60", "--jobs", "2"], tmp_path, "b.json")
@@ -538,23 +811,54 @@ def test_jobs_are_capped_by_items_and_cores(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
-    assert cli._map_jobs(abs, [-1, -2, -3], 5000) == [1, 2, 3]
-    assert cli._map_jobs(abs, list(range(-10, 0)), 5000) == list(range(10, 0, -1))
-    assert cli._map_jobs(abs, list(range(-10, 0)), 2) == list(range(10, 0, -1))
-    assert cli._map_jobs(abs, [-1], 5000) == [1]
+    assert list(cli._map_jobs(abs, [-1, -2, -3], 5000)) == [1, 2, 3]
+    assert list(cli._map_jobs(abs, list(range(-10, 0)), 5000)) == list(range(10, 0, -1))
+    assert list(cli._map_jobs(abs, list(range(-10, 0)), 2)) == list(range(10, 0, -1))
+    assert list(cli._map_jobs(abs, [-1], 5000)) == [1]
     assert sizes == [3, 4, 2]
     code, rep = run(["screen", "--min", "3", "--max", "60", "--jobs", "5000"], tmp_path)
     assert code == 0 and rep["totals"]["records"] == 24
     assert sizes == [3, 4, 2, 4]
     # without --jobs a mode gets None, which means every core
-    assert cli._map_jobs(abs, list(range(-10, 0)), None) == list(range(10, 0, -1))
+    assert list(cli._map_jobs(abs, list(range(-10, 0)), None)) == list(range(10, 0, -1))
     code, rep = run(["screen", "--min", "3", "--max", "60"], tmp_path)
     assert code == 0 and rep["totals"]["records"] == 24
     assert sizes == [3, 4, 2, 4, 4, 4]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
-    assert cli._map_jobs(abs, [-1, -2], 5000) == [1, 2]
-    assert cli._map_jobs(abs, [-1, -2], None) == [1, 2]
+    assert list(cli._map_jobs(abs, [-1, -2], 5000)) == [1, 2]
+    assert list(cli._map_jobs(abs, [-1, -2], None)) == [1, 2]
     assert sizes == [3, 4, 2, 4, 4, 4]
+
+
+def test_jobs_submit_at_most_two_batches_ahead(monkeypatch):
+    """However fast the workers are, the pool is given at most two batches
+    of one chunk (at most 1,024 items) per worker beyond what has been
+    taken.  The stand-in pool runs each map at once, as fast workers would."""
+    submitted = []
+
+    class EagerPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            submitted.append(len(items))
+            return iter([fn(x) for x in items])
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", EagerPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    items = list(range(100_000))
+    taken = 0
+    for x in cli._map_jobs(abs, items, None):
+        assert x == taken
+        taken += 1
+        assert sum(submitted) <= taken + 2 * 4 * 1024
+    assert taken == len(items) and sum(submitted) == len(items)
 
 
 def test_version(capsys):
