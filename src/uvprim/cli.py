@@ -421,7 +421,8 @@ def run_verify(args, parser) -> tuple[dict, int]:
     return report, code
 
 
-# N and cases search by brute force; M reads only the field's exp array
+# N and cases search by brute force; M reads only the field's exp array,
+# in an odd prime field only its first half
 _ORACLE_GUARDS = {"N": 10**4, "M": field.LOG_TABLE_CAP, "cases": 10**4}
 # kind -> (number of --e divisors, query type, name of the exact counter)
 _COUNTS = {

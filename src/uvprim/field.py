@@ -28,16 +28,20 @@ q) * q for prime fields and t - (t // p) * p on the digits, since numpy
 divides an int64 array by a scalar several times faster than it takes
 ``%``.  For an odd prime q the doubling stops at half the array: as
 gamma**((q - 1)/2) = -1, the second half is exp[x + (q - 1)/2] =
-q - exp[x], one subtraction.  An extension field negates digit by
-digit, so there the doubling runs to the end.
+q - exp[x], one subtraction.  ``exp_half`` is that first half alone,
+built by the same doubling and not cached.  An extension field negates
+digit by digit, so there the doubling runs to the end.
 
 Every per-element table is int32: below the cap every exponent and every
 packed element fits.  The exact count ``verify.count_single_free`` reads
-the exp array alone: 4 bytes per element here, plus in ``verify`` a byte
-mask over the elements (the nonzero e2-free ones) and a byte mask over the
-exponents per distinct divisor argument, the primitive one among them.
-That is 6 bytes per element for M(q, u, v) and at most 8 with divisor
-arguments (6.3 measured at q = 31,651,621, slice temporaries included).
+``exp_half`` alone in an odd prime field: 2 bytes per element here, plus
+in ``verify`` a byte mask over the nonzero e2-free elements and a byte
+mask over the exponents per distinct divisor argument, each over half of
+them when x -> x + (q - 1)/2 keeps e1- and e2-freeness (always for
+M(q, u, v) itself), else over all.  That is 3 bytes per element for
+M(q, u, v) (3.2 measured at q = 31,651,621, slice temporaries included)
+and at most 5 with divisor arguments.  An extension field and F_2 read
+the whole exp array: 6 bytes per element, at most 7.
 The membership checks and the other counts read all of a field's tables,
 13 bytes per element once built -- exp and log here, 4 bytes each; the
 add-one log table L1 (4 bytes) and the primitive mask (1 byte) in
@@ -76,6 +80,7 @@ __all__ = [
     "build_field",
     "check_nonzero",
     "discrete_log",
+    "exp_half",
     "exp_table",
     "from_coeffs",
     "inv",
@@ -298,11 +303,9 @@ class LogTable:
     log: np.ndarray
 
 
-def _exp_array_prime(F: FieldSpec) -> np.ndarray:
-    q, n = F.q, F.q - 1
-    # for odd q, gamma**(n/2) = -1: only the first half is multiplied out
-    h = n if q == 2 else n // 2
-    exp = np.empty(n, dtype=np.int32)
+def _fill_exp_prime(F: FieldSpec, exp: np.ndarray) -> None:
+    """exp[y] = gamma**y for 0 <= y < exp.size, in a prime field."""
+    q, h = F.q, exp.size
     exp[0] = 1
     buf = np.empty(min(h, _EXP_BLOCK), dtype=np.int64)  # products reach q**2 > 2**31
     quot = np.empty_like(buf)  # prod // q, then times q
@@ -319,13 +322,11 @@ def _exp_array_prime(F: FieldSpec) -> np.ndarray:
         mult *= q
         np.subtract(prod, mult, out=exp[a:b])  # prod mod q
         a = b
-    np.subtract(q, exp[: n - h], out=exp[h:])  # gamma**(x + n/2) = -gamma**x
-    return exp
 
 
-def _exp_array_ext(F: FieldSpec) -> np.ndarray:
+def _fill_exp_ext(F: FieldSpec, exp: np.ndarray) -> None:
+    """exp[y] = gamma**y for 0 <= y < q - 1, in an extension field."""
     p, r, n = F.p, F.r, F.q - 1
-    exp = np.empty(n, dtype=np.int32)
     exp[0] = 1
     pw = p ** np.arange(r, dtype=np.int64)
     a = 1
@@ -341,16 +342,41 @@ def _exp_array_ext(F: FieldSpec) -> np.ndarray:
         digits -= digits // p * p
         exp[a:b] = digits @ pw
         a = b
-    return exp
+
+
+def _table(F: FieldSpec, size: int) -> np.ndarray:
+    """An empty int32 table of `size` entries for F.  Raises
+    LogTableTooLargeError, before anything is allocated, above the cap."""
+    if F.q > LOG_TABLE_CAP:
+        raise LogTableTooLargeError(f"q={F.q} exceeds the log-table cap {LOG_TABLE_CAP}")
+    return np.empty(size, dtype=np.int32)
 
 
 @lru_cache(maxsize=1)
 def exp_table(F: FieldSpec) -> np.ndarray:
     """The int32 array exp[j] = gamma**j, 0 <= j < q - 1.  Raises
     LogTableTooLargeError, before anything is allocated, above the cap."""
-    if F.q > LOG_TABLE_CAP:
-        raise LogTableTooLargeError(f"q={F.q} exceeds the log-table cap {LOG_TABLE_CAP}")
-    return _exp_array_prime(F) if F.r == 1 else _exp_array_ext(F)
+    n = F.q - 1
+    exp = _table(F, n)
+    if F.r > 1:
+        _fill_exp_ext(F, exp)
+    else:
+        # for odd q, gamma**(n/2) = -1: only the first half is multiplied out
+        h = n if F.q == 2 else n // 2
+        _fill_exp_prime(F, exp[:h])
+        np.subtract(F.q, exp[: n - h], out=exp[h:])  # gamma**(x + n/2) = -gamma**x
+    return exp
+
+
+def exp_half(F: FieldSpec) -> np.ndarray:
+    """The first half of `exp_table`'s array for an odd prime q: gamma**y
+    for 0 <= y < (q - 1)/2, the rest being q - gamma**y.  Not cached; raises
+    LogTableTooLargeError, before anything is allocated, above the cap."""
+    if F.r > 1 or F.q == 2:
+        raise ValueError(f"F_{F.q} is not a field of odd prime order")
+    half = _table(F, (F.q - 1) // 2)
+    _fill_exp_prime(F, half)
+    return half
 
 
 @lru_cache(maxsize=1)

@@ -69,8 +69,11 @@ and the special-case witness search all go through it.
 would cost more than the count they serve: it adds u a and v a^-1, both
 entries of the exp array, in the field, and folds the sum on gamma^(n/2)
 = -1 and, when u = v, on x -> -x (at (1, 1) and q = 1 mod 4 it reads a
-quarter of the exponents).  The grid-versus-count tests compare two
-independent derivations, field addition against L1.
+quarter of the exponents).  In an odd prime field the same fold lets it
+hold half of everything: `fd.exp_half` in place of the exp array, and
+its masks over the exponents y < n/2 and the elements s <= n/2.  The
+grid-versus-count tests compare two independent derivations, field
+addition against L1.
 """
 
 from __future__ import annotations
@@ -264,10 +267,23 @@ def _even_shift(n: int, e: int | None) -> bool:
     return n % 2 == 0 and (n % 4 == 0 or (e or n) % 2 == 1)
 
 
+def _runs(start: int, stop: int, ju: int, jv: int, size: int):
+    """Split [start, stop) into runs [lo, hi) of at most `fd.TABLE_SLICE`
+    exponents x over which k1 = (x + ju) // size and k2 = (jv - x) // size
+    stay fixed, and yield each as (lo, hi, k1, k2)."""
+    lo = start
+    while lo < stop:
+        k1, k2 = (lo + ju) // size, (jv - lo) // size
+        hi = min(stop, lo + fd.TABLE_SLICE, (k1 + 1) * size - ju, jv - k2 * size + 1)
+        yield lo, hi, k1, k2
+        lo = hi
+
+
 def count_single_free(query: SingleCountQuery) -> int:
     """The count of `SingleCountQuery`, by field addition on the exp array
-    alone: with a = gamma**x, u a = exp[x + log u] and v a^-1 = exp[log v -
-    x], and their sum is looked up in a byte mask over the elements.
+    alone: with a = gamma**x, u a = gamma**(x + log u) and v a^-1 =
+    gamma**(log v - x), and their sum is looked up in a byte mask over the
+    elements.
 
     For odd q, gamma**(n/2) = -1 with n = q - 1, so x + n/2 gives the sum at
     x negated, and -s is e2-free with s when `_even_shift(n, e2)`.  When
@@ -277,43 +293,59 @@ def count_single_free(query: SingleCountQuery) -> int:
     gcd(-x, e1), so 0 < x < P/2 is summed once and counted twice, and the
     self-paired x = 0 and, for even P, x = P/2 are counted once each.
 
-    In a prime field -s is q - s, so when `_even_shift(n, e2)` holds the
-    mask is filled from the exponents y < n/2 alone, which hold one member
-    exp[y] of each pair {s, q - s}, and then each pair gets the OR of its
-    two ends.  An extension field negates digit by digit and is filled
-    whole."""
+    An odd prime field reads only the first half of the exp array,
+    `fd.exp_half`: gamma**y = (-1)**k gamma**(y - k n/2) with k = y //
+    (n/2).  When `_even_shift(n, e2)` holds, -s is in the mask with s, so
+    the mask is kept over the s <= n/2 alone and read at min(s, q - s),
+    and only the sign of v a^-1 against u a matters.  Each exponent mask
+    is as long as the exponents it is read at.  An extension field
+    negates digit by digit, and F_2 has no half: both read the whole
+    `fd.exp_table`."""
     fd.check_nonzero(query.q, u=query.u, v=query.v)
-    es = _divisors(query.q, (query.e1, query.e2))
+    e1, e2 = _divisors(query.q, (query.e1, query.e2))
     F = fd.build_field(query.q)
-    exp = fd.exp_table(F)  # the first table: a field over the cap is refused before any allocation
-    q, n = F.q, exp.size
+    q, n = F.q, F.q - 1
     h = n // 2
-    m1, m2 = _free_masks(n, coprime_mask(n, F.q_minus_1.primes), es)
+    odd_prime = F.r == 1 and q > 2
+    # the first table: a field over the cap is refused before any allocation
+    exp = fd.exp_half(F) if odd_prime else fd.exp_table(F)
+    N = exp.size
+    folds = odd_prime and _even_shift(n, e2)
+    P = h if _even_shift(n, e1) and _even_shift(n, e2) else n
+    m2 = coprime_mask(h if folds else n, profile(e2 or n).primes)
+    m1 = m2[:P] if e1 == e2 else coprime_mask(P, profile(e1 or n).primes)
     ju, jv = fd.discrete_log(F, query.u), fd.discrete_log(F, query.v)
-    # target[s] iff s is a nonzero e2-free element; target[0] stays False
-    target = np.zeros(q, dtype=bool)
-    mirror = F.r == 1 and _even_shift(n, query.e2)
-    fill = h if mirror else n
-    for lo in range(0, fill, fd.TABLE_SLICE):
-        target[exp.take(np.flatnonzero(m2[lo : min(lo + fd.TABLE_SLICE, fill)]) + lo)] = True
-    if mirror:
-        # s in [1, n/2] against q - s in [n/2 + 1, n], one slice at a time
-        for lo in range(1, h + 1, fd.TABLE_SLICE):
-            hi = min(lo + fd.TABLE_SLICE, h + 1)
-            low, high = target[lo:hi], target[q - hi + 1 : q - lo + 1][::-1]
-            low |= high
-            high[...] = low
+    # target[s] iff s (with folds, s or q - s) is a nonzero e2-free
+    # element; target[0] stays False
+    target = np.zeros(h + 1 if folds else q, dtype=bool)
+    for k, m2k in enumerate(m2.reshape(-1, N)):  # exponents k N + y, y < N
+        for lo in range(0, N, fd.TABLE_SLICE):
+            s = exp.take(np.flatnonzero(m2k[lo : lo + fd.TABLE_SLICE]) + lo)
+            if folds:
+                np.minimum(s, q - s, out=s)
+            elif k:
+                np.subtract(q, s, out=s)  # gamma**(y + n/2) = -gamma**y
+            target[s] = True
 
     def hits(start: int, stop: int) -> int:
         # the x in [start, stop) with a = gamma**x e1-free and its sum in target
         count = 0
-        for lo in range(start, stop, fd.TABLE_SLICE):
-            xs = np.flatnonzero(m1[lo : min(lo + fd.TABLE_SLICE, stop)]) + lo
-            s = fd.add(F, exp.take(xs + ju, mode="wrap"), exp.take(jv - xs, mode="wrap"))
+        for lo, hi, k1, k2 in _runs(start, stop, ju, jv, N):
+            xs = np.flatnonzero(m1[lo:hi])
+            a = exp.take(xs + (lo + ju - k1 * N))  # u a, up to the sign (-1)**k1
+            b = exp.take((jv - k2 * N - lo) - xs)  # v a^-1, up to (-1)**k2
+            if not odd_prime:
+                s = fd.add(F, a, b)
+            elif folds:
+                # +-s folds to |a - b| or |a + b - q|, both below q, then to min(., q - .)
+                s = a - b if (k1 + k2) % 2 else a + b - q
+                np.abs(s, out=s)
+                np.minimum(s, q - s, out=s)
+            else:
+                s = fd.add(F, q - a if k1 % 2 else a, q - b if k2 % 2 else b)
             count += int(np.count_nonzero(target[s]))
         return count
 
-    P = h if _even_shift(n, query.e1) and _even_shift(n, query.e2) else n
     if query.u != query.v:
         count = hits(0, P)
     else:

@@ -532,16 +532,18 @@ def test_invalid_inputs_exit_2(argv, tmp_path):
 
 
 def test_oracle_M_is_guarded_by_the_table_cap(tmp_path, monkeypatch):
-    """M reads the field's exp array alone, so its guard is the table cap:
-    q = 1,000,003 is counted as `count_single_free` counts it, and the least
-    prime above the cap exits 2 before any table is built."""
+    """M reads the field's exp array alone (an odd prime field only its
+    first half), so its guard is the table cap: q = 1,000,003 is counted as
+    `count_single_free` counts it, and the least prime above the cap exits
+    2 before either exp table is built."""
     _, rep = run(["oracle", "M", "--q", "1000003"], tmp_path)
     assert rep["records"][0]["count"] == verify.count_single_free(verify.SingleCountQuery(1000003, 1, 1))
 
     def no_table(F):
-        raise AssertionError(f"exp_table(F_{F.q}) built")
+        raise AssertionError(f"an exp table of F_{F.q} built")
 
     monkeypatch.setattr(field, "exp_table", no_table)
+    monkeypatch.setattr(field, "exp_half", no_table)
     with pytest.raises(SystemExit) as exc:
         cli.main(["oracle", "M", "--q", "67108879", "--out", str(tmp_path / "x.json")])
     assert exc.value.code == 2

@@ -332,6 +332,22 @@ def test_log_table_holds_the_exp_table(q):
     assert fd.log_table(F).exp is fd.exp_table(F)
 
 
+@pytest.mark.parametrize("q", [3, 5, 32_749, 32_771, 1_025_641])
+def test_exp_table_is_the_half_array_then_its_negation(q):
+    """One builder fills both: for an odd prime q, `exp_table` is
+    `exp_half` followed by q - `exp_half`, as gamma**((q - 1)/2) = -1."""
+    F = fd.build_field(q)
+    half = fd.exp_half(F)
+    assert half.dtype == np.int32 and half.size == (q - 1) // 2
+    assert np.array_equal(fd.exp_table(F), np.concatenate([half, q - half]))
+
+
+@pytest.mark.parametrize("q", [2, 9, 64])
+def test_exp_half_is_for_odd_prime_fields_only(q):
+    with pytest.raises(ValueError):
+        fd.exp_half(fd.build_field(q))
+
+
 def test_log_table_shape():
     F = fd.build_field(9)
     t = fd.log_table(F)
@@ -349,6 +365,8 @@ def test_log_table_cap():
             fd.log_table(F)
         with pytest.raises(LogTableTooLargeError):
             fd.exp_table(F)
+        with pytest.raises(LogTableTooLargeError):
+            fd.exp_half(F)
         # refused before any table is allocated (one would take 256 MiB)
         assert tracemalloc.get_traced_memory()[1] < 1 << 20
     finally:

@@ -213,6 +213,25 @@ def test_single_count_reads_no_log_table(q, monkeypatch):
     assert [vf.count_single_free(query) for query in _single_queries(q)] == _PINNED_SINGLE_COUNTS[q]
 
 
+def test_prime_single_count_reads_only_half_the_exp_array(monkeypatch):
+    """An odd prime field is counted from `fd.exp_half` with `fd.exp_table`
+    out of reach, and gives the pinned counts and those frozen above 2**20.
+    At 1,000,003 and 2,097,211 (q = 3 mod 4, so n = 2 mod 4) an even e2 is
+    not kept by x -> x + n/2: the target is filled whole, its second half
+    from q - gamma**y, and checked against the whole-range loop."""
+    queries = [vf.SingleCountQuery(q, 1, 1) for q in (1025641, 1051051)]
+    for q in (1_000_003, 2_097_211):
+        queries += [vf.SingleCountQuery(q, u, v, e1, 2) for u, v in ((1, 1), (5, 7)) for e1 in (None, 2)]
+    expected = [42076, 38748] + [helpers.whole_range_M_free(c.q, c.u, c.v, c.e1, c.e2) for c in queries[2:]]
+
+    def refuse(F):
+        raise AssertionError("count_single_free built the whole exp array")
+
+    monkeypatch.setattr(fd, "exp_table", refuse)
+    assert [vf.count_single_free(query) for query in _single_queries(2311)] == _PINNED_SINGLE_COUNTS[2311]
+    assert [vf.count_single_free(query) for query in queries] == expected
+
+
 def test_single_count_refuses_a_field_over_the_cap():
     """As `fd.log_table` does: refused before any table is allocated (the
     exp array would take 256 MiB, each byte mask 64 MiB)."""
@@ -285,11 +304,14 @@ def test_field_switches_hold_at_most_two_fields():
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_single_count_peak_is_bounded_per_element():
-    """Counting M(q, 1, 1) at q = 4,194,301 lifts the peak RSS by at most 10
-    bytes per element: the exp array (4), the primitive mask and the target
-    mask (1 each), and slice temporaries.  This measures 7.8; the count
-    through the log table and the add-one table measured 21.6."""
-    assert _table_growth(4_194_301, build="count") <= 10
+    """Counting M(q, 1, 1) lifts the peak RSS by at most 6 bytes per element
+    at q = 4,194,301 and 4.5 at q = 31,651,621: half the exp array (2), one
+    primitive mask and the folded target mask over half the exponents and
+    elements (0.5 each), and slice temporaries.  These measure 4.9 and 3.2;
+    the count through the whole exp array measured 7.7 and 6.2, and through
+    the log table and the add-one table 21.6 at 4,194,301."""
+    assert _table_growth(4_194_301, build="count") <= 6
+    assert _table_growth(31_651_621, build="count") <= 4.5
 
 
 def test_tables_of_a_left_field_are_freed():
@@ -421,6 +443,7 @@ def _refuse_tables(monkeypatch):
         raise AssertionError(f"tables of F_{F.q} built")
 
     monkeypatch.setattr(fd, "exp_table", no_table)
+    monkeypatch.setattr(fd, "exp_half", no_table)
     monkeypatch.setattr(vf, "_uv_tables", no_table)
 
 
