@@ -37,11 +37,13 @@ packed element fits.  The exact count ``verify.count_single_free`` reads
 ``exp_half`` alone in an odd prime field: 2 bytes per element here, plus
 in ``verify`` a byte mask over the nonzero e2-free elements and a byte
 mask over the exponents per distinct divisor argument, each over half of
-them when x -> x + (q - 1)/2 keeps e1- and e2-freeness (always for
-M(q, u, v) itself), else over all.  That is 3 bytes per element for
-M(q, u, v) (3.2 measured at q = 31,651,621, slice temporaries included)
-and at most 5 with divisor arguments.  An extension field and F_2 read
-the whole exp array: 6 bytes per element, at most 7.
+them when x -> x + (q - 1)/2 keeps e1- and e2-freeness, else over all.
+For M(q, u, v) that holds iff q = 1 mod 4 (for q = 3 mod 4, -1 is a
+non-square, so minus a primitive element is not primitive): 3 bytes per
+element then, else 4 (3.2 and 4.4 measured at 31,651,621 and 18,888,871,
+slice temporaries included), and at most 5 with divisor arguments.  An
+extension field and F_2 read the whole exp array: 6 bytes per element,
+at most 7.
 The membership checks and the other counts read all of a field's tables,
 13 bytes per element once built -- exp and log here, 4 bytes each; the
 add-one log table L1 (4 bytes) and the primitive mask (1 byte) in
@@ -52,9 +54,10 @@ q = 31,651,621 (438 MiB) and 18.6 at the cap q = 2**26 (1.25 GB).  The
 tables are filled in slices of ``TABLE_SLICE`` entries, so no build holds
 an n-sized temporary.
 
-Only one field's tables stay cached: ``exp_table``, ``log_table`` and
-``verify``'s tables each keep the last field asked for, since no command
-goes back to a field it has left.  ``lru_cache`` drops the old entry only
+Only one field's tables stay cached: ``log_table``, which holds the exp
+array, and ``verify``'s tables each keep the last field asked for, since
+no command goes back to a field it has left; ``exp_table`` and
+``exp_half`` build afresh.  ``lru_cache`` drops the old entry only
 after building the new one, so a switch between fields holds at most two
 fields' tables: about 2.5 GB at the cap.
 """
@@ -352,9 +355,8 @@ def _table(F: FieldSpec, size: int) -> np.ndarray:
     return np.empty(size, dtype=np.int32)
 
 
-@lru_cache(maxsize=1)
 def exp_table(F: FieldSpec) -> np.ndarray:
-    """The int32 array exp[j] = gamma**j, 0 <= j < q - 1.  Raises
+    """The int32 array exp[j] = gamma**j, 0 <= j < q - 1, uncached.  Raises
     LogTableTooLargeError, before anything is allocated, above the cap."""
     n = F.q - 1
     exp = _table(F, n)

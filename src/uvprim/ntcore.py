@@ -56,7 +56,6 @@ __all__ = [
     "factorize",
     "first_primes",
     "is_prime",
-    "is_prime_power",
     "iter_prime_powers",
     "omega_prime_powers",
     "primes_up_to",
@@ -342,14 +341,6 @@ def prime_power_decompose(q: int) -> PrimePowerId:
         raise NotAPrimePowerError(f"{q} is not a prime power")
     p, r = fac[0]
     return PrimePowerId(q=q, p=p, r=r)
-
-
-def is_prime_power(q: int) -> bool:
-    try:
-        prime_power_decompose(q)
-    except NotAPrimePowerError:
-        return False
-    return True
 
 
 _WINDOW = 1 << 21

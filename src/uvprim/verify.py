@@ -69,11 +69,12 @@ and the special-case witness search all go through it.
 would cost more than the count they serve: it adds u a and v a^-1, both
 entries of the exp array, in the field, and folds the sum on gamma^(n/2)
 = -1 and, when u = v, on x -> -x (at (1, 1) and q = 1 mod 4 it reads a
-quarter of the exponents).  In an odd prime field the same fold lets it
-hold half of everything: `fd.exp_half` in place of the exp array, and
-its masks over the exponents y < n/2 and the elements s <= n/2.  The
-grid-versus-count tests compare two independent derivations, field
-addition against L1.
+quarter of the exponents).  An odd prime field holds only `fd.exp_half`
+in place of the exp array, and, when x -> x + n/2 keeps e1- and
+e2-freeness, masks over only the exponents y < n/2 and the elements
+s <= n/2.  For M(q, u, v) that needs q = 1 mod 4: for q = 3 mod 4, -1 is
+a non-square and the masks cover all n.  The grid-versus-count tests
+compare two independent derivations, field addition against L1.
 """
 
 from __future__ import annotations
@@ -409,6 +410,12 @@ class MembershipResult:
     each failing class, and every (u gamma^(jR), v gamma^(jR)) fails with it
     (q = 9 lists 4 of 16, q = 13 34 of 68); the pair problem lists every
     failing pair with log u <= log v.
+
+    `stats` has one schema.  Every element pass (`logs`, `ie`, the lift's)
+    reports `w_values` (the g/2 + 1 class representatives of log w) and
+    the `primitives_consumed` and `logs_computed` of its direct passes;
+    `ie` adds `stage_passes` and `terms_peak`, and the lift and `brute`
+    report `orbits` and `witness_scans`.
     """
 
     q: int
@@ -438,16 +445,16 @@ def _log_r_chunks(t: _UVTables, jw: int):
         yield chunk.size, log_r[ok]
 
 
-def _uncovered_for_w(t: _UVTables, jw: int, counters: dict | None = None) -> np.ndarray:
+def _uncovered_for_w(t: _UVTables, jw: int, stats: dict) -> np.ndarray:
     """The residues k = log u mod R, ascending, that no primitive a covers
-    at w = gamma**jw, consuming primitive exponents lazily in chunks.  The
-    uncovered set is one R-bit int; c = log r mod R keeps only the k with
-    gcd(k + c, R) > 1, which is `nonunits_R` shifted down by c."""
+    at w = gamma**jw, consuming primitive exponents lazily in chunks and
+    counting them in `stats`.  The uncovered set is one R-bit int; c = log
+    r mod R keeps only the k with gcd(k + c, R) > 1, which is `nonunits_R`
+    shifted down by c."""
     gaps = (1 << t.R) - 1
     for size, log_r in _log_r_chunks(t, jw):
-        if counters is not None:
-            counters["primitives_consumed"] += size
-            counters["logs_computed"] += log_r.size
+        stats["primitives_consumed"] += size
+        stats["logs_computed"] += log_r.size
         for c in (log_r % t.R).tolist():
             gaps &= t.nonunits_R >> c
             if not gaps:
@@ -456,41 +463,38 @@ def _uncovered_for_w(t: _UVTables, jw: int, counters: dict | None = None) -> np.
     return np.flatnonzero(np.unpackbits(octets, bitorder="little"))
 
 
-def _failing_classes(t: _UVTables, settled, counters: dict | None) -> list[tuple[int, int]]:
+def _failing_classes(t: _UVTables, reps, stats: dict) -> list[tuple[int, int]]:
     """The classes (k, r) = (log u mod R, log w mod g), g = gcd(2R, n), of
     the (u, v) with no element witness, each once.  With c = gamma^(tR), a
     witness a for (u c, v c^-1) gives the witness c a for (u, v), which
     keeps log u mod R and moves log w by 2tR, so only log w mod g matters.
-    Each representative r <= g/2 that `settled(r)` cannot show fully
-    covered gets the direct pass; a residue k it leaves uncovered fails as
-    (k, r) and, as a witness a for (u, v) is one, a^-1, for (v, u), as
-    ((k + r) mod R, g - r).  `counters`, if given, tallies the passes."""
+    Each representative r <= g/2 in `reps`, the rest being known covered,
+    gets the direct pass; a residue k it leaves uncovered fails as (k, r)
+    and, as a witness a for (u, v) is one, a^-1, for (v, u), as ((k + r)
+    mod R, g - r).  Writes the element pass's stats (`MembershipResult`)."""
+    stats.update(primitives_consumed=0, logs_computed=0, w_values=t.g // 2 + 1)
     classes: list[tuple[int, int]] = []
-    for r in range(t.g // 2 + 1):
-        if settled(r):
-            continue
-        ks = _uncovered_for_w(t, r, counters).tolist()
+    for r in reps:
+        ks = _uncovered_for_w(t, r, stats).tolist()
         classes += [(k, r) for k in ks]
         if 2 * r % t.g:  # r = 0 and r = g/2 are their own mirrors
             classes += [((k + r) % t.R, t.g - r) for k in ks]
     return classes
 
 
-def _element_membership(t: _UVTables, algorithm: str, stats: dict, settled, counters: dict | None = None) -> MembershipResult:
+def _element_membership(t: _UVTables, algorithm: str, stats: dict, reps) -> MembershipResult:
     """The element-set decision shared by both checkers: each failing class
-    (k, r) of `_failing_classes` is listed as (u, v) = (gamma**k,
-    gamma**(k + jw)) at every jw = r mod g.  `stats["w_values"]` counts the
-    g/2 + 1 representatives."""
-    stats["w_values"] = t.g // 2 + 1
-    bad = sorted((k, (k + jw) % t.n) for k, r in _failing_classes(t, settled, counters) for jw in range(r, t.n, t.g))
+    (k, r) of `_failing_classes` over `reps` is listed as (u, v) =
+    (gamma**k, gamma**(k + jw)) at every jw = r mod g."""
+    bad = sorted((k, (k + jw) % t.n) for k, r in _failing_classes(t, reps, stats) for jw in range(r, t.n, t.g))
     return _result(t, t.n + 1, "element", bad, algorithm, stats)
 
 
 def check_element_membership_logs(q: int) -> MembershipResult:
     """Decide element-set membership by direct coverage, one pass per
     class of w (see `_failing_classes`)."""
-    stats = {"primitives_consumed": 0, "logs_computed": 0}
-    return _element_membership(_uv_tables(fd.build_field(q)), "logs", stats, lambda jw: False, stats)
+    t = _uv_tables(fd.build_field(q))
+    return _element_membership(t, "logs", {}, range(t.g // 2 + 1))
 
 
 def check_pair_membership(q: int) -> MembershipResult:
@@ -520,12 +524,11 @@ def check_pair_membership_lift(q: int) -> MembershipResult:
     one witness scan at log u = k, log w = r decides a class, and a failing
     one is expanded to every log w = r mod g and log u = k mod R and
     reported as `check_pair_membership` reports them.  "orbits" counts the
-    classes scanned; the last three stats are those of the element pass,
-    as `check_element_membership_logs` reports them.
+    classes scanned, beside the element pass's stats.
     """
     t = _uv_tables(fd.build_field(q))
-    stats = {"orbits": 0, "witness_scans": 0, "primitives_consumed": 0, "logs_computed": 0, "w_values": t.g // 2 + 1}
-    classes = _failing_classes(t, lambda r: False, stats)
+    stats = {"orbits": 0, "witness_scans": 0}
+    classes = _failing_classes(t, range(t.g // 2 + 1), stats)
     stats["orbits"] = len(classes)
     failing = [(k, r) for k, r in classes if _pair_witness(t, k, r, stats) is None]
     bad = sorted(
@@ -669,13 +672,14 @@ def _rung_settles(t: _UVTables, jw: int, stats: dict) -> bool:
 def check_element_membership_cover(q: int) -> MembershipResult:
     """Decide element-set membership via the inclusion-exclusion counter:
     `_rung_settles` for each class representative w the `logs` checker
-    passes, then the direct pass decides every one it leaves and lists the
-    failures (see `_failing_classes`).  The rung settles a w once the OR of
-    its accepted patterns covers every class; its signed family feeds only
-    `terms_peak`, so `ie` checks nothing on its own at run time."""
+    passes, then the direct pass, counted, on every one it leaves (see
+    `_failing_classes`).  The rung settles a w once the OR of its accepted
+    patterns covers every class; its signed family feeds only `terms_peak`,
+    so `ie` checks nothing on its own at run time."""
     t = _uv_tables(fd.build_field(q))
     stats = {"stage_passes": [0], "terms_peak": 0}
-    return _element_membership(t, "ie", stats, lambda jw: _rung_settles(t, jw, stats))
+    reps = (r for r in range(t.g // 2 + 1) if not _rung_settles(t, r, stats))
+    return _element_membership(t, "ie", stats, reps)
 
 
 # --------------------------------------------------------------------------

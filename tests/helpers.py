@@ -6,6 +6,7 @@ implementations are checked against code with no shared structure.
 """
 
 import json
+from collections import Counter
 from importlib import resources
 
 import numpy as np
@@ -144,7 +145,7 @@ def per_w_element_failures(q):
     t = vf._uv_tables(fd.build_field(q))
     bad = []
     for jw in range(t.n // 2 + 1):
-        for k in map(int, vf._uncovered_for_w(t, jw)):
+        for k in map(int, vf._uncovered_for_w(t, jw, Counter())):
             bad.append((k, (k + jw) % t.n))
             if 2 * jw % t.n:  # jw = 0 and jw = n/2 are their own mirrors
                 bad.append(((k + jw) % t.R, ((k + jw) % t.R - jw) % t.n))

@@ -327,9 +327,10 @@ def test_tables_are_int32_and_match_the_int64_build(q):
 
 @pytest.mark.parametrize("q", [2, 31, 3**4, 2311])
 def test_log_table_holds_the_exp_table(q):
-    # one exp array per field, built once
+    # one exp array per field, built once and kept by the log table's cache
     F = fd.build_field(q)
-    assert fd.log_table(F).exp is fd.exp_table(F)
+    T = fd.log_table(F)
+    assert fd.log_table(F).exp is T.exp and np.array_equal(T.exp, fd.exp_table(F))
 
 
 @pytest.mark.parametrize("q", [3, 5, 32_749, 32_771, 1_025_641])

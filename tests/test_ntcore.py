@@ -239,9 +239,13 @@ def test_prime_power_decompose():
 
 
 @given(st.integers(min_value=-2, max_value=5000))
-def test_is_prime_power_matches_naive(q):
-    naive = q >= 2 and len(sympy.factorint(q)) == 1
-    assert nt.is_prime_power(q) == naive
+def test_prime_power_decompose_matches_naive(q):
+    fac = sympy.factorint(q) if q >= 2 else {}
+    if len(fac) != 1:
+        with pytest.raises(NotAPrimePowerError):
+            nt.prime_power_decompose(q)
+    else:
+        assert nt.prime_power_decompose(q) == nt.PrimePowerId(q, *fac.popitem())
 
 
 def _naive_prime_powers(lo, hi):

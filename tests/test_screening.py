@@ -51,7 +51,7 @@ def test_sieve_config_rejects_out_of_range_s():
         sc.sieve_config(13, -1)
 
 
-@given(st.sampled_from([q for q in range(5, 3000) if nt.is_prime_power(q)]), st.data())
+@given(st.sampled_from([pp.q for pp in nt.enumerate_prime_powers(5, 2999)]), st.data())
 def test_sieve_config_invariants(q, data):
     from math import prod
 
@@ -175,7 +175,7 @@ def test_interval_failure_on_omega_five_cured_by_sieving():
 
 # --------------------------------------------------- bounds against brute N/M
 
-ODD_PPS_TO_100 = [q for q in range(3, 101, 2) if nt.is_prime_power(q)]
+ODD_PPS_TO_100 = [pp.q for pp in nt.enumerate_prime_powers(3, 100) if pp.p > 2]
 
 
 @pytest.mark.parametrize("q", ODD_PPS_TO_100)

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -164,7 +165,7 @@ def test_sliced_fills_and_counts_match_unsliced(q, monkeypatch):
     paired = [vf.SingleCountQuery(q, u, u, e1) for u in (2, q - 1) for e1 in (None, 1)]
     expected_paired = [helpers.whole_range_M_free(q, c.u, c.v, c.e1) for c in paired]
     monkeypatch.setattr(fd, "TABLE_SLICE", 64)
-    caches = (fd.exp_table, fd.log_table, vf._uv_tables)
+    caches = (fd.log_table, vf._uv_tables)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -309,19 +310,22 @@ def test_single_count_peak_is_bounded_per_element():
     primitive mask and the folded target mask over half the exponents and
     elements (0.5 each), and slice temporaries.  These measure 4.9 and 3.2;
     the count through the whole exp array measured 7.7 and 6.2, and through
-    the log table and the add-one table 21.6 at 4,194,301."""
+    the log table and the add-one table 21.6 at 4,194,301.  At q = 4,194,319
+    = 3 mod 4, -1 is a non-square, so the primitive mask and the target
+    cover every exponent and element (1 each): at most 8.5, measured 7.3."""
     assert _table_growth(4_194_301, build="count") <= 6
     assert _table_growth(31_651_621, build="count") <= 4.5
+    assert _table_growth(4_194_319, build="count") <= 8.5
 
 
 def test_tables_of_a_left_field_are_freed():
     F1, F2 = fd.build_field(31), fd.build_field(37)
     t1 = vf._uv_tables(F1)
-    refs = [weakref.ref(t1.L1), weakref.ref(t1.exp), weakref.ref(fd.log_table(F1)), weakref.ref(fd.exp_table(F1))]
+    refs = [weakref.ref(t1.L1), weakref.ref(t1.exp), weakref.ref(fd.log_table(F1))]
     del t1
     vf._uv_tables(F2)
     gc.collect()
-    assert [ref() for ref in refs] == [None] * 4
+    assert [ref() for ref in refs] == [None] * 3
 
 
 @pytest.mark.parametrize("q", [2, 31, 3**4])
@@ -390,7 +394,7 @@ def test_single_count_equals_the_whole_range_loop_to_300():
     wherever 4 | n or e1 and e2 are odd, and the odd extension fields
     (9, 25, 27, 49, 81, 121, 125, 169, 243, 289) are where mirroring the
     mask by q - s would be wrong."""
-    for q in (q for q in range(2, 301) if nt.is_prime_power(q)):
+    for q in (pp.q for pp in nt.enumerate_prime_powers(2, 300)):
         F = fd.build_field(q)
         n = q - 1
         odd_part = n // (n & -n)
@@ -582,7 +586,7 @@ def test_logs_and_coverage_algorithms_agree_on_member_fields(q):
     assert len(b.stats["stage_passes"]) == 1
 
 
-@pytest.mark.parametrize("q", [q for q in range(2, 201) if nt.is_prime_power(q)])
+@pytest.mark.parametrize("q", [pp.q for pp in nt.enumerate_prime_powers(2, 200)])
 def test_logs_failures_are_the_zero_cells_of_the_count_grid(q):
     """The failures are the (u, v) with log u < R whose exact count of
     (u,v)-primitive elements is zero, in (log u, log v) order: the grid
@@ -596,11 +600,11 @@ def test_logs_failures_are_the_zero_cells_of_the_count_grid(q):
 def test_uncovered_residues_mirror_under_inversion():
     """A witness a for (u, v) is a witness a^-1 for (v, u), so w^-1 leaves
     uncovered exactly the residues k + log w mod R of those w leaves."""
-    for q in (q for q in range(2, 401) if nt.is_prime_power(q)):
+    for q in (pp.q for pp in nt.enumerate_prime_powers(2, 400)):
         t = vf._uv_tables(fd.build_field(q))
         for jw in range(t.n):
-            mirrored = sorted((int(k) + jw) % t.R for k in vf._uncovered_for_w(t, jw))
-            assert vf._uncovered_for_w(t, -jw % t.n).tolist() == mirrored, (q, jw)
+            mirrored = sorted((int(k) + jw) % t.R for k in vf._uncovered_for_w(t, jw, Counter()))
+            assert vf._uncovered_for_w(t, -jw % t.n, Counter()).tolist() == mirrored, (q, jw)
 
 
 def test_uncovered_residues_depend_on_log_w_mod_g():
@@ -609,13 +613,13 @@ def test_uncovered_residues_depend_on_log_w_mod_g():
     w leaves uncovered the residues its class log w mod g = gcd(2R, q - 1)
     leaves.  Checked for every jw on every prime power up to 1200 with
     g < q - 1."""
-    for q in (q for q in range(2, 1201) if nt.is_prime_power(q)):
+    for q in (pp.q for pp in nt.enumerate_prime_powers(2, 1200)):
         t = vf._uv_tables(fd.build_field(q))
         if t.g == t.n:
             continue
-        reps = [vf._uncovered_for_w(t, r).tolist() for r in range(t.g)]
+        reps = [vf._uncovered_for_w(t, r, Counter()).tolist() for r in range(t.g)]
         for jw in range(t.g, t.n):
-            assert vf._uncovered_for_w(t, jw).tolist() == reps[jw % t.g], (q, jw)
+            assert vf._uncovered_for_w(t, jw, Counter()).tolist() == reps[jw % t.g], (q, jw)
 
 
 def test_checkers_equal_the_per_w_loop_to_1000():
@@ -623,7 +627,7 @@ def test_checkers_equal_the_per_w_loop_to_1000():
     failures of the direct pass at every log w <= (q - 1)/2 with w^-1
     mirrored, on every prime power up to 1000: q = 2, 4, 8 and 128 (q - 1
     odd, g = R) among them."""
-    for q in (q for q in range(2, 1001) if nt.is_prime_power(q)):
+    for q in (pp.q for pp in nt.enumerate_prime_powers(2, 1000)):
         want = helpers.per_w_element_failures(q)
         for check in (vf.check_element_membership_logs, vf.check_element_membership_cover):
             res = check(q)
@@ -634,8 +638,9 @@ def test_failing_classes_are_the_classes_of_the_element_failures_to_1000():
     """The one class pass lists each failing class (log u mod R, log w mod
     g) once, and they are the classes of the listed element failures, on
     every prime power up to 1000."""
-    for q in (q for q in range(2, 1001) if nt.is_prime_power(q)):
-        classes = vf._failing_classes(vf._uv_tables(fd.build_field(q)), lambda r: False, None)
+    for q in (pp.q for pp in nt.enumerate_prime_powers(2, 1000)):
+        t = vf._uv_tables(fd.build_field(q))
+        classes = vf._failing_classes(t, range(t.g // 2 + 1), {})
         assert len(set(classes)) == len(classes), q
         assert set(classes) == helpers.element_failure_classes(q), q
 
@@ -645,17 +650,17 @@ def test_failing_classes_are_the_classes_of_the_element_failures_to_1000():
 FROZEN_STATS = {
     13: (
         {"primitives_consumed": 28, "logs_computed": 26, "w_values": 7},
-        {"stage_passes": [0], "terms_peak": 3, "w_values": 7},
+        {"stage_passes": [0], "terms_peak": 3, "primitives_consumed": 28, "logs_computed": 26, "w_values": 7},
         {"orbits": 78, "witness_scans": 111},
     ),
     31: (
         {"primitives_consumed": 128, "logs_computed": 124, "w_values": 16},
-        {"stage_passes": [2], "terms_peak": 27, "w_values": 16},
+        {"stage_passes": [2], "terms_peak": 27, "primitives_consumed": 112, "logs_computed": 108, "w_values": 16},
         {"orbits": 465, "witness_scans": 571},
     ),
     61: (
         {"primitives_consumed": 496, "logs_computed": 488, "w_values": 31},
-        {"stage_passes": [2], "terms_peak": 31, "w_values": 31},
+        {"stage_passes": [2], "terms_peak": 31, "primitives_consumed": 464, "logs_computed": 456, "w_values": 31},
         {"orbits": 1830, "witness_scans": 1909},
     ),
 }
@@ -687,9 +692,9 @@ def test_logs_passes_at_65537_are_three(monkeypatch):
     passes = []
     real = vf._uncovered_for_w
 
-    def counted(t, jw, counters=None):
+    def counted(t, jw, stats):
         passes.append(jw)
-        return real(t, jw, counters)
+        return real(t, jw, stats)
 
     monkeypatch.setattr(vf, "_uncovered_for_w", counted)
     res = vf.check_element_membership_logs(65537)
@@ -701,16 +706,16 @@ def test_logs_passes_at_65537_are_three(monkeypatch):
 # commit, where the accept-or-discard pass settles most w and the family
 # grows to hundreds of terms.
 FROZEN_IE_STATS = {
-    121: ({"stage_passes": [20], "terms_peak": 45, "w_values": 31}, 44),
-    211: ({"stage_passes": [106], "terms_peak": 188, "w_values": 106}, 0),
-    243: ({"stage_passes": [12], "terms_peak": 18, "w_values": 12}, 0),
-    256: ({"stage_passes": [128], "terms_peak": 1521, "w_values": 128}, 0),
-    331: ({"stage_passes": [166], "terms_peak": 249, "w_values": 166}, 0),
-    421: ({"stage_passes": [211], "terms_peak": 251, "w_values": 211}, 0),
-    729: ({"stage_passes": [183], "terms_peak": 390, "w_values": 183}, 0),
-    911: ({"stage_passes": [456], "terms_peak": 928, "w_values": 456}, 0),
-    967: ({"stage_passes": [484], "terms_peak": 673, "w_values": 484}, 0),
-    1024: ({"stage_passes": [512], "terms_peak": 2310, "w_values": 512}, 0),
+    121: ({"stage_passes": [20], "terms_peak": 45, "primitives_consumed": 352, "logs_computed": 344, "w_values": 31}, 44),
+    211: ({"stage_passes": [106], "terms_peak": 188, "primitives_consumed": 0, "logs_computed": 0, "w_values": 106}, 0),
+    243: ({"stage_passes": [12], "terms_peak": 18, "primitives_consumed": 0, "logs_computed": 0, "w_values": 12}, 0),
+    256: ({"stage_passes": [128], "terms_peak": 1521, "primitives_consumed": 0, "logs_computed": 0, "w_values": 128}, 0),
+    331: ({"stage_passes": [166], "terms_peak": 249, "primitives_consumed": 0, "logs_computed": 0, "w_values": 166}, 0),
+    421: ({"stage_passes": [211], "terms_peak": 251, "primitives_consumed": 0, "logs_computed": 0, "w_values": 211}, 0),
+    729: ({"stage_passes": [183], "terms_peak": 390, "primitives_consumed": 0, "logs_computed": 0, "w_values": 183}, 0),
+    911: ({"stage_passes": [456], "terms_peak": 928, "primitives_consumed": 0, "logs_computed": 0, "w_values": 456}, 0),
+    967: ({"stage_passes": [484], "terms_peak": 673, "primitives_consumed": 0, "logs_computed": 0, "w_values": 484}, 0),
+    1024: ({"stage_passes": [512], "terms_peak": 2310, "primitives_consumed": 0, "logs_computed": 0, "w_values": 512}, 0),
 }
 
 
@@ -718,6 +723,31 @@ FROZEN_IE_STATS = {
 def test_cover_stats_frozen_beyond_61(q):
     res = vf.check_element_membership_cover(q)
     assert (res.stats, len(res.failures)) == FROZEN_IE_STATS[q]
+
+
+@pytest.mark.parametrize("q", [13, 31, 61, 64, 97, 121, 243, 911])
+def test_cover_counts_the_direct_passes_its_rung_leaves(q):
+    """`ie` counts what its direct passes consume, as `logs` does, but only
+    for the class representatives its accept-or-discard pass leaves."""
+    t = vf._uv_tables(fd.build_field(q))
+    rung = {"stage_passes": [0], "terms_peak": 0}
+    want = {"primitives_consumed": 0, "logs_computed": 0}
+    for r in range(t.g // 2 + 1):
+        if not vf._rung_settles(t, r, rung):
+            vf._uncovered_for_w(t, r, want)
+    assert vf.check_element_membership_cover(q).stats == {**rung, **want, "w_values": t.g // 2 + 1}
+
+
+def test_cover_counts_equal_logs_when_nothing_settles_and_vanish_when_all_do():
+    """At q = 13 the rung settles none of the 7 representatives, so `ie`
+    consumes what `logs` does (28 exponents, 26 logs); at q = 911 it
+    settles all 456, so no direct pass runs."""
+    ie, logs = vf.check_element_membership_cover(13).stats, vf.check_element_membership_logs(13).stats
+    assert ie["stage_passes"] == [0]
+    assert (ie["primitives_consumed"], ie["logs_computed"]) == (logs["primitives_consumed"], logs["logs_computed"]) == (28, 26)
+    ie = vf.check_element_membership_cover(911).stats
+    assert ie["stage_passes"] == [ie["w_values"]] == [456]
+    assert (ie["primitives_consumed"], ie["logs_computed"]) == (0, 0)
 
 
 # the lift's stats: its witness scans over the classes it scanned, then the
@@ -764,7 +794,7 @@ def test_uncovered_residues_match_the_gcd_definition(q):
             left = left[shared[(left + c) % R]]
             if not left.size:
                 break
-        assert np.array_equal(vf._uncovered_for_w(t, jw), left), (q, jw)
+        assert np.array_equal(vf._uncovered_for_w(t, jw, Counter()), left), (q, jw)
 
 
 # ------------------------------------------------------- pair-set membership
@@ -791,7 +821,7 @@ def test_pair_membership_members(q):
 def test_pair_lift_matches_brute_to_100():
     """The lift reports brute force's verdict and failure tuple, in the same
     order, on every prime power up to 100."""
-    for q in (q for q in range(2, 101) if nt.is_prime_power(q)):
+    for q in (pp.q for pp in nt.enumerate_prime_powers(2, 100)):
         lift, brute = vf.check_pair_membership_lift(q), vf.check_pair_membership(q)
         assert (lift.member, lift.failures) == (brute.member, brute.failures), q
         assert (lift.algorithm, brute.algorithm) == ("lift", "brute")
@@ -802,7 +832,7 @@ def test_pair_failures_are_whole_classes_mod_R():
     (u, v) fails depends only on (log u mod R, log w): brute force's
     failures, with their swaps, are whole classes {log u = k mod R} at each
     fixed log w.  The lift scans each class once, at log u = k."""
-    for q in (q for q in range(2, 65) if nt.is_prime_power(q)):
+    for q in (pp.q for pp in nt.enumerate_prime_powers(2, 64)):
         T = fd.log_table(fd.build_field(q))
         n, R = q - 1, nt.profile(q - 1).radical
         listed = {(int(T.log[u]), int(T.log[v])) for u, v in vf.check_pair_membership(q).failures}
@@ -821,7 +851,7 @@ def test_counts_are_invariant_under_the_R_shift():
     prime power below 65 with g < q - 1.  Every field with a pair-set
     failure has g = q - 1, so no failure list exercises the lift's expansion
     over log w; the next test forces one."""
-    for q in (q for q in range(2, 65) if nt.is_prime_power(q)):
+    for q in (pp.q for pp in nt.enumerate_prime_powers(2, 64)):
         t = vf._uv_tables(fd.build_field(q))
         if t.g == t.n:
             continue
@@ -961,7 +991,7 @@ def test_coverage_union_at_f13():
 
 
 @given(
-    st.sampled_from([q for q in range(7, 300) if nt.is_prime_power(q)]),
+    st.sampled_from([pp.q for pp in nt.enumerate_prime_powers(7, 299)]),
     st.randoms(use_true_random=False),
 )
 def test_coverage_signed_count_equals_union_bitmap(q, rng):
@@ -995,7 +1025,7 @@ def test_check_w_frozen():
         assert stats["stage_passes"] == [settles] and stats["terms_peak"] >= 1
 
 
-@pytest.mark.parametrize("q", [q for q in range(2, 129) if nt.is_prime_power(q)])
+@pytest.mark.parametrize("q", [pp.q for pp in nt.enumerate_prime_powers(2, 128)])
 def test_exhaustive_check_w_equals_direct_coverage(q):
     """With every offer accepted, the public coverage family's uncovered
     count is the number of residues the direct pass leaves uncovered, for
@@ -1012,11 +1042,11 @@ def test_exhaustive_check_w_equals_direct_coverage(q):
                 state = vf.coverage_merge(state, term, True, Fraction(1))
                 if not state.uncovered:
                     break
-        assert state.uncovered == vf._uncovered_for_w(t, jw).size, (q, jw)
+        assert state.uncovered == vf._uncovered_for_w(t, jw, Counter()).size, (q, jw)
 
 
 @pytest.mark.parametrize(
-    "q", [q for q in range(2, 65) if nt.is_prime_power(q)] + [128, 211, 243, 256, 512, 729, 911, 1024]
+    "q", [pp.q for pp in nt.enumerate_prime_powers(2, 64)] + [128, 211, 243, 256, 512, 729, 911, 1024]
 )
 def test_check_w_matches_the_tuple_pattern_oracle(q):
     """For every w below q = 65, and beyond it for every class
@@ -1080,7 +1110,7 @@ def test_special_cases_f61():
         assert cases[name][0] is True
 
 
-@pytest.mark.parametrize("q", [q for q in range(2, 200) if nt.is_prime_power(q)])
+@pytest.mark.parametrize("q", [pp.q for pp in nt.enumerate_prime_powers(2, 199)])
 def test_special_cases_match_the_plain_loops(q):
     """The first witnesses are those of plain loops over the primitive
     elements in ascending exponent order, b inside a for the pairs."""
