@@ -24,7 +24,8 @@ and stdout, is written in place, where a run that fails may leave a
 partial report.  Exact rationals are serialized as "num/den" strings with
 a 12-significant-digit decimal convenience field alongside, rounded
 half-even whatever the caller's decimal context.  Exit codes: 0 success
-(and --expect match), 1 --expect mismatch, 2 invalid input.
+(and --expect match), 1 --expect mismatch, 2 invalid input (the CLI's own
+checks, or NotAPrimePowerError, InvalidElementError, InvalidDivisorError).
 """
 
 from __future__ import annotations
@@ -41,10 +42,11 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from itertools import chain, islice
 
 from . import __version__
 from . import field, ntcore, screening, verify
-from .errors import NotAPrimePowerError
+from .errors import InvalidDivisorError, InvalidElementError, NotAPrimePowerError
 
 
 # --------------------------------------------------------------------------
@@ -283,12 +285,16 @@ def _verify_record(job: tuple[str, ntcore.PrimePowerId]) -> dict:
 
 
 def _map_jobs(fn, items, jobs: int | None):
-    """fn over items, yielded in order as they come (the pool stays open
-    until the last is taken)."""
+    """fn over the iterable items, yielded in order as they come (the pool
+    stays open until the last is taken)."""
     # jobs = None means all cores; the pool forks all its workers up front,
-    # so never more than there are items or cores
+    # so never more than there are items or cores.  Only 4 * 1024 items per
+    # worker are read ahead: past that, neither it nor the chunk size grows.
     cores = os.cpu_count() or 1
-    workers = min(jobs or cores, len(items), cores)
+    items = iter(items)
+    head = list(islice(items, 4 * 1024 * min(jobs or cores, cores)))
+    workers = min(jobs or cores, len(head), cores)
+    items = chain(head, items)
     if workers <= 1:
         yield from map(fn, items)
         return
@@ -296,14 +302,12 @@ def _map_jobs(fn, items, jobs: int | None):
     # chunk of a map at once; so the items go in batches of one chunk per
     # worker, the next batch submitted while this one is taken.  However fast
     # the workers are, at most two batches of results wait for the reader.
-    chunk = max(1, min(1024, len(items) // (4 * workers)))
-    step = workers * chunk
+    chunk = max(1, min(1024, len(head) // (4 * workers)))
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        taken = None
-        for i in range(0, len(items), step):
-            batch = ex.map(fn, items[i : i + step], chunksize=chunk)
-            if taken is not None:
-                yield from taken
+        taken = iter(())
+        while batch := list(islice(items, workers * chunk)):
+            batch = ex.map(fn, batch, chunksize=chunk)
+            yield from taken
             taken = batch
         yield from taken
 
@@ -322,15 +326,12 @@ def _range(args, parser) -> tuple[int, int]:
     return lo, args.max
 
 
-def _q_list(args, parser) -> list[ntcore.PrimePowerId]:
-    """The requested prime powers, ascending: --q, or the range."""
+def _prime_powers(args, parser):
+    """The requested prime powers, ascending: the --q list, or the range streamed."""
     if args.q:
         _refuse(args, parser, "--q", "min", "max")
-        try:
-            return [ntcore.prime_power_decompose(q) for q in sorted(set(args.q))]
-        except NotAPrimePowerError as e:
-            parser.error(str(e))
-    return ntcore.enumerate_prime_powers(*_range(args, parser))
+        return [ntcore.prime_power_decompose(q) for q in sorted(set(args.q))]
+    return ntcore.iter_prime_powers(*_range(args, parser))
 
 
 def _refuse(args, parser, mode: str, *options: str) -> None:
@@ -369,7 +370,7 @@ def run_screen(args, parser) -> tuple[dict, int]:
         }
         return {"records": records, "totals": totals}, 0
 
-    qs = _q_list(args, parser)
+    qs = _prime_powers(args, parser)
     totals = dict.fromkeys(("records", screening.ELEMENT_PROVED, screening.PAIR_PROVED, screening.NEEDS_CHECK), 0)
 
     def records():
@@ -384,7 +385,7 @@ def run_screen(args, parser) -> tuple[dict, int]:
 
 def _read_expect(path: str, parser) -> list[int]:
     """The --expect file's non-member list, sorted; exit 2 unless the file
-    holds a JSON list of ints."""
+    holds a JSON list of distinct ints."""
     try:
         with open(path) as fh:
             expected = json.load(fh)
@@ -392,8 +393,8 @@ def _read_expect(path: str, parser) -> list[int]:
         parser.error(f"--expect: cannot read {path}: {e.strerror}")
     except ValueError as e:  # not JSON, or not text
         parser.error(f"--expect: {path} is not JSON: {e}")
-    if not isinstance(expected, list) or not all(type(q) is int for q in expected):
-        parser.error(f"--expect: {path} must hold a JSON list of ints")
+    if not isinstance(expected, list) or not all(type(q) is int for q in expected) or len(set(expected)) < len(expected):
+        parser.error(f"--expect: {path} must hold a JSON list of distinct ints")
     return sorted(expected)
 
 
@@ -406,15 +407,15 @@ def run_verify(args, parser) -> tuple[dict, int]:
     if top is not None and top > field.LOG_TABLE_CAP:
         parser.error(f"verify builds a log table of the field; q <= {field.LOG_TABLE_CAP} only")
     expected = _read_expect(args.expect, parser) if args.expect is not None else None
-    qs = _q_list(args, parser)
+    qs = _prime_powers(args, parser)
     # a list, not a stream: "expect", written before the records, needs them all
-    records = list(_map_jobs(_verify_record, [(algo, pp) for pp in qs], args.jobs))
+    records = list(_map_jobs(_verify_record, ((algo, pp) for pp in qs), args.jobs))
     non_members = [r["q"] for r in records if not r["member"]]
     totals = {"records": len(records), "members": len(records) - len(non_members), "non_members": non_members}
     report = {"records": records, "totals": totals}
     code = 0
     if expected is not None:
-        scanned = {pp.q for pp in qs}
+        scanned = {r["q"] for r in records}
         expected_here = [q for q in expected if q in scanned]
         report["expect"] = {"file": args.expect, "expected": expected_here, "match": expected_here == non_members}
         code = 0 if report["expect"]["match"] else 1
@@ -436,10 +437,6 @@ def run_oracle(args, parser) -> tuple[dict, int]:
     # the guard first: factoring a large q with two big primes takes seconds
     if q > _ORACLE_GUARDS[args.kind]:
         parser.error(f"oracle {args.kind} takes q <= {_ORACLE_GUARDS[args.kind]} only")
-    try:
-        ntcore.prime_power_decompose(q)
-    except NotAPrimePowerError as e:
-        parser.error(str(e))
     if args.kind == "cases":
         _refuse(args, parser, "oracle cases", "u", "v", "e")
         t0 = time.perf_counter()
@@ -451,18 +448,12 @@ def run_oracle(args, parser) -> tuple[dict, int]:
     else:
         arity, query, count = _COUNTS[args.kind]
         u, v = (1 if x is None else x for x in (args.u, args.v))
-        try:
-            field.check_nonzero(q, u=u, v=v)
-        except ValueError as e:
-            parser.error(str(e))
         es = None
         if args.e:
             try:
                 es = [int(x) for x in args.e.split(",")]
             except ValueError:
                 parser.error(f"bad --e list: {args.e!r}")
-            if any(e < 1 or (q - 1) % e for e in es):
-                parser.error(f"every --e must divide q - 1 = {q - 1}")
             if len(es) != arity:
                 parser.error(f"oracle {args.kind} takes {arity} --e divisors")
         t0 = time.perf_counter()
@@ -535,7 +526,10 @@ def main(argv: list[str] | None = None) -> int:
             writable = os.path.isdir(parent) and os.access(parent, os.W_OK) and (st is None or os.access(path, os.W_OK))
         if not writable:
             parser.error(f"--out: cannot write {args.out}")
-    report, code = args.func(args, parser)
+    try:
+        report, code = args.func(args, parser)
+    except (NotAPrimePowerError, InvalidElementError, InvalidDivisorError) as e:
+        parser.error(str(e))
     report["command"] = argv
     _emit(report, args.format, args.out)
     return code

@@ -3,7 +3,9 @@
 Elements are plain ints in ``[0, q)``.  For a prime field this is the residue
 itself; for q = p**r an element sum(c_i * x**i) is packed little-endian in
 base p as sum(c_i * p**i).  The packed form is what every report, table and
-CLI surface uses, so an element prints the same everywhere.
+CLI surface uses, so an element prints the same everywhere.  The element
+rule (``check_nonzero``: a in [1, q)) and the divisor rule
+(``check_divisors``: e divides q - 1) live here alone.
 
 Each field fixes one generator ``gamma`` of the multiplicative group:
 
@@ -71,7 +73,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .errors import InvalidDivisorError, LogTableTooLargeError
+from .errors import InvalidDivisorError, InvalidElementError, LogTableTooLargeError
 from .ntcore import ArithmeticProfile, PrimePowerId, coprime_mask, prime_power_decompose, profile
 
 __all__ = [
@@ -81,6 +83,7 @@ __all__ = [
     "LogTable",
     "add",
     "build_field",
+    "check_divisors",
     "check_nonzero",
     "discrete_log",
     "exp_half",
@@ -172,11 +175,19 @@ def build_field(q: int) -> FieldSpec:
 # element arithmetic (packed ints)
 
 def check_nonzero(q: int, **elements: int) -> None:
-    """Raise ValueError unless each named element is a nonzero element of
-    F_q, i.e. an int in [1, q)."""
+    """Raise InvalidElementError unless each named element is a nonzero
+    element of F_q, i.e. an int in [1, q)."""
     for name, a in elements.items():
         if not 0 < a < q:
-            raise ValueError(f"{name}={a} is not a nonzero element of F_{q}: it must lie in [1, {q})")
+            raise InvalidElementError(f"{name}={a} is not a nonzero element of F_{q}: it must lie in [1, {q})")
+
+
+def check_divisors(q: int, *es: int | None) -> tuple[int | None, ...]:
+    """`es` itself, once each e in it (None means q - 1) divides q - 1."""
+    for e in es:
+        if e is not None and (e < 1 or (q - 1) % e):
+            raise InvalidDivisorError(f"e={e} does not divide q-1={q - 1}")
+    return es
 
 
 def to_coeffs(F: FieldSpec, a: int) -> tuple[int, ...]:
@@ -273,8 +284,7 @@ def is_e_free(F: FieldSpec, a: int, e: int) -> bool:
     Requires e | q - 1 and a in [1, q).  Only Rad(e) matters, and
     1-freeness is vacuous.
     """
-    if e < 1 or (F.q - 1) % e:
-        raise InvalidDivisorError(f"e={e} does not divide q-1={F.q - 1}")
+    check_divisors(F.q, e)
     check_nonzero(F.q, a=a)  # freeness is only defined for nonzero elements
     return all(power(F, a, (F.q - 1) // l) != 1 for l in profile(e).primes)
 

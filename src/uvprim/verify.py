@@ -87,7 +87,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidDivisorError
 from . import field as fd
 from .ntcore import coprime_mask, profile
 
@@ -150,19 +149,10 @@ def _uv_tables(F: fd.FieldSpec) -> _UVTables:
     return _UVTables(n, R, gcd(2 * R, n), T.exp, T.log, L1, prim, np.flatnonzero(prim), nonunits | nonunits << R)
 
 
-def _divisors(q: int, es: tuple) -> tuple:
-    """`es` itself, once every e in it (None means q - 1) divides q - 1;
-    every count calls it before it builds a table."""
-    for e in es:
-        if e is not None and (e < 1 or (q - 1) % e):
-            raise InvalidDivisorError(f"e={e} does not divide q-1={q - 1}")
-    return es
-
-
 def _free_masks(n: int, prim: np.ndarray, es) -> list[np.ndarray]:
-    """For each e in `es` (None means q - 1, all checked by `_divisors`):
-    mask[x] = True iff gamma**x is e-free, i.e. gcd(x, Rad(e)) = 1; for
-    None that is `prim` itself."""
+    """For each e in `es` (None means q - 1, each passed by
+    `fd.check_divisors`): mask[x] = True iff gamma**x is e-free, i.e.
+    gcd(x, Rad(e)) = 1; for None that is `prim` itself."""
     return [prim if e is None else coprime_mask(n, profile(e).primes) for e in es]
 
 
@@ -251,7 +241,7 @@ class SingleCountQuery:
 
 def count_pairs_free(query: PairCountQuery) -> int:
     fd.check_nonzero(query.q, u=query.u, v=query.v)
-    es = _divisors(query.q, (query.e1, query.e2, query.e3, query.e4))
+    es = fd.check_divisors(query.q, query.e1, query.e2, query.e3, query.e4)
     F = fd.build_field(query.q)
     t = _uv_tables(F)
     m1, m2, m3, m4 = _free_masks(t.n, t.prim, es)
@@ -303,7 +293,7 @@ def count_single_free(query: SingleCountQuery) -> int:
     negates digit by digit, and F_2 has no half: both read the whole
     `fd.exp_table`."""
     fd.check_nonzero(query.q, u=query.u, v=query.v)
-    e1, e2 = _divisors(query.q, (query.e1, query.e2))
+    e1, e2 = fd.check_divisors(query.q, query.e1, query.e2)
     F = fd.build_field(query.q)
     q, n = F.q, F.q - 1
     h = n // 2
@@ -361,7 +351,7 @@ def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> n
     """grid[ju, jv] = the count of `count_single_free` at u = gamma**ju,
     v = gamma**jv -- every (u, v) at once via one circular correlation
     per difference jw."""
-    es = _divisors(q, (e1, e2))
+    es = fd.check_divisors(q, e1, e2)
     t = _uv_tables(fd.build_field(q))
     n = t.n
     m1, m2 = _free_masks(n, t.prim, es)
@@ -380,7 +370,7 @@ def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> n
 def pair_count_grid(q: int, es: tuple[int | None, int | None, int | None, int | None] = (None,) * 4) -> np.ndarray:
     """grid[ju, jv] = the count of `count_pairs_free` at u = gamma**ju,
     v = gamma**jv.  O(n^4) index work; meant for small q."""
-    _divisors(q, es)
+    fd.check_divisors(q, *es)
     t = _uv_tables(fd.build_field(q))
     n = t.n
     m1, m2, m3, m4 = _free_masks(n, t.prim, es)

@@ -9,6 +9,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from importlib.resources import files
 from pathlib import Path
@@ -192,8 +193,8 @@ def test_verify_expect_mismatch_exit_code(tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    ["not json", '["13", 17]', '[2, "x"]', '{"13": 1}', "[true]", "13", None],
-    ids=["not-json", "string-q", "string-entry", "object", "bool", "scalar", "missing"],
+    ["not json", '["13", 17]', '[2, "x"]', '{"13": 1}', "[true]", "13", "[13, 13]", None],
+    ids=["not-json", "string-q", "string-entry", "object", "bool", "scalar", "repeat", "missing"],
 )
 def test_verify_expect_is_validated_before_any_check(content, tmp_path, monkeypatch):
     """A bad --expect file exits 2 (invalid input, not a mismatch) before
@@ -523,12 +524,58 @@ def test_oracle_cases(tmp_path):
         ["screen", "--q", "13", "--max", "100"],
         ["verify", "--set", "T", "--q", "13", "--min", "3"],
         ["verify", "--set", "S", "--q", "13", "--max", "100"],
+        # refused by the library alone: no prime power, e not dividing q - 1
+        ["oracle", "M", "--q", "6"],
+        ["oracle", "cases", "--q", "6"],
+        ["oracle", "N", "--q", "13", "--e", "5,1,1,1"],
     ],
 )
 def test_invalid_inputs_exit_2(argv, tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv, "--out", str(tmp_path / "x.json")])
     assert exc.value.code == 2
+
+
+def test_the_divisor_rule_lives_in_field_alone(tmp_path, monkeypatch):
+    """is_e_free, the four counts and the oracle all reach
+    `field.check_divisors`, and the oracle exits 2 on what it refuses."""
+    F13 = field.build_field(13)
+    calls = []
+    check_divisors = field.check_divisors
+
+    def recording(q, *es):
+        calls.append((q, es))
+        return check_divisors(q, *es)
+
+    monkeypatch.setattr(field, "check_divisors", recording)
+    field.is_e_free(F13, 2, 4)
+    verify.count_pairs_free(verify.PairCountQuery(13, 1, 2, 4))
+    verify.count_single_free(verify.SingleCountQuery(13, 1, 1, 6, 4))
+    verify.single_count_grid(13, 2, 3)
+    verify.pair_count_grid(13, (None, 2, None, 6))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["oracle", "M", "--q", "31", "--e", "4,1", "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert calls == [
+        (13, (4,)),
+        (13, (4, None, None, None)),
+        (13, (6, 4)),
+        (13, (2, 3)),
+        (13, (None, 2, None, 6)),
+        (31, (4, 1)),
+    ]
+
+
+def test_only_input_errors_exit_2(tmp_path, monkeypatch):
+    """main maps the package's input errors to exit 2 and nothing else: a
+    plain ValueError from inside a count is a fault, and propagates."""
+
+    def faulty(query):
+        raise ValueError("a fault inside the count")
+
+    monkeypatch.setattr(verify, "count_single_free", faulty)
+    with pytest.raises(ValueError, match="a fault inside the count"):
+        cli.main(["oracle", "M", "--q", "31", "--out", str(tmp_path / "x.json")])
 
 
 def test_oracle_M_is_guarded_by_the_table_cap(tmp_path, monkeypatch):
@@ -766,9 +813,9 @@ with open("/proc/self/status") as fh:
 
 @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
 def test_range_screen_peak_does_not_grow_with_the_range(tmp_path):
-    """A screen of the 78,733 prime powers in [3, 10**6] keeps only the q
-    list: its peak RSS stays below 100 MiB.  This measures 42.6 MiB; with
-    every record kept until the report was written it measured 258."""
+    """A screen of the 78,733 prime powers in [3, 10**6] keeps neither its
+    records nor its q: its peak RSS stays below 100 MiB.  With every record
+    kept until the report was written it measured 258."""
     out = tmp_path / "screen.json"
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
@@ -783,6 +830,25 @@ def test_range_screen_peak_does_not_grow_with_the_range(tmp_path):
     assert code == 0
     assert json.loads(out.read_text())["totals"]["records"] == 78_733
     assert peak_kib < 100 * 1024
+
+
+def test_range_screen_streams_its_q(tmp_path, monkeypatch):
+    """A range's prime powers are streamed from the sieve, not listed: with
+    the per-q work stubbed out, the 217,170 q in [3, 3 * 10**6] peak under
+    15 MB of traced allocations (the sieve's windows, about 9.7 MB), where
+    their list alone took 24 MB."""
+    monkeypatch.setattr(cli, "_screen_record", lambda pp: {"q": pp.q, "status": screening.NEEDS_CHECK})
+    out = tmp_path / "screen.csv"
+    tracemalloc.start()
+    try:
+        code = cli.main(["screen", "--min", "3", "--max", "3000000", "--jobs", "1", "--format", "csv", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    with out.open() as fh:
+        assert sum(1 for _ in fh) == 1 + 217_170
+    assert peak < 15 * 10**6
 
 
 def test_parallel_jobs_are_deterministic(tmp_path):
@@ -817,19 +883,23 @@ def test_jobs_are_capped_by_items_and_cores(tmp_path, monkeypatch):
     assert list(cli._map_jobs(abs, list(range(-10, 0)), 5000)) == list(range(10, 0, -1))
     assert list(cli._map_jobs(abs, list(range(-10, 0)), 2)) == list(range(10, 0, -1))
     assert list(cli._map_jobs(abs, [-1], 5000)) == [1]
-    assert sizes == [3, 4, 2]
+    # any iterable: a generator gets the pool a list of its items gets
+    assert list(cli._map_jobs(abs, (x for x in range(-10, 0)), 2)) == list(range(10, 0, -1))
+    assert list(cli._map_jobs(abs, (x for x in [-1, -2, -3]), 5000)) == [1, 2, 3]
+    assert sizes == [3, 4, 2, 2, 3]
     code, rep = run(["screen", "--min", "3", "--max", "60", "--jobs", "5000"], tmp_path)
     assert code == 0 and rep["totals"]["records"] == 24
-    assert sizes == [3, 4, 2, 4]
+    assert sizes == [3, 4, 2, 2, 3, 4]
     # without --jobs a mode gets None, which means every core
     assert list(cli._map_jobs(abs, list(range(-10, 0)), None)) == list(range(10, 0, -1))
     code, rep = run(["screen", "--min", "3", "--max", "60"], tmp_path)
     assert code == 0 and rep["totals"]["records"] == 24
-    assert sizes == [3, 4, 2, 4, 4, 4]
+    assert sizes == [3, 4, 2, 2, 3, 4, 4, 4]
     monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
     assert list(cli._map_jobs(abs, [-1, -2], 5000)) == [1, 2]
     assert list(cli._map_jobs(abs, [-1, -2], None)) == [1, 2]
-    assert sizes == [3, 4, 2, 4, 4, 4]
+    assert list(cli._map_jobs(abs, iter([-1, -2]), None)) == [1, 2]
+    assert sizes == [3, 4, 2, 2, 3, 4, 4, 4]
 
 
 def test_jobs_submit_at_most_two_batches_ahead(monkeypatch):
@@ -849,18 +919,34 @@ def test_jobs_submit_at_most_two_batches_ahead(monkeypatch):
             return False
 
         def map(self, fn, items, chunksize=1):
-            submitted.append(len(items))
+            submitted.append((len(items), chunksize))
             return iter([fn(x) for x in items])
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", EagerPool)
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
     items = list(range(100_000))
-    taken = 0
-    for x in cli._map_jobs(abs, items, None):
-        assert x == taken
-        taken += 1
-        assert sum(submitted) <= taken + 2 * 4 * 1024
-    assert taken == len(items) and sum(submitted) == len(items)
+    read = 0
+
+    def stream():
+        nonlocal read
+        for x in items:
+            read = x + 1
+            yield x
+
+    runs = []
+    # a generator is submitted as the list of its items is, and read at most
+    # 4 * 1024 items per worker ahead of the reader
+    for source in (items, stream()):
+        submitted = []
+        taken = 0
+        for x in cli._map_jobs(abs, source, None):
+            assert x == taken
+            taken += 1
+            assert sum(n for n, _ in submitted) <= taken + 2 * 4 * 1024
+            assert read <= taken + 4 * 4 * 1024
+        assert taken == len(items) and sum(n for n, _ in submitted) == len(items)
+        runs.append(submitted)
+    assert runs[0] == runs[1] and runs[0][0] == (4 * 1024, 1024)
 
 
 def test_version(capsys):

@@ -28,7 +28,7 @@ import tuple_coverage as tc
 from uvprim import field as fd
 from uvprim import ntcore as nt
 from uvprim import verify as vf
-from uvprim.errors import InvalidDivisorError, LogTableTooLargeError, NotAPrimePowerError
+from uvprim.errors import InvalidDivisorError, InvalidElementError, LogTableTooLargeError, NotAPrimePowerError
 
 
 # ----------------------------------------------------------- spot predicates
@@ -488,11 +488,11 @@ def test_count_queries_and_epsilon_validate_elements(q, u, v):
     # ints are rejected instead of being reduced mod p (or failing in BSGS)
     from uvprim import screening as sc
 
-    with pytest.raises(ValueError, match="must lie in"):
+    with pytest.raises(InvalidElementError, match="must lie in"):
         vf.count_single_free(vf.SingleCountQuery(q, u, v))
-    with pytest.raises(ValueError, match="must lie in"):
+    with pytest.raises(InvalidElementError, match="must lie in"):
         vf.count_pairs_free(vf.PairCountQuery(q, u, v))
-    with pytest.raises(ValueError, match="must lie in"):
+    with pytest.raises(InvalidElementError, match="must lie in"):
         sc.epsilon(q, u, v)
 
 
