@@ -25,7 +25,9 @@ partial report.  Exact rationals are serialized as "num/den" strings with
 a 12-significant-digit decimal convenience field alongside, rounded
 half-even whatever the caller's decimal context.  Exit codes: 0 success
 (and --expect match), 1 --expect mismatch, 2 invalid input (the CLI's own
-checks, or NotAPrimePowerError, InvalidElementError, InvalidDivisorError).
+checks, or NotAPrimePowerError, InvalidElementError, InvalidDivisorError,
+whose rules take the field --q built: a --q that is no prime power is
+named as such, whatever its --u, --v and --e).
 """
 
 from __future__ import annotations

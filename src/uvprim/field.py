@@ -3,9 +3,10 @@
 Elements are plain ints in ``[0, q)``.  For a prime field this is the residue
 itself; for q = p**r an element sum(c_i * x**i) is packed little-endian in
 base p as sum(c_i * p**i).  The packed form is what every report, table and
-CLI surface uses, so an element prints the same everywhere.  The element
-rule (``check_nonzero``: a in [1, q)) and the divisor rule
-(``check_divisors``: e divides q - 1) live here alone.
+CLI surface uses, so an element prints the same everywhere.  The element rule
+(``check_nonzero``: a in [1, q)) and the divisor rule (``check_divisors``: e
+divides q - 1) live here alone and take the built field, so a q that is no
+prime power fails first, whatever u, v and e.
 
 Each field fixes one generator ``gamma`` of the multiplicative group:
 
@@ -26,9 +27,9 @@ block exp[a : a + m] is the block before it times gamma**m, with m = a
 until m reaches a fixed block size.  For r >= 2 that product is an r x r
 matrix over F_p acting on base-p digit vectors, so no element is built
 by a scalar loop.  Each block is reduced by floor division, as t - (t //
-q) * q for prime fields and t - (t // p) * p on the digits, since numpy
-divides an int64 array by a scalar several times faster than it takes
-``%``.  For an odd prime q the doubling stops at half the array: as
+q) * q for prime fields and t - floor(t / p) * p on the float64 digits,
+since numpy divides an array by a scalar several times faster than it
+takes ``%``.  For an odd prime q the doubling stops at half the array: as
 gamma**((q - 1)/2) = -1, the second half is exp[x + (q - 1)/2] =
 q - exp[x], one subtraction.  ``exp_half`` is that first half alone,
 built by the same doubling and not cached.  An extension field negates
@@ -45,7 +46,7 @@ non-square, so minus a primitive element is not primitive): 3 bytes per
 element then, else 4 (3.2 and 4.4 measured at 31,651,621 and 18,888,871,
 slice temporaries included), and at most 5 with divisor arguments.  An
 extension field and F_2 read the whole exp array: 6 bytes per element,
-at most 7.
+at most 7, plus slice temporaries (in all 8.7 at 3**15, 24.6 at 3**13).
 The membership checks and the other counts read all of a field's tables,
 13 bytes per element once built -- exp and log here, 4 bytes each; the
 add-one log table L1 (4 bytes) and the primitive mask (1 byte) in
@@ -174,19 +175,19 @@ def build_field(q: int) -> FieldSpec:
 # --------------------------------------------------------------------------
 # element arithmetic (packed ints)
 
-def check_nonzero(q: int, **elements: int) -> None:
+def check_nonzero(F: FieldSpec, **elements: int) -> None:
     """Raise InvalidElementError unless each named element is a nonzero
-    element of F_q, i.e. an int in [1, q)."""
+    element of F, i.e. an int in [1, q)."""
     for name, a in elements.items():
-        if not 0 < a < q:
-            raise InvalidElementError(f"{name}={a} is not a nonzero element of F_{q}: it must lie in [1, {q})")
+        if not 0 < a < F.q:
+            raise InvalidElementError(f"{name}={a} is not a nonzero element of F_{F.q}: it must lie in [1, {F.q})")
 
 
-def check_divisors(q: int, *es: int | None) -> tuple[int | None, ...]:
+def check_divisors(F: FieldSpec, *es: int | None) -> tuple[int | None, ...]:
     """`es` itself, once each e in it (None means q - 1) divides q - 1."""
     for e in es:
-        if e is not None and (e < 1 or (q - 1) % e):
-            raise InvalidDivisorError(f"e={e} does not divide q-1={q - 1}")
+        if e is not None and (e < 1 or (F.q - 1) % e):
+            raise InvalidDivisorError(f"e={e} does not divide q-1={F.q - 1}")
     return es
 
 
@@ -284,15 +285,15 @@ def is_e_free(F: FieldSpec, a: int, e: int) -> bool:
     Requires e | q - 1 and a in [1, q).  Only Rad(e) matters, and
     1-freeness is vacuous.
     """
-    check_divisors(F.q, e)
-    check_nonzero(F.q, a=a)  # freeness is only defined for nonzero elements
+    check_divisors(F, e)
+    check_nonzero(F, a=a)  # freeness is only defined for nonzero elements
     return all(power(F, a, (F.q - 1) // l) != 1 for l in profile(e).primes)
 
 
 def is_primitive(F: FieldSpec, a: int) -> bool:
     """a generates the multiplicative group, i.e. a is (q-1)-free; 0 never
     does.  Raises ValueError unless a lies in [0, q)."""
-    check_nonzero(F.q, a=a or 1)
+    check_nonzero(F, a=a or 1)
     return a != 0 and is_e_free(F, a, F.q - 1)
 
 
@@ -338,21 +339,28 @@ def _fill_exp_prime(F: FieldSpec, exp: np.ndarray) -> None:
 
 
 def _fill_exp_ext(F: FieldSpec, exp: np.ndarray) -> None:
-    """exp[y] = gamma**y for 0 <= y < q - 1, in an extension field."""
+    """exp[y] = gamma**y for 0 <= y < q - 1, in an extension field.  The
+    digits are float64 (numpy has BLAS for it, not for int64), exact below
+    the cap: each t in digits @ M is an integer below r (p - 1)**2 < 2**28,
+    each packed value is below q <= 2**26, and a fractional t / p lies 1/p
+    or more below the next integer."""
     p, r, n = F.p, F.r, F.q - 1
     exp[0] = 1
-    pw = p ** np.arange(r, dtype=np.int64)
+    pw = p ** np.arange(r, dtype=np.float64)
     a = 1
     while a < n:
         # as for prime fields; multiplication by gamma**m is linear on digit vectors
         m = min(a, _EXP_BLOCK_EXT)
         if a == m:
             gm = power(F, F.gamma, m)
-            M = np.array([to_coeffs(F, mul(F, gm, p**i)) for i in range(r)], dtype=np.int64)  # row i: gm * x**i
+            M = np.array([to_coeffs(F, mul(F, gm, p**i)) for i in range(r)], dtype=np.float64)  # row i: gm * x**i
             digits = exp[:a, None] // pw % p
         b = min(a + m, n)
         digits = digits[: b - a] @ M
-        digits -= digits // p * p
+        quot = digits / p  # one temporary: a second one alive beside it costs page faults
+        np.floor(quot, out=quot)
+        quot *= p
+        digits -= quot
         exp[a:b] = digits @ pw
         a = b
 
@@ -428,7 +436,7 @@ def discrete_log(F: FieldSpec, a: int) -> int:
     Pohlig-Hellman over the factorization of q - 1, with BSGS in each
     prime-order subgroup; no dense table required.
     """
-    check_nonzero(F.q, a=a)
+    check_nonzero(F, a=a)
     n = F.q - 1
     if n == 1:
         return 0

@@ -22,7 +22,7 @@ is a lower bound for the true count.
 
 With theta, tau, W as in `ntcore` and stats taken at q-1:
 
-  pair interval (q > 2):
+  pair interval (q > 2; the pair sieve below at s = 0):
       |N - theta^3 tau (q-1) q| <= theta^4 W^3 (q-1) sqrt(q)
 
   prime pair interval (odd prime p, classic form):
@@ -252,19 +252,11 @@ def prime_pair_interval(p: int) -> BoundReport:
     return _report("prime-pair-interval", p, *_prime_pair_interval_terms(p, profile(p - 1).primes))
 
 
-def _pair_interval_terms(q: int, primes: tuple[int, ...]) -> tuple[int, int, int]:
-    """alpha = theta^3 tau (q-1) q and beta = theta^4 W^3 (q-1), over b^4,
-    with theta, tau and W = 2^omega taken from `primes`."""
-    a, b, c = density_terms(primes)
-    w = 1 << len(primes)
-    return a * c * (q - 1) * q * b, a**4 * w**3 * (q - 1), b**4
-
-
 def pair_interval(q: int) -> BoundReport:
-    """Interval bound for the pair count over any F_q, q > 2."""
+    """Interval bound for the pair count, q > 2: the pair sieve at s = 0."""
     if q <= 2:
         raise BoundNotApplicableError("the pair interval bound needs q > 2")
-    return _report("pair-interval", q, *_pair_interval_terms(q, profile(q - 1).primes))
+    return _report("pair-interval", q, *_pair_sieve_terms(q, 0, profile(q - 1).primes, 1, 1))
 
 
 def _pair_sieve_terms(q: int, s: int, kept: tuple[int, ...], P: int, d4: int) -> tuple[int, int, int]:
@@ -307,23 +299,19 @@ def pair_w6(q: int) -> BoundReport:
 def epsilon(q: int, u: int, v: int) -> int:
     """The number of roots of u*a**2 + v in F_q (all such roots are nonzero):
     1 for even q; for odd q, 2 if -v/u is a square and 0 otherwise."""
-    fd.check_nonzero(q, u=u, v=v)
     F = fd.build_field(q)
+    fd.check_nonzero(F, u=u, v=v)
     if F.p == 2:
         return 1
     w = fd.mul(F, fd.neg(F, v), fd.inv(F, u))
     return 2 if fd.is_square(F, w) else 0
 
 
-def _worst_epsilon(q: int) -> int:
-    return 2 if q % 2 else 1
-
-
 def element_interval(q: int, eps: int | None = None) -> BoundReport:
     """Interval bound for the element count.  `eps` is the exact root count
     for a specific (u,v); None takes the worst case for q's parity."""
     if eps is None:
-        eps = _worst_epsilon(q)
+        eps = 2 if q % 2 else 1
     st = profile(q - 1)
     a, b, _ = density_terms(st.primes)
     return _report("element-interval", q, *_element_interval_terms(q, a, b, st.w, eps), epsilon=eps)
@@ -583,13 +571,13 @@ def auto_threshold(kind: str = "pair", horizon: int = 300) -> int:
     """The least omega from which the interval criterion passes every q with
     omega(q-1) = omega, in the worst-case model q - 1 = primorial(omega).
 
-    kind "pair" uses the pair interval (positivity tau^2 q > theta^2 W^6);
-    kind "prime-pair" uses the classic prime bound (tau^2 (p-1)^4 > 25 theta^2
-    W^8 p^3).  Exact integer arithmetic throughout; verified to hold at every
-    omega from the returned value up to `horizon`; ValueError if `horizon`
-    itself fails.
+    kind "pair" uses the pair interval, the pair sieve at s = 0 (positivity
+    tau^2 q > theta^2 W^6); kind "prime-pair" uses the classic prime bound
+    (tau^2 (p-1)^4 > 25 theta^2 W^8 p^3).  Exact integer arithmetic
+    throughout; verified to hold at every omega from the returned value up
+    to `horizon`; ValueError if `horizon` itself fails.
     """
-    terms = {"pair": _pair_interval_terms, "prime-pair": _prime_pair_interval_terms}.get(kind)
+    terms = {"pair": lambda q, ks: _pair_sieve_terms(q, 0, ks, 1, 1), "prime-pair": _prime_pair_interval_terms}.get(kind)
     if terms is None:
         raise ValueError(f"unknown kind {kind!r}")
     if horizon < 1:

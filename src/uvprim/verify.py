@@ -176,13 +176,12 @@ def _pair_hits(t: _UVTables, ju: int, jw: int, xs, ys, m3: np.ndarray, m4: np.nd
         yield ok & m3[log3] & m4[(log3 - x - ys) % t.n]
 
 
-def _pair_witness(t: _UVTables, ju: int, jw: int, stats: dict | None = None) -> tuple[int, int] | None:
+def _pair_witness(t: _UVTables, ju: int, jw: int, stats: dict) -> tuple[int, int] | None:
     """The exponents (x, y) of the first primitive pair witness for
     u = gamma**ju, w = gamma**jw, least x then least y; None if there is
-    none.  Each x scanned counts in `stats["witness_scans"]`, if given."""
+    none.  Each x scanned counts in `stats["witness_scans"]`."""
     for i, hits in enumerate(_pair_hits(t, ju, jw, t.prim_m, t.prim_m, t.prim, t.prim)):
-        if stats is not None:
-            stats["witness_scans"] += 1
+        stats["witness_scans"] += 1
         j = hits.argmax()  # the first hit, if there is one
         if hits[j]:
             return int(t.prim_m[i]), int(t.prim_m[j])
@@ -194,7 +193,7 @@ def _pair_witness(t: _UVTables, ju: int, jw: int, stats: dict | None = None) -> 
 
 def is_uv_primitive_element(F: fd.FieldSpec, a: int, u: int, v: int) -> bool:
     """a primitive and u*a + v*a^-1 nonzero primitive."""
-    fd.check_nonzero(F.q, u=u, v=v, a=a or 1)  # a = 0 is never primitive
+    fd.check_nonzero(F, u=u, v=v, a=a or 1)  # a = 0 is never primitive
     if not fd.is_primitive(F, a):
         return False
     s = fd.add(F, fd.mul(F, u, a), fd.mul(F, v, fd.inv(F, a)))
@@ -203,7 +202,7 @@ def is_uv_primitive_element(F: fd.FieldSpec, a: int, u: int, v: int) -> bool:
 
 def is_uv_primitive_pair(F: fd.FieldSpec, a: int, b: int, u: int, v: int) -> bool:
     """(a, b) primitive with u*a + v*b and v*a^-1 + u*b^-1 nonzero primitive."""
-    fd.check_nonzero(F.q, u=u, v=v, a=a or 1, b=b or 1)  # 0 is never primitive
+    fd.check_nonzero(F, u=u, v=v, a=a or 1, b=b or 1)  # 0 is never primitive
     if not (fd.is_primitive(F, a) and fd.is_primitive(F, b)):
         return False
     s1 = fd.add(F, fd.mul(F, u, a), fd.mul(F, v, b))
@@ -240,9 +239,9 @@ class SingleCountQuery:
 
 
 def count_pairs_free(query: PairCountQuery) -> int:
-    fd.check_nonzero(query.q, u=query.u, v=query.v)
-    es = fd.check_divisors(query.q, query.e1, query.e2, query.e3, query.e4)
     F = fd.build_field(query.q)
+    fd.check_nonzero(F, u=query.u, v=query.v)
+    es = fd.check_divisors(F, query.e1, query.e2, query.e3, query.e4)
     t = _uv_tables(F)
     m1, m2, m3, m4 = _free_masks(t.n, t.prim, es)
     ju = int(t.log[query.u])
@@ -292,9 +291,9 @@ def count_single_free(query: SingleCountQuery) -> int:
     is as long as the exponents it is read at.  An extension field
     negates digit by digit, and F_2 has no half: both read the whole
     `fd.exp_table`."""
-    fd.check_nonzero(query.q, u=query.u, v=query.v)
-    e1, e2 = fd.check_divisors(query.q, query.e1, query.e2)
     F = fd.build_field(query.q)
+    fd.check_nonzero(F, u=query.u, v=query.v)
+    e1, e2 = fd.check_divisors(F, query.e1, query.e2)
     q, n = F.q, F.q - 1
     h = n // 2
     odd_prime = F.r == 1 and q > 2
@@ -351,8 +350,9 @@ def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> n
     """grid[ju, jv] = the count of `count_single_free` at u = gamma**ju,
     v = gamma**jv -- every (u, v) at once via one circular correlation
     per difference jw."""
-    es = fd.check_divisors(q, e1, e2)
-    t = _uv_tables(fd.build_field(q))
+    F = fd.build_field(q)
+    es = fd.check_divisors(F, e1, e2)
+    t = _uv_tables(F)
     n = t.n
     m1, m2 = _free_masks(n, t.prim, es)
     xs = np.flatnonzero(m1)
@@ -370,8 +370,9 @@ def single_count_grid(q: int, e1: int | None = None, e2: int | None = None) -> n
 def pair_count_grid(q: int, es: tuple[int | None, int | None, int | None, int | None] = (None,) * 4) -> np.ndarray:
     """grid[ju, jv] = the count of `count_pairs_free` at u = gamma**ju,
     v = gamma**jv.  O(n^4) index work; meant for small q."""
-    fd.check_divisors(q, *es)
-    t = _uv_tables(fd.build_field(q))
+    F = fd.build_field(q)
+    fd.check_divisors(F, *es)
+    t = _uv_tables(F)
     n = t.n
     m1, m2, m3, m4 = _free_masks(n, t.prim, es)
     xs = np.flatnonzero(m1)[:, None]
@@ -567,7 +568,7 @@ def coverage_term(F: fd.FieldSpec, w: int, a: int) -> int | None:
     covers at this w, as an R-bit int: bit k set iff gcd(k + log r, R) = 1
     where r = a + w*a^-1.  None when r = 0 (such a contributes nothing and
     is skipped)."""
-    fd.check_nonzero(F.q, w=w, a=a)
+    fd.check_nonzero(F, w=w, a=a)
     r = fd.add(F, a, fd.mul(F, w, fd.inv(F, a)))
     if r == 0:
         return None
@@ -696,6 +697,6 @@ def special_case_witnesses(q: int) -> dict[str, tuple[bool, tuple[int, ...] | in
         hits = np.flatnonzero(ok & t.prim[log_r])
         out[name] = (True, int(t.exp[ms[hits[0]]])) if hits.size else (False, None)
     for name, jw in (("pair-sum", 0), ("pair-diff", jw_minus)):
-        xy = _pair_witness(t, 0, jw)
+        xy = _pair_witness(t, 0, jw, {"witness_scans": 0})
         out[name] = (False, None) if xy is None else (True, tuple(int(t.exp[x]) for x in xy))
     return out

@@ -543,9 +543,9 @@ def test_the_divisor_rule_lives_in_field_alone(tmp_path, monkeypatch):
     calls = []
     check_divisors = field.check_divisors
 
-    def recording(q, *es):
-        calls.append((q, es))
-        return check_divisors(q, *es)
+    def recording(F, *es):
+        calls.append((F.q, es))
+        return check_divisors(F, *es)
 
     monkeypatch.setattr(field, "check_divisors", recording)
     field.is_e_free(F13, 2, 4)
@@ -564,6 +564,26 @@ def test_the_divisor_rule_lives_in_field_alone(tmp_path, monkeypatch):
         (13, (None, 2, None, 6)),
         (31, (4, 1)),
     ]
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["oracle", "M", "--q", "12", "--e", "5,1"], "12 is not a prime power"),
+        (["oracle", "M", "--q", "1"], "1 is not a prime power"),
+        (["oracle", "N", "--q", "0"], "0 is not a prime power"),
+        (["oracle", "M", "--q", "9", "--u", "9"], "u=9 is not a nonzero element of F_9"),
+    ],
+    ids=["q12-bad-e", "q1", "q0", "q9-bad-u"],
+)
+def test_q_is_named_before_u_v_and_e(argv, named, tmp_path, capsys):
+    """The element and divisor rules take the built field, so a --q that is
+    no prime power exits 2 as one, whatever its --u, --v and --e; a prime
+    power beside a bad --u still names u."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "x.json")])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
 
 
 def test_only_input_errors_exit_2(tmp_path, monkeypatch):

@@ -312,10 +312,14 @@ def test_single_count_peak_is_bounded_per_element():
     the count through the whole exp array measured 7.7 and 6.2, and through
     the log table and the add-one table 21.6 at 4,194,301.  At q = 4,194,319
     = 3 mod 4, -1 is a non-square, so the primitive mask and the target
-    cover every exponent and element (1 each): at most 8.5, measured 7.3."""
+    cover every exponent and element (1 each): at most 8.5, measured 7.3.
+    The extension field 3**15 reads the whole exp array (4) and both masks
+    over every exponent and element (1 each), plus the slice temporaries
+    of digit-wise field addition: at most 10, measured 8.8."""
     assert _table_growth(4_194_301, build="count") <= 6
     assert _table_growth(31_651_621, build="count") <= 4.5
     assert _table_growth(4_194_319, build="count") <= 8.5
+    assert _table_growth(3**15, build="count") <= 10
 
 
 def test_tables_of_a_left_field_are_freed():
@@ -480,6 +484,25 @@ def test_count_queries_validate_divisors(monkeypatch):
         vf.count_single_free(vf.SingleCountQuery(31651621, 1, 1, 10**9 + 7))
     with pytest.raises(InvalidDivisorError, match=r"e=7 does not divide q-1=12"):
         vf.count_pairs_free(vf.PairCountQuery(13, 1, 1, e3=7))
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 12])
+def test_counts_and_epsilon_judge_q_before_u_v_and_e(q):
+    """The element and divisor rules take the built field, so a q that is
+    no prime power raises NotAPrimePowerError even beside a bad u, v or e."""
+    from uvprim import screening as sc
+
+    for call in (
+        lambda: vf.count_single_free(vf.SingleCountQuery(q, q, 1)),
+        lambda: vf.count_single_free(vf.SingleCountQuery(q, 1, 1, 5)),
+        lambda: vf.count_pairs_free(vf.PairCountQuery(q, 1, 0)),
+        lambda: vf.count_pairs_free(vf.PairCountQuery(q, 1, 1, e4=7)),
+        lambda: vf.single_count_grid(q, 5),
+        lambda: vf.pair_count_grid(q, (None, None, 7, None)),
+        lambda: sc.epsilon(q, 0, q),
+    ):
+        with pytest.raises(NotAPrimePowerError, match=f"^{q} is not a prime power$"):
+            call()
 
 
 @pytest.mark.parametrize("q,u,v", [(31, 40, 1), (31, -1, 1), (31, 0, 1), (31, 1, 31), (9, 9, 1)])
