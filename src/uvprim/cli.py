@@ -17,17 +17,18 @@ Reports are deterministic: records sorted ascending by q, identical inputs
 give identical bytes apart from the elapsed-time fields.  A JSON report is
 written byte for byte as json.dumps(report, indent=2, sort_keys=True) would
 write it.  Each record is written as soon as it is made, so a range screen
-keeps no record; the totals come last.  A new --out, or a regular file
-with one link and our owner and group, is replaced only by a complete
-report (it is streamed into a temporary file beside it); any other --out,
-and stdout, is written in place, where a run that fails may leave a
-partial report.  Exact rationals are serialized as "num/den" strings with
-a 12-significant-digit decimal convenience field alongside, rounded
-half-even whatever the caller's decimal context.  Exit codes: 0 success
-(and --expect match), 1 --expect mismatch, 2 invalid input (the CLI's own
-checks, or NotAPrimePowerError, InvalidElementError, InvalidDivisorError,
-whose rules take the field --q built: a --q that is no prime power is
-named as such, whatever its --u, --v and --e).
+and the sweep keep no record; the totals come last.  verify alone holds
+its records, because its "expect", written before them, needs them all.
+A new --out, or a regular file with one link and our owner and group, is
+replaced only by a complete report (it is streamed into a temporary file
+beside it); any other --out, and stdout, is written in place, where a run
+that fails may leave a partial report.  Exact rationals are serialized as
+"num/den" strings with a 12-significant-digit decimal convenience field
+alongside, rounded half-even whatever the caller's decimal context.  Exit
+codes: 0 success (and --expect match), 1 --expect mismatch, 2 invalid
+input (the CLI's own checks, or NotAPrimePowerError, InvalidElementError,
+InvalidDivisorError, whose rules take the field --q built: a --q that is
+no prime power is named as such, whatever its --u, --v and --e).
 """
 
 from __future__ import annotations
@@ -256,15 +257,13 @@ def _screen_record(pp: ntcore.PrimePowerId) -> dict:
     return _verdict_record(pp, verdict, round((time.perf_counter() - t0) * 1e3, 3))
 
 
-# functions are named, not bound, so that each call looks them up in their
-# module and a wrapped (traced) replacement is the one that runs
-_CHECKERS = {"logs": "check_element_membership_logs", "lift": "check_pair_membership_lift"}
 # the algorithms of each --set, the default first; "both" cross-checks logs
 # against the inclusion-exclusion checker (stats key "ie")
 _ALGOS = {"T": ("logs", "both"), "S": ("lift",)}
 
 
 def _verify_record(job: tuple[str, ntcore.PrimePowerId]) -> dict:
+    # the checkers are looked up in verify at each call, so a traced replacement runs
     algo, pp = job
     t0 = time.perf_counter()
     if algo == "both":
@@ -273,7 +272,7 @@ def _verify_record(job: tuple[str, ntcore.PrimePowerId]) -> dict:
             raise RuntimeError(f"algorithm disagreement at q={pp.q}: {a.failures} vs {b.failures}")
         res, stats = a, {"logs": a.stats, "ie": b.stats}
     else:
-        res = getattr(verify, _CHECKERS[algo])(pp.q)
+        res = (verify.check_element_membership_logs if algo == "logs" else verify.check_pair_membership_lift)(pp.q)
         stats = res.stats
     return {
         **_q_fields(pp),
@@ -361,25 +360,21 @@ def run_screen(args, parser) -> tuple[dict, int]:
     if args.needs_check_only:
         _refuse(args, parser, "--needs-check-only", "q")
         _, verdicts = screening.sweep(*_range(args, parser))
-        records = [_verdict_record(ntcore.prime_power_decompose(v.q), v, None) for v in verdicts]
-        totals = {
-            "records": len(records),
-            "primes": sum(1 for r in records if r["r"] == 1),
-            "prime_powers": sum(1 for r in records if r["r"] > 1),
-            "pair_proved": sum(1 for r in records if r["status"] == screening.PAIR_PROVED),
-            "needs_check": sum(1 for r in records if r["status"] == screening.NEEDS_CHECK),
-            "omega_ge_7": sum(1 for r in records if r["omega"] >= 7),
-        }
-        return {"records": records, "totals": totals}, 0
-
-    qs = _prime_powers(args, parser)
-    totals = dict.fromkeys(("records", screening.ELEMENT_PROVED, screening.PAIR_PROVED, screening.NEEDS_CHECK), 0)
+        recs = (_verdict_record(ntcore.prime_power_decompose(v.q), v, None) for v in verdicts)
+        keys = ("primes", "prime_powers", "omega_ge_7", screening.PAIR_PROVED, screening.NEEDS_CHECK)
+    else:
+        recs = _map_jobs(_screen_record, _prime_powers(args, parser), args.jobs)
+        keys = (screening.ELEMENT_PROVED, screening.PAIR_PROVED, screening.NEEDS_CHECK)
+    totals = dict.fromkeys(("records", *keys), 0)
 
     def records():
         # counted as they are written; the writer comes to totals after them
-        for rec in _map_jobs(_screen_record, qs, args.jobs):
+        for rec in recs:
             totals["records"] += 1
             totals[rec["status"]] += 1
+            if args.needs_check_only:
+                totals["primes" if rec["r"] == 1 else "prime_powers"] += 1
+                totals["omega_ge_7"] += rec["omega"] >= 7
             yield rec
 
     return {"records": records(), "totals": totals}, 0
@@ -427,11 +422,8 @@ def run_verify(args, parser) -> tuple[dict, int]:
 # N and cases search by brute force; M reads only the field's exp array,
 # in an odd prime field only its first half
 _ORACLE_GUARDS = {"N": 10**4, "M": field.LOG_TABLE_CAP, "cases": 10**4}
-# kind -> (number of --e divisors, query type, name of the exact counter)
-_COUNTS = {
-    "N": (4, verify.PairCountQuery, "count_pairs_free"),
-    "M": (2, verify.SingleCountQuery, "count_single_free"),
-}
+# kind -> (number of --e divisors, query type)
+_COUNTS = {"N": (4, verify.PairCountQuery), "M": (2, verify.SingleCountQuery)}
 
 
 def run_oracle(args, parser) -> tuple[dict, int]:
@@ -448,7 +440,7 @@ def run_oracle(args, parser) -> tuple[dict, int]:
         }
         rec = {"kind": "cases", "q": q, "cases": cases}
     else:
-        arity, query, count = _COUNTS[args.kind]
+        arity, query = _COUNTS[args.kind]
         u, v = (1 if x is None else x for x in (args.u, args.v))
         es = None
         if args.e:
@@ -459,7 +451,8 @@ def run_oracle(args, parser) -> tuple[dict, int]:
             if len(es) != arity:
                 parser.error(f"oracle {args.kind} takes {arity} --e divisors")
         t0 = time.perf_counter()
-        n = getattr(verify, count)(query(q, u, v, *(es or (None,) * arity)))
+        count = verify.count_pairs_free if args.kind == "N" else verify.count_single_free
+        n = count(query(q, u, v, *(es or (None,) * arity)))
         rec = {"kind": args.kind, "q": q, "u": u, "v": v, "e": es, "count": n}
     rec["elapsed_ms"] = round((time.perf_counter() - t0) * 1e3, 3)
     return {"records": [rec], "totals": {"records": 1}}, 0

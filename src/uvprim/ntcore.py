@@ -136,9 +136,8 @@ def is_prime(n: int) -> bool:
 
 
 def _brent_rho(n: int) -> int:
-    """A nontrivial factor of composite n (Brent's cycle variant of Pollard rho)."""
-    if n % 2 == 0:
-        return 2
+    """A nontrivial factor of composite n, which is odd: `factorize` passes
+    only cofactors free of the primes below 2**16 (Brent's Pollard rho)."""
     seed = 1
     while True:
         y, c, m = seed, seed + 1, 128
@@ -362,8 +361,6 @@ def _higher_powers(lo: int, hi: int) -> dict[int, tuple[int, int]]:
 
 def _window_prime_mask(a: int, b: int, base: np.ndarray) -> np.ndarray:
     mask = np.ones(b - a, dtype=bool)
-    if a <= 1:
-        mask[: min(2 - a, b - a)] = False
     for p in map(int, base):
         if p * p >= b:
             break

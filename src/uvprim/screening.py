@@ -132,7 +132,6 @@ class SieveConfig:
     integer numerator, and the `Fraction`s `delta2`, `delta3`, `delta4` are
     derived on access."""
 
-    q: int
     k: int
     sieving_primes: tuple[int, ...]
     s: int
@@ -228,7 +227,7 @@ def sieve_config(q: int, s: int) -> SieveConfig:
     """Sieve the s largest primes of q-1; stats at the cofactor k."""
     prof = profile(q - 1)
     _, sieving, P, slack = _split(prof.primes, s)
-    return SieveConfig(q=q, k=prof.radical // P, sieving_primes=sieving, s=s, product=P, slack=slack)
+    return SieveConfig(k=prof.radical // P, sieving_primes=sieving, s=s, product=P, slack=slack)
 
 
 # --------------------------------------------------------------------------
@@ -402,7 +401,7 @@ def _sieve(objective: str, q: int, s: int | None = None) -> BoundReport:
     if best is None:
         raise BoundNotApplicableError(f"delta_{j} = {Fraction(d, P)} <= 0")
     s, kept, P, slack = winner
-    cfg = SieveConfig(q=q, k=prof.radical // P, sieving_primes=primes[len(kept) :], s=s, product=P, slack=slack)
+    cfg = SieveConfig(k=prof.radical // P, sieving_primes=primes[len(kept) :], s=s, product=P, slack=slack)
     return _report(theorem, q, *best, scale(kept) if scale else (1, 1), config=cfg)
 
 
@@ -474,13 +473,12 @@ def screen(q: int) -> ScreeningVerdict:
 
 def _generic_element_passes(q: int, omega: int, s: int | None) -> bool:
     """Whether every field with this omega(q-1) and this order q passes the
-    chosen criterion, using worst-case densities over all such fields."""
+    chosen criterion, using worst-case densities over all such fields
+    (`generic_q_max` has checked that their delta_2 is positive)."""
     if omega == 1:
         # interval bound in the worst case theta = 1, W = 2, eps = 2
         return _gt_sqrt(*_element_interval_terms(q, 1, 1, 2, 2)[:2], q)
     P, d2 = _worst_sieve(omega, s)
-    if d2 <= 0:
-        return False
     return _gt_sqrt(*_element_sieve_margin(q, s, P, d2, 1 << (omega - s)), q)
 
 

@@ -324,15 +324,13 @@ def count_single_free(query: SingleCountQuery) -> int:
             xs = np.flatnonzero(m1[lo:hi])
             a = exp.take(xs + (lo + ju - k1 * N))  # u a, up to the sign (-1)**k1
             b = exp.take((jv - k2 * N - lo) - xs)  # v a^-1, up to (-1)**k2
-            if not odd_prime:
-                s = fd.add(F, a, b)
-            elif folds:
+            if folds:
                 # +-s folds to |a - b| or |a + b - q|, both below q, then to min(., q - .)
                 s = a - b if (k1 + k2) % 2 else a + b - q
                 np.abs(s, out=s)
                 np.minimum(s, q - s, out=s)
-            else:
-                s = fd.add(F, q - a if k1 % 2 else a, q - b if k2 % 2 else b)
+            else:  # in an odd prime field, gamma**(y + n/2) = q - gamma**y
+                s = fd.add(F, q - a if odd_prime and k1 % 2 else a, q - b if odd_prime and k2 % 2 else b)
             count += int(np.count_nonzero(target[s]))
         return count
 

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line front-end through ``cli.main``."""
 
 import csv
+import dataclasses
 import decimal
 import enum
 import io
@@ -212,20 +213,29 @@ def test_verify_expect_is_validated_before_any_check(content, tmp_path, monkeypa
     assert calls == []
 
 
-@pytest.mark.parametrize("target", ["missing-dir", "dir", "parent-is-file"])
-def test_unwritable_out_is_refused_before_any_check(target, tmp_path, monkeypatch):
-    """An --out that cannot be written exits 2 (invalid input, not a
-    mismatch) before any q is screened or verified."""
+@pytest.mark.parametrize("target", ["missing-dir", "dir", "parent-is-file", "symlink-loop"])
+def test_unwritable_out_is_refused_before_any_check(target, tmp_path, monkeypatch, capsys):
+    """An --out that cannot be written, or not even stat'ed (a symlink
+    loop), exits 2 (invalid input, not a mismatch) before any q is screened
+    or verified."""
     calls = []
     for name in ("check_element_membership_logs", "check_element_membership_cover", "check_pair_membership_lift"):
         monkeypatch.setattr(verify, name, lambda q, name=name: calls.append(name))
     monkeypatch.setattr(screening, "screen", lambda q: calls.append("screen"))
     (tmp_path / "file").write_text("")
-    out = {"missing-dir": tmp_path / "no" / "x.json", "dir": tmp_path, "parent-is-file": tmp_path / "file" / "x.json"}
+    (tmp_path / "a").symlink_to(tmp_path / "b")
+    (tmp_path / "b").symlink_to(tmp_path / "a")
+    out = {
+        "missing-dir": tmp_path / "no" / "x.json",
+        "dir": tmp_path,
+        "parent-is-file": tmp_path / "file" / "x.json",
+        "symlink-loop": tmp_path / "a",
+    }
     for argv in (["verify", "--set", "T", "--algo", "both"], ["verify", "--set", "S"], ["screen"]):
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, "--q", "5", "13", "--jobs", "1", "--out", str(out[target])])
         assert exc.value.code == 2
+        assert "--out: cannot write" in capsys.readouterr().err
     assert calls == []
 
 
@@ -260,6 +270,18 @@ def test_existing_out_is_replaced_only_by_the_report(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert cli.main(["verify", "--set", "S", "--q", "13", "--jobs", "1", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["records"][0]["q"] == 13
+
+
+def test_algorithm_disagreement_fails_the_run_and_leaves_out_as_it_was(tmp_path, monkeypatch):
+    """--algo both raises, naming q, when the inclusion-exclusion checker
+    disagrees with logs, and an existing --out keeps its bytes."""
+    logs = verify.check_element_membership_logs
+    monkeypatch.setattr(verify, "check_element_membership_cover", lambda q: dataclasses.replace(logs(q), failures=()))
+    out = tmp_path / "x.json"
+    out.write_bytes(b"old report")
+    with pytest.raises(RuntimeError, match=r"at q=13:"):
+        cli.main(["verify", "--set", "T", "--q", "13", "--algo", "both", "--jobs", "1", "--out", str(out)])
+    assert out.read_bytes() == b"old report"
 
 
 def test_failed_range_screen_leaves_out_as_it_was(tmp_path, monkeypatch):
@@ -429,12 +451,13 @@ def test_checkers_and_counters_are_looked_up_at_call_time(tmp_path, monkeypatch)
             return original(arg)
 
         monkeypatch.setattr(verify, name, spy)
+    run(["verify", "--set", "T", "--q", "7", "--jobs", "1"], tmp_path)
     run(["verify", "--set", "T", "--q", "7", "--algo", "both", "--jobs", "1"], tmp_path)
     run(["verify", "--set", "S", "--q", "7", "--jobs", "1"], tmp_path)
     run(["oracle", "N", "--q", "7"], tmp_path)
     run(["oracle", "M", "--q", "7"], tmp_path)
     assert calls == [
-        "check_element_membership_logs", "check_element_membership_cover",
+        "check_element_membership_logs", "check_element_membership_logs", "check_element_membership_cover",
         "check_pair_membership_lift", "count_pairs_free", "count_single_free",
     ]
 
@@ -869,6 +892,36 @@ def test_range_screen_streams_its_q(tmp_path, monkeypatch):
     with out.open() as fh:
         assert sum(1 for _ in fh) == 1 + 217_170
     assert peak < 15 * 10**6
+
+
+def test_sweep_streams_its_records(monkeypatch):
+    """The sweep's records go to the writer as they are made: with the
+    sweep stubbed to give the 28,659 prime powers in [10**6, 1.4 * 10**6]
+    as needs-check verdicts, writing them peaks under 4 MiB of traced
+    allocations, where the list of their records took 8.8 MiB."""
+    verdicts = [
+        screening.ScreeningVerdict(pp.q, screening.NEEDS_CHECK, None, ())
+        for pp in ntcore.iter_prime_powers(10**6, 1_400_000)
+    ]
+    monkeypatch.setattr(screening, "sweep", lambda lo, hi: ([], verdicts))
+    made = 0
+    record = cli._verdict_record
+
+    def counted(*args):
+        nonlocal made
+        made += 1
+        return record(*args)
+
+    monkeypatch.setattr(cli, "_verdict_record", counted)
+    tracemalloc.start()
+    try:
+        code = cli.main(["screen", "--needs-check-only", "--min", "3", "--max", "2000000", "--format", "csv", "--out", "/dev/null"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert made == 28_659
+    assert peak < 4 * 2**20, peak
 
 
 def test_parallel_jobs_are_deterministic(tmp_path):
